@@ -28,7 +28,7 @@ from .rng import default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
                       inpaint, denoise_tikhonov, localize_source,
                       signal_energy_centroid, sparse_code)
-from .transforms import ijft, jft, variation_norm
+from .transforms import ijft, jft, real_if_close, variation_norm
 from .dynamics import heat_evolve, wave_evolve
 from .filtering import (filter_cheby2d, filter_exact, filter_ffc,
                         filter_separable)
@@ -167,11 +167,12 @@ def cmd_filter(args):
     g = _load_graph(args)
     X = fileio.load_signal(args.signal)
     kernel = _build_kernel(args.kernel, _parse_params(args.param), g, X.shape[1])
+    info = {}
     with timer.stage("filter"):
         if args.method == "exact":
             Y = filter_exact(X, kernel, g.eigensystem())
         elif args.method == "ffc":
-            Y = filter_ffc(X, kernel, g, args.order)
+            Y = filter_ffc(X, kernel, g, args.order, info=info)
         elif args.method == "cheby2d":
             Y = filter_cheby2d(X, kernel, g, args.order,
                                args.order_t if args.order_t is not None
@@ -180,11 +181,7 @@ def cmd_filter(args):
             Y = filter_separable(X, kernel, None, g, args.order)
         else:
             raise ValidationError(f"unknown filtering method '{args.method}'")
-    Y = np.real_if_close(Y, tol=1000)
-    if np.iscomplexobj(Y):
-        raise NumericalError(
-            "filter produced a complex signal; the kernel is not "
-            "conjugate-symmetric in omega")
+    Y = real_if_close(Y, strict=True)
     fileio.save_signal(args.out, Y)
     return reports.RunReport(
         command="filter",
@@ -192,7 +189,7 @@ def cmd_filter(args):
                 "order": args.order},
         timings_ms=timer.timings_ms,
         metrics={"input_norm": float(np.linalg.norm(X)),
-                 "output_norm": float(np.linalg.norm(Y))},
+                 "output_norm": float(np.linalg.norm(Y)), **info},
         outputs=[args.out])
 
 
@@ -274,8 +271,9 @@ def cmd_analyze(args):
     bank = fileio.load_bank(args.bank, g)
     X = fileio.load_signal(args.signal)
     eig = g.eigensystem() if args.exact else None
+    info = {}
     with timer.stage("analyze"):
-        C = frame_analyze(bank, X, g, eig=eig, order=args.order)
+        C = frame_analyze(bank, X, g, eig=eig, order=args.order, info=info)
     fileio.save_coefficients_binary(args.out, C)
     nx = np.linalg.norm(X)
     return reports.RunReport(
@@ -284,7 +282,8 @@ def cmd_analyze(args):
                 "order": args.order},
         timings_ms=timer.timings_ms,
         metrics={"coefficient_energy_ratio":
-                 float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300))},
+                 float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300)),
+                 **info},
         outputs=[args.out])
 
 
@@ -297,18 +296,17 @@ def cmd_synthesize(args):
     if args.dual:
         with timer.stage("dual"):
             bank = canonical_dual(bank, eig)
+    info = {}
     with timer.stage("synthesize"):
-        Y = frame_synthesize(bank, C, g, eig=eig, order=args.order)
-    Y = np.real_if_close(Y, tol=1000)
-    if np.iscomplexobj(Y):
-        Y = Y.real
+        Y = frame_synthesize(bank, C, g, eig=eig, order=args.order, info=info)
+    Y = real_if_close(Y, strict=True)
     fileio.save_signal(args.out, Y)
     return reports.RunReport(
         command="synthesize",
         params={"bank": args.bank, "dual": bool(args.dual),
                 "exact": bool(args.exact), "order": args.order},
         timings_ms=timer.timings_ms,
-        metrics={"output_norm": float(np.linalg.norm(Y))},
+        metrics={"output_norm": float(np.linalg.norm(Y)), **info},
         outputs=[args.out])
 
 
@@ -317,9 +315,10 @@ def cmd_denoise(args):
     g = _load_graph(args)
     Y = fileio.load_signal(args.signal)
     eig = g.eigensystem() if args.exact else None
+    info = {}
     with timer.stage("denoise"):
         X = denoise_tikhonov(Y, g, args.tau1, args.tau2,
-                             eig=eig, order=args.order)
+                             eig=eig, order=args.order, info=info)
     fileio.save_signal(args.out, X)
     objective = (float(np.linalg.norm(X - Y) ** 2)
                  + args.tau1 * variation_norm(X, g, p=2, q=2,
@@ -331,7 +330,7 @@ def cmd_denoise(args):
         params={"tau1": args.tau1, "tau2": args.tau2,
                 "exact": bool(args.exact), "order": args.order},
         timings_ms=timer.timings_ms,
-        metrics={"objective": objective, "iterations": 0},
+        metrics={"objective": objective, "iterations": 0, **info},
         outputs=[args.out])
 
 

@@ -9,10 +9,11 @@ Three interchangeable implementations of ``Y = h(L_G, L_T) X``:
 ``filter_ffc``
     Fast Fourier-Chebyshev: FFT along time, then for each angular
     frequency ``omega_k`` filter the graph dimension with a Chebyshev
-    approximation of ``h(., omega_k)``, then inverse FFT. Cost
-    ``O(T |E| M_G + N T log T)``; no eigendecomposition, only the
-    lambda_max bound. Exact in the temporal variable, which is where its
-    accuracy edge over 2-D polynomial schemes comes from.
+    approximation of ``h(., omega_k)``, then inverse FFT. No
+    eigendecomposition, only the lambda_max bound. Exact in the temporal
+    variable, which is where its accuracy edge over 2-D polynomial schemes
+    comes from. The largest probed fit error bounds the result:
+    ``||Y - Y_exact||_F <= ffc_fit_error * ||X||_F`` (the DFT is unitary).
 
 ``filter_cheby2d``
     Baseline: a 2-D Chebyshev expansion in ``(L_G, L_T)`` applied with a
@@ -20,11 +21,25 @@ Three interchangeable implementations of ``Y = h(L_G, L_T) X``:
     axis is approximated through the symbol ``lambda_T = 2 (1 - cos omega)``,
     whose inverse map has square-root singularities; responses with sharp
     temporal structure converge markedly slower than under FFC.
+
+Every graph polynomial of the package, here and in :mod:`tvgsp.frames`,
+runs through one private engine. It fits a ``(Z, bins, M + 1)``
+coefficient table for a list of kernels, applies it with a single
+three-term recurrence whose terms are weighted per kernel (analysis) or
+with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint),
+and multiplies the real ``L`` into complex operands through their float64
+view. When the input is real and the table conjugate-symmetric in omega
+(the operator maps real signals to real signals) it works on the
+``T // 2 + 1`` bins of the half spectrum, else on all ``T``. A recurrence
+costs ``O(|E| M T / 2 + N T log T)`` on the half spectrum, plus
+``O(|Z| N M T / 2)`` for the per-kernel weights, shared by all ``|Z|``
+kernels of a bank.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ValidationError
 from .kernels import JointKernel, grid_eval
@@ -47,8 +62,28 @@ def _check_dims(X, g):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev machinery
+# Chebyshev fitting
 # ---------------------------------------------------------------------------
+
+def _nodes(num_points, interval):
+    """Chebyshev points of the first kind: angles and points of ``interval``."""
+    a, b = interval
+    theta = np.pi * (np.arange(num_points) + 0.5) / num_points
+    return theta, 0.5 * (b - a) * np.cos(theta) + 0.5 * (b + a)
+
+
+def _quadrature(order, interval, num_points=None):
+    """Nodes and the cosine-quadrature matrix mapping node values to
+    Chebyshev coefficients (constant term halved at application time)."""
+    a, b = interval
+    if not b > a:
+        raise ValidationError("Chebyshev interval must have positive length")
+    if order < 0:
+        raise ValidationError("Chebyshev order must be nonnegative")
+    P = num_points or 2 * (order + 1)
+    theta, nodes = _nodes(P, interval)
+    return nodes, (2.0 / P) * np.cos(np.outer(np.arange(order + 1), theta))
+
 
 def fit_chebyshev(fn, order, interval, num_points=None):
     """Chebyshev coefficients of ``fn`` on ``interval`` by cosine quadrature.
@@ -57,17 +92,8 @@ def fit_chebyshev(fn, order, interval, num_points=None):
     convention in which the constant term is halved at application time, so
     polynomials of degree <= order are reproduced exactly.
     """
-    a, b = interval
-    if not b > a:
-        raise ValidationError("Chebyshev interval must have positive length")
-    if order < 0:
-        raise ValidationError("Chebyshev order must be nonnegative")
-    P = num_points or 2 * (order + 1)
-    theta = np.pi * (np.arange(P) + 0.5) / P
-    nodes = 0.5 * (b - a) * np.cos(theta) + 0.5 * (b + a)
-    vals = np.asarray(fn(nodes))
-    cosines = np.cos(np.outer(np.arange(order + 1), theta))
-    return (2.0 / P) * (cosines @ vals)
+    nodes, Q = _quadrature(order, interval, num_points)
+    return Q @ np.asarray(fn(nodes))
 
 
 @dataclass
@@ -86,59 +112,140 @@ class ChebyshevApprox:
 
 def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
     """Fit ``h(., omega_k)`` for every DFT frequency at once."""
-    a, b = interval
-    if not b > a:
-        raise ValidationError("Chebyshev interval must have positive length")
-    if order < 0:
-        raise ValidationError("Chebyshev order must be nonnegative")
-    P = 2 * (order + 1)
-    theta = np.pi * (np.arange(P) + 0.5) / P
-    nodes = 0.5 * (b - a) * np.cos(theta) + 0.5 * (b + a)
+    nodes, Q = _quadrature(order, interval)
     w = omega_grid(T)
-    vals = _eval(kernel, nodes, w)                      # (P, T)
-    cosines = np.cos(np.outer(np.arange(order + 1), theta))
-    coeffs = ((2.0 / P) * (cosines @ vals)).T           # (T, order + 1)
+    coeffs = (Q @ _eval(kernel, nodes, w)).T            # (T, order + 1)
 
-    probe_y = np.cos(np.pi * (np.arange(error_probe) + 0.5) / error_probe)
-    probe_lam = 0.5 * (b - a) * probe_y + 0.5 * (b + a)
-    truth = _eval(kernel, probe_lam, w)                 # (probe, T)
-    std = coeffs.T.copy()                               # (order + 1, T)
-    std[0] *= 0.5
-    approx = np.polynomial.chebyshev.chebval(probe_y, std)  # (T, probe)
-    fit_errors = np.abs(approx.T - truth).max(axis=0)
-    return ChebyshevApprox(order=order, interval=(a, b),
+    theta, probe = _nodes(error_probe, interval)
+    basis = np.cos(np.outer(theta, np.arange(order + 1)))
+    basis[:, 0] *= 0.5
+    approx = basis @ coeffs.T                           # (probe, T)
+    fit_errors = np.abs(approx - _eval(kernel, probe, w)).max(axis=0)
+    return ChebyshevApprox(order=order, interval=tuple(interval),
                            coeffs=coeffs, fit_errors=fit_errors)
 
 
-def _cheb_apply(op, coeffs, X, interval):
-    """Evaluate the Chebyshev series of the operator ``op`` on ``X``.
+# ---------------------------------------------------------------------------
+# Chebyshev engine: every graph recurrence and Clenshaw sum of the package
+# ---------------------------------------------------------------------------
 
-    ``coeffs`` is either a single coefficient vector or a per-column table
-    aligned with the columns of ``X`` (one polynomial per temporal bin).
+#: Relative conjugate asymmetry in omega below which a coefficient table is
+#: taken to be that of a real operator. The named responses measure
+#: <= 2e-15; spectrally shifted (STVFT) atoms measure ~1.
+SYMMETRY_TOL = 1e-12
+
+
+def _fit_table(kernels, T, order, g):
+    """``(Z, T, M + 1)`` table of ``h_z(., omega_k)`` on ``[0, lmax]`` and
+    the largest probed fit error over ``z`` and ``k``.
+
+    An edgeless graph has the single eigenvalue 0; its table is the exact
+    order-0 response ``h_z(0, omega_k)``.
     """
-    a, b = interval
-    half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    coeffs = np.asarray(coeffs)
-    per_col = coeffs.ndim == 2
+    if g.lmax == 0:
+        w = omega_grid(T)
+        return np.stack([2.0 * _eval(k, np.zeros(1), w).T
+                         for k in kernels]), 0.0
+    fits = [fit_joint_kernel(k, T, order, (0.0, g.lmax)) for k in kernels]
+    return (np.stack([f.coeffs for f in fits]),
+            max(float(f.fit_errors.max()) for f in fits))
 
-    def weight(m):
-        return coeffs[:, m][None, :] if per_col else coeffs[m]
 
-    def shifted(V):
-        return (op(V) - mid * V) / half
+def _spectrum(X, table):
+    """DFT of ``X`` along its last axis and the table columns it needs.
 
-    order = coeffs.shape[-1] - 1
-    Y = 0.5 * weight(0) * X
-    if order == 0:
-        return Y
-    T_prev = X
-    T_cur = shifted(X)
-    Y = Y + weight(1) * T_cur
-    for m in range(2, order + 1):
-        T_next = 2.0 * shifted(T_cur) - T_prev
-        Y = Y + weight(m) * T_next
-        T_prev, T_cur = T_cur, T_next
+    The half spectrum (``rfft``) is used when ``X`` is real and the table
+    is conjugate-symmetric in omega, i.e. the operator maps real signals
+    to real signals; otherwise the full spectrum. Returns
+    ``(half, Xf, table)`` with ``Xf`` in complex128, the dtype
+    :func:`_matvec` views.
+    """
+    mirror = np.conj(np.roll(table[:, ::-1], 1, axis=1))   # c[(-k) mod T]
+    half = ((not np.iscomplexobj(X) or not X.imag.any())
+            and np.abs(table - mirror).max()
+            <= SYMMETRY_TOL * np.abs(table).max())
+    if half:
+        Xf = np.fft.rfft(np.asarray(X.real, dtype=np.float64), axis=-1)
+        return True, Xf, table[:, :Xf.shape[-1]]
+    return False, np.fft.fft(np.asarray(X, dtype=np.complex128), axis=-1), table
+
+
+def _inverse(Yf, T, half):
+    if half:
+        return np.fft.irfft(Yf, n=T, axis=-1)
+    return np.fft.ifft(Yf, axis=-1)
+
+
+def _step_operator(g):
+    """``2 L~ = (4 / lmax) L - 2 I`` where ``L~`` maps ``[0, lmax]`` onto
+    ``[-1, 1]``."""
+    return sp.csr_array(4.0 / g.lmax * g.L - 2.0 * sp.eye_array(g.N))
+
+
+def _matvec(A, V):
+    """Real sparse ``A`` times a C-contiguous complex ``V``, computed on the
+    float64 view so ``A`` is never upcast to complex."""
+    return (A @ V.view(np.float64)).view(np.complex128)
+
+
+def _recurrence(Vf, table, g):
+    """``Y_z = sum_m c_{z,.,m} o T_m(L~) Vf`` for every ``z``.
+
+    One three-term recurrence ``T_m(L~) Vf`` serves all kernels; each term
+    is weighted per kernel and bin. ``Vf`` is ``(N, B)``, ``table``
+    ``(Z, B, M + 1)``; the result is ``(Z, N, B)``.
+    """
+    c = np.moveaxis(table, -1, 0)[:, :, None, :]           # (M+1, Z, 1, B)
+    Y = 0.5 * c[0] * Vf
+    if len(c) > 1:
+        A = _step_operator(g)
+        prev, cur = Vf, 0.5 * _matvec(A, Vf)
+        Y += c[1] * cur
+        for cm in c[2:]:
+            prev, cur = cur, _matvec(A, cur) - prev
+            Y += cm * cur
     return Y
+
+
+def _clenshaw(term, order, g):
+    """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence.
+
+    The coefficients are complex matrices ``B_m = term(m)`` of shape
+    ``(N, cols)``, so one backward recurrence sums them all.
+    """
+    if order == 0:
+        return 0.5 * term(0)
+    A = _step_operator(g)
+    b1, b2 = term(order), 0.0
+    for m in range(order - 1, 0, -1):
+        b1, b2 = term(m) + _matvec(A, b1) - b2, b1
+    return 0.5 * (term(0) + _matvec(A, b1)) - b2
+
+
+def _ffc_analysis(X, kernels, g, order):
+    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` and the fit error
+    ``max_{z,k} fit_err``."""
+    T = X.shape[-1]
+    table, fit_error = _fit_table(kernels, T, order, g)
+    half, Xf, table = _spectrum(X, table)
+    return _inverse(_recurrence(Xf, table, g), T, half), fit_error
+
+
+def _ffc_synthesis(C, kernels, g, order):
+    """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of the analysis) and
+    the fit error: one Clenshaw sum over
+    ``B_m = sum_z conj(c_{z,.,m}) o F C_z``."""
+    T = C.shape[-1]
+    table, fit_error = _fit_table(kernels, T, order, g)
+    half, Cf, table = _spectrum(C, table)
+    cc = np.conj(np.moveaxis(table, -1, 0))[:, :, None, :]  # (M+1, Z, 1, B)
+    Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1, g)
+    return _inverse(Yf, T, half), fit_error
+
+
+def _record(info, fit_error):
+    if info is not None:
+        info["ffc_fit_error"] = fit_error
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +261,17 @@ def filter_exact(X, kernel, eig):
     return ijft(S * H, eig)
 
 
-def filter_ffc(X, kernel, g, order):
-    """Fast Fourier-Chebyshev joint filtering (no eigendecomposition)."""
+def filter_ffc(X, kernel, g, order, info=None):
+    """Fast Fourier-Chebyshev joint filtering (no eigendecomposition).
+
+    If ``info`` is a dict it receives ``ffc_fit_error``, the largest
+    probed error of the per-frequency fits; ``||Y - Y_exact||_F <=
+    ffc_fit_error * ||X||_F``.
+    """
     X = _check_dims(X, g)
-    T = X.shape[1]
-    Xf = np.fft.fft(X, axis=1)
-    if g.lmax == 0:
-        # Edgeless graph: the response reduces to pure temporal filtering.
-        H0 = _eval(kernel, np.zeros(1), omega_grid(T))
-        return real_if_close(np.fft.ifft(Xf * H0, axis=1))
-    approx = fit_joint_kernel(kernel, T, order, (0.0, g.lmax))
-    Yf = _cheb_apply(lambda V: g.L @ V, approx.coeffs, Xf, approx.interval)
-    return real_if_close(np.fft.ifft(Yf, axis=1))
+    Y, fit_error = _ffc_analysis(X, [kernel], g, order)
+    _record(info, fit_error)
+    return real_if_close(Y[0])
 
 
 def filter_cheby2d(X, kernel, g, order_graph, order_time):
@@ -176,23 +282,15 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     in ``omega`` to be representable (all named responses are).
     """
     X = _check_dims(X, g)
-    T = X.shape[1]
     if g.lmax == 0:
         raise ValidationError("cheby2d requires a graph with at least one edge")
     if order_graph < 0 or order_time < 0:
         raise ValidationError("Chebyshev orders must be nonnegative")
-    PG, PT = 2 * (order_graph + 1), 2 * (order_time + 1)
-    theta_g = np.pi * (np.arange(PG) + 0.5) / PG
-    theta_t = np.pi * (np.arange(PT) + 0.5) / PT
-    lam_nodes = 0.5 * g.lmax * (np.cos(theta_g) + 1.0)
-    mu_nodes = 2.0 * (np.cos(theta_t) + 1.0)
+    lam_nodes, QG = _quadrature(order_graph, (0.0, g.lmax))
+    mu_nodes, QT = _quadrature(order_time, (0.0, 4.0))
     omega_nodes = np.arccos(1.0 - mu_nodes / 2.0)
-    vals = _eval(kernel, lam_nodes, omega_nodes)        # (PG, PT)
-    CG = np.cos(np.outer(np.arange(order_graph + 1), theta_g))
-    CT = np.cos(np.outer(np.arange(order_time + 1), theta_t))
-    A = (2.0 / PG) * (2.0 / PT) * (CG @ vals @ CT.T)
-    A[0, :] *= 0.5
-    A[:, 0] *= 0.5
+    A = QG @ _eval(kernel, lam_nodes, omega_nodes) @ QT.T
+    A[:, 0] *= 0.5      # the graph-axis constant is halved by _clenshaw
 
     def time_shifted(V):
         # right-multiplication by (L_T - 2 I) / 2
@@ -205,20 +303,7 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
         W.append(2.0 * time_shifted(W[-1]) - W[-2])
     Wstack = np.stack(W)                                # (MT + 1, N, T)
     Amats = np.tensordot(A, Wstack, axes=(1, 0))        # (MG + 1, N, T)
-
-    half = mid = 0.5 * g.lmax
-
-    def graph_shifted(V):
-        return (g.L @ V - mid * V) / half
-
-    # Clenshaw over the graph axis (coefficients are matrices, so the
-    # forward recursion cannot reuse a single operand).
-    b1 = np.zeros_like(Amats[0])
-    b2 = np.zeros_like(Amats[0])
-    for k in range(order_graph, 0, -1):
-        b1, b2 = Amats[k] + 2.0 * graph_shifted(b1) - b2, b1
-    Y = Amats[0] + graph_shifted(b1) - b2
-    return real_if_close(Y)
+    return real_if_close(_clenshaw(Amats.__getitem__, order_graph, g))
 
 
 def filter_separable(X, h1, h2, g, order):
@@ -235,13 +320,5 @@ def filter_separable(X, h1, h2, g, order):
             raise ValidationError(f"kernel {h1.name} is not separable")
         h1, h2 = h1.h1, h1.h2
     X = _check_dims(X, g)
-    T = X.shape[1]
-    if g.lmax == 0:
-        Yg = complex(np.asarray(h1(np.zeros(1))).ravel()[0]) * X
-    else:
-        coeffs = fit_chebyshev(h1, order, (0.0, g.lmax))
-        Yg = _cheb_apply(lambda V: g.L @ V, coeffs, X, (0.0, g.lmax))
-    hw = np.empty(T, dtype=complex)
-    hw[...] = h2(omega_grid(T))
-    Y = np.fft.ifft(np.fft.fft(Yg, axis=1) * hw[None, :], axis=1)
-    return real_if_close(Y)
+    Y, _ = _ffc_analysis(X, [JointKernel(h1=h1, h2=h2)], g, order)
+    return real_if_close(Y[0])

@@ -13,7 +13,8 @@ import numpy as np
 
 from .errors import NotAFrameError, ValidationError
 from .kernels import JointKernel, grid_eval
-from .filtering import _cheb_apply, fit_chebyshev, filter_exact, filter_ffc
+from .filtering import (_ffc_analysis, _ffc_synthesis, _record, filter_exact,
+                        filter_ffc)
 from .transforms import (jft, ijft, omega_grid, real_if_close,
                          validate_signal)
 
@@ -238,68 +239,74 @@ def _ijft_stack(S, eig):
             * np.sqrt(S.shape[-1]))
 
 
-def _analyze_stvft(bank, X, g, eig, order):
+def _analyze_stvft(bank, X, g, eig, order, info):
     """Shared-graph-filtering STVFT analysis.
 
-    Filters once per graph shift, then runs the temporal (windowed DFT)
-    axis per modulation; with a subsampled time lattice only the lattice
-    columns are kept. Equivalent to per-kernel joint filtering.
+    Filters once per graph shift (all shifts in one Chebyshev recurrence
+    without ``eig``), then runs the temporal (windowed DFT) axis per
+    modulation; with a subsampled time lattice only the lattice columns
+    are kept. Equivalent to per-kernel joint filtering.
     """
     T = bank.T
     w_grid = omega_grid(T)
     mother = bank.mother
     tsel = (np.arange(T) if bank.time_lattice is None
             else np.asarray(bank.time_lattice))
+    graph = [JointKernel(h1=lambda lam, _zl=zl: mother.h1(lam - _zl),
+                         h2=np.ones_like)
+             for zl in bank.meta["z_lambda"]]
+    windows = [_materialize(mother.h2(w_grid - zw), T)
+               for zw in bank.meta["z_omega"]]
+    if eig is not None:
+        Yg = [eig.vectors @ (_materialize(k.h1(eig.values), g.N)[:, None]
+                             * (eig.vectors.T @ X)) for k in graph]
+    else:
+        Yg, fit_error = _ffc_analysis(X, graph, g, order)
+        # an atom's error is its graph factor's times |h_T(omega - z_omega)|
+        _record(info, fit_error * max(np.abs(hw).max() for hw in windows))
     out = np.empty((bank.size, g.N, tsel.size), dtype=complex)
     z = 0
-    for zl in bank.meta["z_lambda"]:
-        hg = (lambda lam, _zl=zl: mother.h1(lam - _zl))
-        if eig is not None:
-            gains = _materialize(hg(eig.values), g.N)
-            Yg = eig.vectors @ (gains[:, None] * (eig.vectors.T @ X))
-        elif g.lmax == 0:
-            Yg = complex(np.asarray(hg(np.zeros(1))).ravel()[0]) * X
-        else:
-            coeffs = fit_chebyshev(hg, order, (0.0, g.lmax))
-            Yg = _cheb_apply(lambda V: g.L @ V, coeffs, X, (0.0, g.lmax))
-        Fg = np.fft.fft(Yg, axis=1)
-        for zw in bank.meta["z_omega"]:
-            hw = _materialize(mother.h2(w_grid - zw), T)
-            C = np.fft.ifft(Fg * hw[None, :], axis=1)
-            out[z] = C[:, tsel]
+    for Y in Yg:
+        Fg = np.fft.fft(Y, axis=1)
+        for hw in windows:
+            out[z] = np.fft.ifft(Fg * hw[None, :], axis=1)[:, tsel]
             z += 1
     return out
 
 
-def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER):
+def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     """Analysis operator: coefficients of ``X`` against every bank atom.
 
-    With full lattices this is one joint filtering pass per kernel
-    (exact when ``eig`` is given, Chebyshev/FFC of the given order
-    otherwise). Subsampled time lattices are supported for STVFT banks
-    via graph-filter-then-windowed-DFT.
+    With full lattices this is joint filtering by every kernel (exact when
+    ``eig`` is given, otherwise FFC of the given order, all kernels in one
+    Chebyshev recurrence). Subsampled time lattices are supported for
+    STVFT banks via graph-filter-then-windowed-DFT. On the FFC path a dict
+    ``info`` receives ``ffc_fit_error``, which bounds every atom:
+    ``||C_z - C_z,exact||_F <= ffc_fit_error * ||X||_F``.
     """
     X = validate_signal(X)
     if X.shape != (g.N, bank.T):
         raise ValidationError(
             f"signal shape {X.shape} does not match (N={g.N}, T={bank.T})")
     if bank.kind == "stvft":
-        return _analyze_stvft(bank, X, g, eig, order)
+        return _analyze_stvft(bank, X, g, eig, order, info)
     if bank.subsampled:
         raise ValidationError(
             "subsampled analysis is only supported for STVFT banks")
     if eig is not None:
         S = jft(X, eig)
         return _ijft_stack(bank_grid(bank, eig) * S[None, :, :], eig)
-    out = np.empty((bank.size, g.N, bank.T), dtype=complex)
-    for z, kernel in enumerate(bank.kernels):
-        out[z] = filter_ffc(X, kernel, g, order)
-    return out
+    C, fit_error = _ffc_analysis(X, bank.kernels, g, order)
+    _record(info, fit_error)
+    return C.astype(complex, copy=False)
 
 
-def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER):
+def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
     """Synthesis operator (adjoint of :func:`analyze`):
-    ``Y = sum_z conj(h_z)(L_G, L_T) C_z``. Full lattices only."""
+    ``Y = sum_z conj(h_z)(L_G, L_T) C_z``. Full lattices only. On the FFC
+    path (one Clenshaw sum for all kernels) a dict ``info`` receives
+    ``ffc_fit_error``; ``||Y - Y_exact||_F <= ffc_fit_error * sum_z
+    ||C_z||_F``."""
     if bank.subsampled:
         raise ValidationError(
             "synthesis from subsampled lattices is not supported")
@@ -311,9 +318,8 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER):
     if eig is not None:
         S = (np.conj(bank_grid(bank, eig)) * _jft_stack(C, eig)).sum(axis=0)
         return ijft(S, eig)
-    Y = np.zeros((g.N, bank.T), dtype=complex)
-    for z, kernel in enumerate(bank.kernels):
-        Y += filter_ffc(C[z], kernel.conj(), g, order)
+    Y, fit_error = _ffc_synthesis(C, bank.kernels, g, order)
+    _record(info, fit_error)
     return real_if_close(Y)
 
 

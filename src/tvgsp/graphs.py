@@ -94,20 +94,13 @@ class Graph:
         return self._eigensystem
 
     def is_connected(self):
-        """BFS connectivity check."""
+        """Whether the graph has one connected component (True for N <= 1)."""
         if self.N == 0:
             return True
-        seen = np.zeros(self.N, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        indptr, indices = self.W.indptr, self.W.indices
-        while stack:
-            v = stack.pop()
-            for u in indices[indptr[v]:indptr[v + 1]]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        return bool(seen.all())
+        # imported here: scipy.sparse.csgraph adds ~1 MB of memory and
+        # ~4 ms to any process importing it, and only graph-gen asks this
+        from scipy.sparse.csgraph import connected_components
+        return bool(connected_components(self.W, directed=False)[0] == 1)
 
 
 def build_graph(edge_list, num_vertices, coords=None):

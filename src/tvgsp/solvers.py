@@ -83,17 +83,19 @@ class SparseCodeResult:
     converged: bool
 
 
-def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER):
+def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER,
+                     info=None):
     """Joint Tikhonov denoising via its closed-form spectral filter.
 
     Exactly minimizes ``||X - Y||_F^2 + tau1 ||grad_G X||_F^2 +
     tau2 ||diff_T X||_F^2`` (no mask). Uses the exact filter when ``eig``
-    is supplied and Chebyshev filtering of the given order otherwise.
+    is supplied and Chebyshev filtering of the given order otherwise (a
+    dict ``info`` then receives ``ffc_fit_error``, see :func:`filter_ffc`).
     """
     kernel = tikhonov_response(tau1, tau2)
     if eig is not None:
         return filter_exact(Y, kernel, eig)
-    return filter_ffc(Y, kernel, g, order)
+    return filter_ffc(Y, kernel, g, order, info=info)
 
 
 def _validate_mask(mask, shape):

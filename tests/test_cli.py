@@ -91,9 +91,13 @@ def test_filter_methods_agree(graph_files, tmp_path):
                       "--order", "40",
                       "--out", str(tmp_path / out),
                       "--report", str(tmp_path / "r.json")) == 0
+        metrics = json.loads((tmp_path / "r.json").read_text())["metrics"]
+        assert ("ffc_fit_error" in metrics) == (method == "ffc")
     ye = fileio.load_signal_csv(tmp_path / "ye.csv")
     yf = fileio.load_signal_csv(tmp_path / "yf.csv")
     assert np.linalg.norm(ye - yf) <= 1e-6 * np.linalg.norm(ye)
+    assert (np.linalg.norm(ye - yf)
+            <= metrics["ffc_fit_error"] * np.linalg.norm(X))
 
 
 def test_filter_bench_csv(tmp_path):
@@ -164,6 +168,57 @@ def test_analyze_synthesize_dual_roundtrip(graph_files, bank_file, tmp_path):
                   "--report", str(tmp_path / "r.json")) == 0
     Xr = fileio.load_signal_csv(tmp_path / "xr.csv")
     assert np.linalg.norm(Xr - X) <= 1e-8 * np.linalg.norm(X)
+
+
+def test_ffc_stages_report_fit_error(graph_files, tmp_path):
+    gpath, _ = graph_files
+    X = default_rng(4).standard_normal((24, 8))
+    fileio.save_signal_csv(tmp_path / "x.csv", X)
+    fileio.save_bank_spec(tmp_path / "bank.json", {
+        "kind": "stvwt", "T": 8,
+        "mother": {"name": "mexican_hat", "params": {}},
+        "scales_lambda": [0.5, 1.0], "scales_omega": [1.0]})
+    common = ["--graph", str(gpath), "--order", "20"]
+    runs = {
+        "analyze": ["--bank", str(tmp_path / "bank.json"),
+                    "--signal", str(tmp_path / "x.csv"),
+                    "--out", str(tmp_path / "c.tvcf")],
+        "synthesize": ["--bank", str(tmp_path / "bank.json"),
+                       "--coeffs", str(tmp_path / "c.tvcf"),
+                       "--out", str(tmp_path / "xs.csv")],
+        "denoise": ["--signal", str(tmp_path / "x.csv"),
+                    "--out", str(tmp_path / "xd.csv")],
+    }
+    for command, argv in runs.items():
+        for exact in ([], ["--exact"]):
+            report = tmp_path / f"{command}.json"
+            assert invoke(command, *common, *argv, *exact,
+                          "--report", str(report)) == 0
+            metrics = json.loads(report.read_text())["metrics"]
+            if exact:
+                assert "ffc_fit_error" not in metrics
+            else:
+                assert 0 < metrics["ffc_fit_error"] < 1e-3
+
+
+def test_synthesize_imaginary_residue_exits_3(graph_files, tmp_path, capsys):
+    gpath, _ = graph_files
+    fileio.save_bank_spec(tmp_path / "bank.json", {
+        "kind": "stvwt", "T": 8,
+        "mother": {"name": "mexican_hat", "params": {}},
+        "scales_lambda": [0.5, 1.0], "scales_omega": [1.0]})
+    rng = default_rng(8)
+    C = rng.standard_normal((2, 24, 8)) + 1j * rng.standard_normal((2, 24, 8))
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf", C)
+    code = invoke("synthesize", "--graph", str(gpath),
+                  "--bank", str(tmp_path / "bank.json"),
+                  "--coeffs", str(tmp_path / "c.tvcf"),
+                  "--out", str(tmp_path / "o.csv"))
+    assert code == 3
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("imaginary_residue:")
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_denoise_cli(graph_files, tmp_path):

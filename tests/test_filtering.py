@@ -209,6 +209,31 @@ def test_fit_joint_kernel_reports_errors(fixture_graph):
     assert approx.fit_errors.max() <= 1e-8
 
 
+def test_ffc_fit_error_bounds_exact_error(fixture_graph, fixture_signal):
+    # the DFT is unitary and every bin's graph operator errs by at most
+    # the bin's fit error, hence ||Y - Y_exact||_F <= fit_error ||X||_F
+    g, X = fixture_graph, fixture_signal
+    eig = g.eigensystem()
+    for kernel in (named_response("wave_gauss", {"lmax": g.lmax}),
+                   named_response("tikhonov", {"tau1": 0.71, "tau2": 1.78}),
+                   named_response("heat", {"s": 1.0 / g.lmax, "T": 16})):
+        for order in (4, 12, 30):
+            info = {}
+            fast = filter_ffc(X, kernel, g, order, info=info)
+            error = np.linalg.norm(fast - filter_exact(X, kernel, eig))
+            assert 0 < error <= info["ffc_fit_error"] * np.linalg.norm(X)
+
+
+def test_ffc_single_precision_input(fixture_graph, fixture_signal):
+    g = fixture_graph
+    X32 = fixture_signal.astype(np.float32)
+    kernel = named_response("tikhonov", {"tau1": 0.71, "tau2": 1.78})
+    for X in (X32, X32 + 1j * X32[::-1]):    # half and full spectrum
+        X64 = X.astype(np.result_type(X, np.float64))
+        assert np.array_equal(filter_ffc(X, kernel, g, 10),
+                              filter_ffc(X64, kernel, g, 10))
+
+
 def test_filter_dimension_mismatch(fixture_graph):
     with pytest.raises(ValidationError):
         filter_ffc(np.ones((fixture_graph.N + 1, 4)), IDENTITY, fixture_graph, 5)

@@ -139,6 +139,13 @@ def test_knn_sensor_connected_seed7():
     assert g.coords.shape == (50, 2)
 
 
+def test_is_connected_disjoint_paths_and_trivial_sizes():
+    two_paths = build_graph([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)], 5)
+    assert not two_paths.is_connected()
+    assert build_graph([], 0).is_connected()
+    assert build_graph([], 1).is_connected()
+
+
 def test_knn_sensor_deterministic():
     a = knn_sensor_graph(25, 3, seed=11)
     b = knn_sensor_graph(25, 3, seed=11)
