@@ -35,7 +35,7 @@ from .filtering import (filter_cheby2d, filter_exact, filter_ffc,
 
 
 def _load_graph(args):
-    edges, n = fileio.load_edges_csv(args.graph, getattr(args, "num_vertices", None))
+    edges, n = fileio.load_edges_csv(args.graph, args.num_vertices)
     coords = None
     if getattr(args, "coords", None):
         coords = fileio.load_coords_csv(args.coords)
@@ -48,21 +48,8 @@ def _parse_params(pairs):
         if "=" not in item:
             raise ValidationError(f"--param expects key=value, got '{item}'")
         key, value = item.split("=", 1)
-        params[key.strip()] = float(value)
+        params[key.strip()] = value
     return params
-
-
-def _build_kernel(name, params, g, T):
-    params = dict(params)
-    if name == "wave_gauss":
-        scale = params.pop("lmax_scale", None)
-        if scale is not None:
-            params["lmax"] = scale * g.lmax
-        params.setdefault("lmax", g.lmax)
-    if name == "heat":
-        params.setdefault("T", T)
-        params["T"] = int(params["T"])
-    return named_response(name, params)
 
 
 def _int_list(text):
@@ -166,7 +153,8 @@ def cmd_filter(args):
     timer = reports.StageTimer()
     g = _load_graph(args)
     X = fileio.load_signal(args.signal)
-    kernel = _build_kernel(args.kernel, _parse_params(args.param), g, X.shape[1])
+    kernel = named_response(args.kernel, _parse_params(args.param),
+                            lmax=g.lmax, T=X.shape[1])
     info = {}
     with timer.stage("filter"):
         if args.method == "exact":
@@ -193,24 +181,6 @@ def cmd_filter(args):
         outputs=[args.out])
 
 
-_BENCH_KERNELS = ("lp", "wave", "tikhonov", "heat")
-
-
-def _bench_kernel(name, g, T):
-    if name == "lp":
-        return named_response("lowpass_sigmoid",
-                              {"lambda_cut": g.lmax / 4.0,
-                               "omega_cut": np.pi / 2.0})
-    if name == "wave":
-        return named_response("wave_gauss", {"lmax": g.lmax})
-    if name == "tikhonov":
-        return named_response("tikhonov", {"tau1": 0.71, "tau2": 1.78})
-    if name == "heat":
-        return named_response("heat", {"s": 1.0 / g.lmax, "T": T})
-    raise ValidationError(
-        f"unknown benchmark kernel '{name}'; available: {_BENCH_KERNELS}")
-
-
 def cmd_filter_bench(args):
     timer = reports.StageTimer()
     if args.graph:
@@ -224,8 +194,19 @@ def cmd_filter_bench(args):
     X = rng.standard_normal((g.N, T))
     with timer.stage("eigendecomposition"):
         eig = g.eigensystem()
-    kernels = {name: _bench_kernel(name, g, T)
-               for name in args.kernels.split(",")}
+    presets = {
+        "lp": ("lowpass_sigmoid",
+               {"lambda_cut": g.lmax / 4.0, "omega_cut": np.pi / 2.0}),
+        "wave": ("wave_gauss", {}),
+        "tikhonov": ("tikhonov", {"tau1": 0.71, "tau2": 1.78}),
+        "heat": ("heat", {"s": 1.0 / g.lmax}),
+    }
+    kernels = {}
+    for name in args.kernels.split(","):
+        if name not in presets:
+            raise ValidationError(f"unknown benchmark kernel '{name}'; "
+                                  f"available: {tuple(presets)}")
+        kernels[name] = named_response(*presets[name], lmax=g.lmax, T=T)
     with timer.stage("bench"):
         rows = reports.filter_error_table(
             X, g, eig, kernels, args.methods.split(","), _int_list(args.orders))
@@ -438,6 +419,10 @@ def build_parser():
                         help="write the JSON run report here "
                              "instead of stdout")
 
+    graph_args = argparse.ArgumentParser(add_help=False)
+    graph_args.add_argument("--graph", required=True)
+    graph_args.add_argument("--num-vertices", type=int, default=None)
+
     parser = argparse.ArgumentParser(
         prog="tvgsp",
         description="Time-vertex signal processing toolkit")
@@ -458,32 +443,26 @@ def build_parser():
     p.add_argument("--coords-out", default=None)
     p.set_defaults(func=cmd_graph_gen)
 
-    p = sub.add_parser("transform", parents=[common],
+    p = sub.add_parser("transform", parents=[common, graph_args],
                        help="joint Fourier transform (or inverse)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--signal")
     p.add_argument("--spectrum")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("dynamics", parents=[common],
+    p = sub.add_parser("dynamics", parents=[common, graph_args],
                        help="evolve a PDE on the graph")
     p.add_argument("--kind", required=True, choices=["heat", "wave"])
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--T", type=int, required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--x1", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-spectrum", default=None)
     p.set_defaults(func=cmd_dynamics)
 
-    p = sub.add_parser("filter", parents=[common],
+    p = sub.add_parser("filter", parents=[common, graph_args],
                        help="apply a named joint filter")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--signal", required=True)
     p.add_argument("--kernel", required=True)
     p.add_argument("--param", action="append", default=[],
@@ -508,18 +487,14 @@ def build_parser():
     p.add_argument("--emit", required=True)
     p.set_defaults(func=cmd_filter_bench)
 
-    p = sub.add_parser("frame-build", parents=[common],
+    p = sub.add_parser("frame-build", parents=[common, graph_args],
                        help="build a bank spec and compute frame bounds")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--bank", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_frame_build)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[common, graph_args],
                        help="frame analysis coefficients")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--bank", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--exact", action="store_true")
@@ -527,10 +502,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("synthesize", parents=[common],
+    p = sub.add_parser("synthesize", parents=[common, graph_args],
                        help="frame synthesis from coefficients")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--bank", required=True)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--dual", action="store_true",
@@ -540,10 +513,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("denoise", parents=[common],
+    p = sub.add_parser("denoise", parents=[common, graph_args],
                        help="joint Tikhonov denoising")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--signal", required=True)
     p.add_argument("--tau1", type=float, default=0.71)
     p.add_argument("--tau2", type=float, default=1.78)
@@ -552,10 +523,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_denoise)
 
-    p = sub.add_parser("inpaint", parents=[common],
+    p = sub.add_parser("inpaint", parents=[common, graph_args],
                        help="masked recovery with a mixed variation prior")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--signal", required=True)
     p.add_argument("--mask", required=True)
     p.add_argument("--p", type=int, default=1)
@@ -567,10 +536,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inpaint)
 
-    p = sub.add_parser("sparse-code", parents=[common],
+    p = sub.add_parser("sparse-code", parents=[common, graph_args],
                        help="sparse synthesis coding over a frame")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--bank", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--gamma", type=float, required=True)
@@ -579,10 +546,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sparse_code)
 
-    p = sub.add_parser("localize", parents=[common],
+    p = sub.add_parser("localize", parents=[common, graph_args],
                        help="source localization from coefficients")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--coords", required=True)
     p.add_argument("--bank", default=None)
     p.add_argument("--coeffs", required=True)
@@ -591,10 +556,8 @@ def build_parser():
                    help="also report the energy-centroid baseline")
     p.set_defaults(func=cmd_localize)
 
-    p = sub.add_parser("compaction", parents=[common],
+    p = sub.add_parser("compaction", parents=[common, graph_args],
                        help="energy compaction of DFT vs GFT vs JFT")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--num-vertices", type=int, default=None)
     p.add_argument("--signal", required=True)
     p.add_argument("--percentiles", default="50,75,90,95,99")
     p.add_argument("--out", required=True)
@@ -615,15 +578,9 @@ def run(argv=None):
     except OSError as exc:
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
-        return 3
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, NumericalError) else 2
     if args.report:
         with open(args.report, "w", newline="\n") as fh:
             fh.write(report.to_json() + "\n")

@@ -21,10 +21,9 @@ import struct
 
 import numpy as np
 
-from .dynamics import damped_wave_response
 from .errors import ValidationError
 from .frames import itersine_graph_design, make_stvft, make_stvwt, time_window
-from .kernels import mexican_hat_response, named_response
+from .kernels import _NAMED, named_response
 
 _SIGNAL_MAGIC = b"TVSG"
 _COEFF_MAGIC = b"TVCF"
@@ -32,6 +31,13 @@ _COEFF_MAGIC = b"TVCF"
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _malformed(path, reader):
+    """Error for the CSV row ``reader`` read last (a field that is not a
+    number, or a missing or extra one)."""
+    return ValidationError(f"{path}: line {reader.line_num}: malformed row "
+                           "(non-numeric, missing or extra field)")
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +61,17 @@ def load_edges_csv(path, num_vertices=None):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["src", "dst", "weight"]:
             raise ValidationError(f"{path}: expected header 'src,dst,weight'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValidationError(f"{path}: malformed edge row {row!r}")
-            i, j, w = int(row[0]), int(row[1]), float(row[2])
-            edges.append((i, j, w))
-            max_id = max(max_id, i, j)
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValidationError(f"{path}: malformed edge row {row!r}")
+                i, j, w = int(row[0]), int(row[1]), float(row[2])
+                edges.append((i, j, w))
+                max_id = max(max_id, i, j)
+        except ValueError:
+            raise _malformed(path, reader) from None
     n = int(num_vertices) if num_vertices is not None else max_id + 1
     return edges, n
 
@@ -81,7 +90,10 @@ def load_coords_csv(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "y"]:
             raise ValidationError(f"{path}: expected header 'x,y'")
-        rows = [[float(v) for v in row] for row in reader if row]
+        try:
+            rows = [(float(x), float(y)) for x, y in filter(None, reader)]
+        except ValueError:
+            raise _malformed(path, reader) from None
     return np.asarray(rows, dtype=float)
 
 
@@ -152,7 +164,10 @@ def save_mask_csv(path, M):
 
 
 def load_mask_csv(path):
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not a numeric CSV mask ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +191,17 @@ def load_spectrum_csv(path):
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["l", "k", "re", "im"]:
             raise ValidationError(f"{path}: expected header 'l,k,re,im'")
-        for row in reader:
-            if not row:
-                continue
-            l, k = int(row[0]) - 1, int(row[1]) - 1
-            if (l, k) in entries:
-                raise ValidationError(f"{path}: duplicate entry for l={l + 1}, k={k + 1}")
-            entries[(l, k)] = complex(float(row[2]), float(row[3]))
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                l, k = int(row[0]) - 1, int(row[1]) - 1
+                if (l, k) in entries:
+                    raise ValidationError(
+                        f"{path}: duplicate entry for l={l + 1}, k={k + 1}")
+                entries[(l, k)] = complex(float(row[2]), float(row[3]))
+        except (ValueError, IndexError):
+            raise _malformed(path, reader) from None
     if not entries:
         raise ValidationError(f"{path}: empty spectrum")
     n = 1 + max(l for l, _ in entries)
@@ -226,20 +245,9 @@ def load_coefficients_binary(path):
 
 def _mother_kernel(spec, g, T):
     name = spec.get("name")
-    params = dict(spec.get("params", {}))
-    if name == "damped_wave":
-        return damped_wave_response(float(params["beta"]), T)
-    if name == "mexican_hat":
-        return mexican_hat_response()
-    if name == "wave_gauss":
-        params.setdefault("lmax", g.lmax)
-        return named_response(name, params)
-    if name == "heat":
-        params.setdefault("T", T)
-        return named_response(name, params)
-    if name in ("lowpass_sigmoid", "tikhonov"):
-        return named_response(name, params)
-    raise ValidationError(f"unknown mother kernel '{name}'")
+    if name not in _NAMED:
+        raise ValidationError(f"unknown mother kernel '{name}'")
+    return named_response(name, spec.get("params", {}), lmax=g.lmax, T=T)
 
 
 def build_bank(spec, g):

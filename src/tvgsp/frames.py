@@ -323,13 +323,26 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
     return real_if_close(Y)
 
 
-def _denominator(kernels):
-    def D(lam, omega):
+def _normalized(bank, scale, tag):
+    """Bank of ``h_z / scale(sum_z' |h_z'|^2)``, evaluated pointwise."""
+    kernels = list(bank.kernels)
+
+    def energy(lam, omega):
         total = 0.0
         for kernel in kernels:
             total = total + np.abs(np.asarray(kernel(lam, omega))) ** 2
         return total
-    return D
+
+    def make(kz):
+        return lambda lam, omega: (np.asarray(kz(lam, omega))
+                                   / scale(energy(lam, omega)))
+
+    return FilterBank(
+        kernels=[JointKernel(fn=make(kz), name=f"{tag}({kz.name})")
+                 for kz in kernels],
+        lattice=list(bank.lattice), kind="custom", mother=None, T=bank.T,
+        vertex_lattice=bank.vertex_lattice, time_lattice=bank.time_lattice,
+        meta={f"{tag}_of": bank.kind})
 
 
 def canonical_dual(bank, eig, tol=1e-12):
@@ -346,36 +359,11 @@ def canonical_dual(bank, eig, tol=1e-12):
         raise NotAFrameError(
             f"lower frame bound {A:.3e} vanishes at grid point "
             f"(l={l}, k={k}) (0-based); the bank is not a frame")
-    kernels = list(bank.kernels)
-    den = _denominator(kernels)
-
-    def make_dual(kz):
-        return lambda lam, omega: np.asarray(kz(lam, omega)) / den(lam, omega)
-
-    dual_kernels = [JointKernel(fn=make_dual(kz), name=f"dual({kz.name})")
-                    for kz in kernels]
-    return FilterBank(kernels=dual_kernels, lattice=list(bank.lattice),
-                      kind="custom", mother=None, T=bank.T,
-                      vertex_lattice=bank.vertex_lattice,
-                      time_lattice=bank.time_lattice,
-                      meta={"dual_of": bank.kind})
+    return _normalized(bank, lambda energy: energy, "dual")
 
 
 def normalize_tight(bank):
     """Scale kernels by ``1 / sqrt(sum_z |h_z|^2)`` pointwise, producing a
     tight bank with frame bounds A = B = 1. The bank's summed energy must
     be positive wherever kernels are evaluated."""
-    kernels = list(bank.kernels)
-    den = _denominator(kernels)
-
-    def make(kz):
-        return lambda lam, omega: (np.asarray(kz(lam, omega))
-                                   / np.sqrt(den(lam, omega)))
-
-    tight = [JointKernel(fn=make(kz), name=f"tight({kz.name})")
-             for kz in kernels]
-    return FilterBank(kernels=tight, lattice=list(bank.lattice),
-                      kind="custom", mother=None, T=bank.T,
-                      vertex_lattice=bank.vertex_lattice,
-                      time_lattice=bank.time_lattice,
-                      meta={"tight_of": bank.kind})
+    return _normalized(bank, np.sqrt, "tight")

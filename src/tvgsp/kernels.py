@@ -13,6 +13,10 @@ from .errors import ValidationError
 from .transforms import omega_grid
 
 
+def _same(value):
+    return value
+
+
 class JointKernel:
     """Evaluable joint frequency response.
 
@@ -41,48 +45,34 @@ class JointKernel:
         sep = "separable" if self.separable else "non-separable"
         return f"JointKernel({self.name}, {sep}, params={self.params})"
 
-    def conj(self):
-        """Kernel with complex-conjugated response (used by synthesis)."""
+    def _mapped(self, name, lam_map=_same, omega_map=_same, out=_same):
+        """Kernel ``out(h(lam_map(lambda), omega_map(omega)))``; a separable
+        kernel maps each factor and stays separable."""
         if self.separable:
             h1, h2 = self.h1, self.h2
-            return JointKernel(
-                h1=lambda lam: np.conj(h1(lam)),
-                h2=lambda omega: np.conj(h2(omega)),
-                name=f"conj({self.name})", params=self.params)
+            return JointKernel(h1=lambda lam: out(h1(lam_map(lam))),
+                               h2=lambda omega: out(h2(omega_map(omega))),
+                               name=name, params=self.params)
         fn = self.fn
         return JointKernel(
-            fn=lambda lam, omega: np.conj(fn(lam, omega)),
-            name=f"conj({self.name})", params=self.params)
+            fn=lambda lam, omega: out(fn(lam_map(lam), omega_map(omega))),
+            name=name, params=self.params)
+
+    def conj(self):
+        """Kernel with complex-conjugated response (used by synthesis)."""
+        return self._mapped(f"conj({self.name})", out=np.conj)
 
     def shifted(self, z_lambda, z_omega):
         """Spectral shift ``h(lambda - z_lambda, omega - z_omega)``."""
-        if self.separable:
-            h1, h2 = self.h1, self.h2
-            return JointKernel(
-                h1=lambda lam: h1(lam - z_lambda),
-                h2=lambda omega: h2(omega - z_omega),
-                name=f"{self.name}@shift({z_lambda:g},{z_omega:g})",
-                params=self.params)
-        fn = self.fn
-        return JointKernel(
-            fn=lambda lam, omega: fn(lam - z_lambda, omega - z_omega),
-            name=f"{self.name}@shift({z_lambda:g},{z_omega:g})",
-            params=self.params)
+        return self._mapped(f"{self.name}@shift({z_lambda:g},{z_omega:g})",
+                            lambda lam: lam - z_lambda,
+                            lambda omega: omega - z_omega)
 
     def scaled(self, z_lambda, z_omega):
         """Spectral dilation ``h(z_lambda * lambda, z_omega * omega)``."""
-        if self.separable:
-            h1, h2 = self.h1, self.h2
-            return JointKernel(
-                h1=lambda lam: h1(z_lambda * lam),
-                h2=lambda omega: h2(z_omega * omega),
-                name=f"{self.name}@scale({z_lambda:g},{z_omega:g})",
-                params=self.params)
-        fn = self.fn
-        return JointKernel(
-            fn=lambda lam, omega: fn(z_lambda * lam, z_omega * omega),
-            name=f"{self.name}@scale({z_lambda:g},{z_omega:g})",
-            params=self.params)
+        return self._mapped(f"{self.name}@scale({z_lambda:g},{z_omega:g})",
+                            lambda lam: z_lambda * lam,
+                            lambda omega: z_omega * omega)
 
 
 def grid_eval(kernel, lambdas, T):
@@ -189,24 +179,64 @@ def mexican_hat_response():
     return JointKernel(fn=fn, name="mexican_hat", params={})
 
 
+def _damped_wave(beta, T):
+    from .dynamics import damped_wave_response  # dynamics imports this module
+    return damped_wave_response(beta, T)
+
+
+#: name -> (factory, parameter names); the one table of named kernels.
 _NAMED = {
     "lowpass_sigmoid": (lowpass_sigmoid_response, ("lambda_cut", "omega_cut")),
     "wave_gauss": (wave_gauss_response, ("lmax",)),
     "tikhonov": (tikhonov_response, ("tau1", "tau2")),
     "heat": (heat_response, ("s", "T")),
+    "mexican_hat": (mexican_hat_response, ()),
+    "damped_wave": (_damped_wave, ("beta", "T")),
 }
 
 
-def named_response(name, params):
-    """Build one of the named filter responses from a parameter dict."""
+def _number(name, key, value):
+    """A parameter as a finite float (``T``: a positive int), else
+    :class:`ValidationError`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number) or (key == "T" and (number < 1 or number % 1)):
+        kind = "a positive integer" if key == "T" else "a finite number"
+        raise ValidationError(
+            f"response '{name}' parameter {key}={value!r} is not {kind}")
+    return int(number) if key == "T" else number
+
+
+def named_response(name, params, lmax=None, T=None):
+    """Build one of the named filter responses from a parameter dict.
+
+    ``lmax`` (the graph's) and ``T`` (the signal's) fill a missing
+    parameter of that name; ``lmax_scale`` sets ``lmax`` to
+    ``lmax_scale * lmax``. Values may be numbers or numeric strings.
+    """
     if name not in _NAMED:
         raise ValidationError(
             f"unknown response '{name}'; available: {sorted(_NAMED)}")
     factory, required = _NAMED[name]
+    if not isinstance(params, dict):
+        raise ValidationError(f"response '{name}' parameters must be a mapping")
+    params = dict(params)
+    if "lmax" in required and "lmax_scale" in params:
+        if "lmax" in params:
+            raise ValidationError(
+                f"response '{name}' takes lmax or lmax_scale, not both")
+        if lmax is None:
+            raise ValidationError("lmax_scale needs the graph's lmax")
+        params["lmax"] = _number(name, "lmax_scale", params.pop("lmax_scale")) * lmax
+    for key, value in (("lmax", lmax), ("T", T)):
+        if key in required and value is not None:
+            params.setdefault(key, value)
     missing = [key for key in required if key not in params]
     if missing:
         raise ValidationError(f"response '{name}' misses parameters {missing}")
     extra = [key for key in params if key not in required]
     if extra:
         raise ValidationError(f"response '{name}' got unknown parameters {extra}")
-    return factory(**{key: params[key] for key in required})
+    return factory(**{key: _number(name, key, params[key]) for key in required})

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from tvgsp import fileio
+from tvgsp import build_graph, fileio, filter_exact, grid_eval, named_response
 from tvgsp.cli import run
+from tvgsp.kernels import _NAMED
 from tvgsp.rng import default_rng
 
 
@@ -121,6 +122,22 @@ def test_filter_bench_deterministic_except_walltime(tmp_path):
     strip = lambda p: [",".join(line.split(",")[:4])
                        for line in (tmp_path / p).read_text().splitlines()]
     assert strip("e1.csv") == strip("e2.csv")
+
+
+def test_filter_bench_presets(tmp_path, capsys):
+    assert invoke("filter-bench", "--n", "16", "--t", "8", "--knn", "3",
+                  "--kernels", "lp,wave,tikhonov,heat", "--orders", "3",
+                  "--methods", "exact",
+                  "--emit", str(tmp_path / "e.csv"),
+                  "--report", str(tmp_path / "r.json")) == 0
+    rows = (tmp_path / "e.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["lp", "wave", "tikhonov",
+                                                   "heat"]
+    code = invoke("filter-bench", "--n", "16", "--t", "8", "--knn", "3",
+                  "--kernels", "mexican_hat",
+                  "--emit", str(tmp_path / "e2.csv"))
+    err = _assert_invalid_input(code, capsys)
+    assert "unknown benchmark kernel" in err
 
 
 @pytest.fixture
@@ -366,3 +383,124 @@ def test_binary_signal_path(graph_files, tmp_path):
                   "--report", str(tmp_path / "r.json")) == 0
     Y = fileio.load_signal_binary(tmp_path / "y.bin")
     assert Y.shape == (24, 8)
+
+
+# One parameter set per registered kernel name; lmax and T come from the
+# graph and the signal.
+NAMED_PARAMS = {
+    "lowpass_sigmoid": {"lambda_cut": 1.0, "omega_cut": 1.0},
+    "wave_gauss": {},
+    "tikhonov": {"tau1": 0.4, "tau2": 0.8},
+    "heat": {"s": 0.05},
+    "mexican_hat": {},
+    "damped_wave": {"beta": 0.5},
+}
+
+
+def test_named_params_cover_registry():
+    assert set(NAMED_PARAMS) == set(_NAMED)
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_PARAMS))
+def test_every_named_kernel_in_filter_and_bank(name, graph_files, tmp_path):
+    gpath, _ = graph_files
+    params = NAMED_PARAMS[name]
+    X = default_rng(11).standard_normal((24, 8))
+    fileio.save_signal_csv(tmp_path / "x.csv", X)
+    argv = ["filter", "--graph", str(gpath), "--signal", str(tmp_path / "x.csv"),
+            "--kernel", name, "--method", "exact",
+            "--out", str(tmp_path / "y.csv"), "--report", str(tmp_path / "r.json")]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={value}"]
+    assert invoke(*argv) == 0
+    edges, n = fileio.load_edges_csv(gpath)
+    g = build_graph(edges, n)
+    eig = g.eigensystem()
+    bank = fileio.build_bank({"kind": "stvwt", "T": 8,
+                              "mother": {"name": name, "params": params},
+                              "scales_lambda": [1.0], "scales_omega": [1.0],
+                              "check_admissibility": False}, g)
+    reference = named_response(name, params, lmax=g.lmax, T=8)
+    H = grid_eval(bank.mother, eig.values, 8)
+    assert np.array_equal(H, grid_eval(reference, eig.values, 8))
+    Y = fileio.load_signal_csv(tmp_path / "y.csv")
+    Y_bank = filter_exact(X, bank.mother, eig)
+    assert np.linalg.norm(Y - Y_bank) <= 1e-12 * np.linalg.norm(Y_bank)
+
+
+def _assert_invalid_input(code, capsys):
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid_input:")
+    return err
+
+
+@pytest.mark.parametrize("kernel,params", [
+    ("tikhonov", ["tau1=abc", "tau2=1.0"]),
+    ("tikhonov", ["tau1=nan", "tau2=1.0"]),
+    ("heat", ["s=0.05", "T=3.7"]),
+])
+def test_filter_bad_param_exits_2(kernel, params, graph_files, tmp_path,
+                                  capsys):
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv", np.ones((24, 8)))
+    argv = ["filter", "--graph", str(gpath), "--signal", str(tmp_path / "x.csv"),
+            "--kernel", kernel, "--out", str(tmp_path / "y.csv")]
+    for item in params:
+        argv += ["--param", item]
+    _assert_invalid_input(invoke(*argv), capsys)
+    assert not (tmp_path / "y.csv").exists()
+
+
+@pytest.mark.parametrize("mother", [
+    {"name": "tikhonov", "params": {"tau1": "abc", "tau2": 1.0}},
+    {"name": "damped_wave", "params": {"beta": "x"}},
+    {"name": "mexican_hat", "params": {"sigma": 1.0}},
+])
+def test_bank_spec_bad_param_exits_2(mother, graph_files, tmp_path, capsys):
+    gpath, _ = graph_files
+    fileio.save_bank_spec(tmp_path / "bank.json", {
+        "kind": "stvwt", "T": 8, "mother": mother,
+        "scales_lambda": [1.0], "scales_omega": [1.0],
+        "check_admissibility": False})
+    code = invoke("frame-build", "--graph", str(gpath),
+                  "--bank", str(tmp_path / "bank.json"))
+    _assert_invalid_input(code, capsys)
+
+
+def test_non_numeric_edge_id_exits_2(tmp_path, capsys):
+    (tmp_path / "g.csv").write_text("src,dst,weight\n0,1,1.0\n1,x,1.0\n")
+    fileio.save_signal_csv(tmp_path / "x.csv", np.ones((2, 4)))
+    code = invoke("transform", "--graph", str(tmp_path / "g.csv"),
+                  "--signal", str(tmp_path / "x.csv"),
+                  "--out", str(tmp_path / "s.csv"))
+    err = _assert_invalid_input(code, capsys)
+    assert "g.csv: line 3" in err
+
+
+def test_malformed_mask_exits_2(graph_files, tmp_path, capsys):
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "y.csv", np.ones((24, 8)))
+    rows = ["1,0,1,0,1,0,1,0"] * 24
+    rows[5] = "1,0,1,yes,1,0,1,0"
+    (tmp_path / "m.csv").write_text("\n".join(rows) + "\n")
+    code = invoke("inpaint", "--graph", str(gpath),
+                  "--signal", str(tmp_path / "y.csv"),
+                  "--mask", str(tmp_path / "m.csv"),
+                  "--gamma1", "0.2", "--gamma2", "0.5",
+                  "--out", str(tmp_path / "x.csv"))
+    err = _assert_invalid_input(code, capsys)
+    assert "m.csv" in err
+
+
+def test_non_numeric_coordinate_exits_2(graph_files, tmp_path, capsys):
+    gpath, _ = graph_files
+    (tmp_path / "c.csv").write_text("x,y\n0.1,0.2\n0.3,north\n")
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf",
+                                    np.zeros((1, 24, 8), dtype=complex))
+    code = invoke("localize", "--graph", str(gpath),
+                  "--coords", str(tmp_path / "c.csv"),
+                  "--coeffs", str(tmp_path / "c.tvcf"))
+    err = _assert_invalid_input(code, capsys)
+    assert "c.csv: line 3" in err

@@ -151,3 +151,29 @@ def test_bank_spec_validation(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError, match="JSON"):
         fileio.load_bank(bad, g)
+
+
+def test_bank_spec_wave_gauss_lmax_scale():
+    g = knn_sensor_graph(12, 3, seed=11)
+    spec = {"kind": "stvwt", "T": 8,
+            "mother": {"name": "wave_gauss", "params": {"lmax_scale": 0.5}},
+            "scales_lambda": [1.0], "scales_omega": [1.0],
+            "check_admissibility": False}
+    bank = fileio.build_bank(spec, g)
+    assert bank.mother.params == {"lmax": 0.5 * g.lmax}
+
+
+@pytest.mark.parametrize("loader,text,match", [
+    (fileio.load_edges_csv, "src,dst,weight\n0,1,1.0\n1,2.5,1.0\n", "line 3"),
+    (fileio.load_coords_csv, "x,y\n0.1,0.2\n0.3,?\n", "line 3"),
+    (fileio.load_coords_csv, "x,y\n0.1,0.2,0.3\n", "line 2"),
+    (fileio.load_spectrum_csv, "l,k,re,im\n1,1,0.5,x\n", "line 2"),
+    (fileio.load_spectrum_csv, "l,k,re,im\n1,1,0.5\n", "line 2"),
+    (fileio.load_mask_csv, "1,0\n0,z\n", "mask"),
+])
+def test_csv_parsing_errors_name_the_file(loader, text, match, tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=match) as err:
+        loader(path)
+    assert "input.csv" in str(err.value)

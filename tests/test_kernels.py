@@ -99,3 +99,55 @@ def test_separable_shift_keeps_factors():
 def test_kernel_requires_fn_or_factors():
     with pytest.raises(ValidationError):
         JointKernel()
+
+
+def test_named_response_context_fills_missing_values():
+    wave = named_response("wave_gauss", {}, lmax=4.0, T=8)
+    assert wave.params == {"lmax": 4.0}
+    assert named_response("wave_gauss", {"lmax": 2.0}, lmax=4.0).params == {
+        "lmax": 2.0}
+    assert named_response("wave_gauss", {"lmax_scale": 0.5},
+                          lmax=4.0).params == {"lmax": 2.0}
+    heat = named_response("heat", {"s": "0.2"}, T=16)
+    assert heat.params == {"s": 0.2, "T": 16}
+    assert isinstance(heat.params["T"], int)
+    assert named_response("mexican_hat", {}, lmax=4.0, T=8).params == {}
+
+
+@pytest.mark.parametrize("name,params,kwargs,match", [
+    ("wave_gauss", {"lmax": 2.0, "lmax_scale": 0.5}, {"lmax": 4.0}, "not both"),
+    ("wave_gauss", {"lmax_scale": 0.5}, {}, "lmax_scale"),
+    ("tikhonov", {"tau1": "abc", "tau2": 1.0}, {}, "finite number"),
+    ("tikhonov", {"tau1": float("inf"), "tau2": 1.0}, {}, "finite number"),
+    ("tikhonov", {"tau1": None, "tau2": 1.0}, {}, "finite number"),
+    ("heat", {"s": 0.1, "T": 3.7}, {}, "positive integer"),
+    ("heat", {"s": 0.1}, {"T": 0}, "positive integer"),
+    ("damped_wave", {"beta": 0.5}, {}, "misses"),
+    ("mexican_hat", {"sigma": 1.0}, {}, "unknown parameters"),
+    ("tikhonov", [1.0, 2.0], {}, "mapping"),
+])
+def test_named_response_rejects_bad_values(name, params, kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        named_response(name, params, **kwargs)
+
+
+def test_named_damped_wave_matches_dynamics():
+    from tvgsp import damped_wave_response
+    k = named_response("damped_wave", {"beta": 0.5}, T=8)
+    ref = damped_wave_response(0.5, 8)
+    assert (k.name, k.params) == (ref.name, ref.params)
+    lam = np.linspace(0, 3, 7)[:, None]
+    w = omega_grid(8)[None, :]
+    assert np.array_equal(k(lam, w), ref(lam, w))
+
+
+@pytest.mark.parametrize("op", ["conj", "shifted", "scaled"])
+def test_spectral_operations_keep_separability(op):
+    sep = named_response("lowpass_sigmoid", {"lambda_cut": 1.0, "omega_cut": 1.0})
+    joint = JointKernel(fn=lambda lam, omega: sep.h1(lam) * sep.h2(omega))
+    args = () if op == "conj" else (0.6, 1.5)
+    a, b = getattr(sep, op)(*args), getattr(joint, op)(*args)
+    assert a.separable and not b.separable
+    lam = np.linspace(0, 4, 9)[:, None]
+    w = omega_grid(8)[None, :]
+    assert np.array_equal(a(lam, w), b(lam, w))
