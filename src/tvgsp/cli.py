@@ -362,6 +362,7 @@ def cmd_sparse_code(args):
         metrics={"objective": result.objective,
                  "iterations": result.iterations,
                  "converged": int(result.converged),
+                 "restarts": result.restarts,
                  "support_size": support},
         outputs=[args.out])
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .frames import itersine_graph_design, make_stvft, make_stvwt, time_window
-from .kernels import _NAMED, named_response
+from .kernels import _NAMED, _number, named_response
 
 _SIGNAL_MAGIC = b"TVSG"
 _COEFF_MAGIC = b"TVCF"
@@ -243,38 +243,64 @@ def load_coefficients_binary(path):
 # Filter bank specs
 # ---------------------------------------------------------------------------
 
-def _mother_kernel(spec, g, T):
+def _object(value, label):
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{label} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _numbers(spec, field):
+    values = spec[field]
+    if not isinstance(values, list):
+        raise ValidationError(f"bank spec field '{field}' must be a list of "
+                              f"numbers, got {type(values).__name__}")
+    return [_number(f"bank spec field {field}[{i}]", v)
+            for i, v in enumerate(values)]
+
+
+def _mother_kernel(spec, field, g, T):
+    spec = _object(spec, f"bank spec field '{field}'")
     name = spec.get("name")
-    if name not in _NAMED:
+    if not isinstance(name, str) or name not in _NAMED:
         raise ValidationError(f"unknown mother kernel '{name}'")
     return named_response(name, spec.get("params", {}), lmax=g.lmax, T=T)
 
 
 def build_bank(spec, g):
-    """Build a :class:`FilterBank` from a parsed bank spec dict."""
-    kind = spec.get("kind")
+    """Build a :class:`FilterBank` from a parsed bank spec dict. A missing
+    field or a value of the wrong type is a :class:`ValidationError`
+    naming the field."""
+    kind = _object(spec, "bank spec").get("kind")
     try:
-        T = int(spec["T"])
+        T = _number("bank spec field T", spec["T"], integer=True)
         if kind == "stvwt":
-            mother = _mother_kernel(spec["mother"], g, T)
-            dc = (_mother_kernel(spec["dc_kernel"], g, T)
+            mother = _mother_kernel(spec["mother"], "mother", g, T)
+            dc = (_mother_kernel(spec["dc_kernel"], "dc_kernel", g, T)
                   if "dc_kernel" in spec else None)
             return make_stvwt(
-                mother, spec["scales_lambda"], spec["scales_omega"], g, T,
-                dc_kernel=dc,
+                mother, _numbers(spec, "scales_lambda"),
+                _numbers(spec, "scales_omega"), g, T, dc_kernel=dc,
                 check_admissibility=bool(spec.get("check_admissibility", True)))
         if kind == "stvft":
-            wg = spec["window_graph"]
+            wg = _object(spec["window_graph"], "bank spec field 'window_graph'")
             if wg.get("name") != "itersine":
                 raise ValidationError(
                     f"unknown graph window '{wg.get('name')}'")
             h_graph, shifts = itersine_graph_design(
-                float(wg.get("lmax", g.lmax)), int(wg["num_translates"]))
-            wt = spec["window_time"]
-            w = time_window(wt.get("shape", "rectangular"), int(wt["length"]))
-            hop = int(spec.get("time_hop", w.size))
-            return make_stvft(h_graph, w, spec.get("z_lambda", shifts),
-                              hop, g, T)
+                _number("bank spec field window_graph.lmax",
+                        wg.get("lmax", g.lmax)),
+                _number("bank spec field window_graph.num_translates",
+                        wg["num_translates"], integer=True))
+            wt = _object(spec["window_time"], "bank spec field 'window_time'")
+            w = time_window(wt.get("shape", "rectangular"),
+                            _number("bank spec field window_time.length",
+                                    wt["length"], integer=True))
+            hop = _number("bank spec field time_hop",
+                          spec.get("time_hop", w.size), integer=True)
+            if "z_lambda" in spec:
+                shifts = _numbers(spec, "z_lambda")
+            return make_stvft(h_graph, w, shifts, hop, g, T)
     except KeyError as exc:
         raise ValidationError(f"bank spec misses field {exc}") from None
     raise ValidationError(f"unknown bank kind '{kind}'")

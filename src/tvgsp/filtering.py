@@ -129,9 +129,9 @@ def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
 # Chebyshev engine: every graph recurrence and Clenshaw sum of the package
 # ---------------------------------------------------------------------------
 
-#: Relative conjugate asymmetry in omega below which a coefficient table is
-#: taken to be that of a real operator. The named responses measure
-#: <= 2e-15; spectrally shifted (STVFT) atoms measure ~1.
+#: Relative conjugate asymmetry in omega below which a coefficient table or
+#: a joint-grid response is taken to be that of a real operator. The named
+#: responses measure <= 2e-15; spectrally shifted (STVFT) atoms measure ~1.
 SYMMETRY_TOL = 1e-12
 
 
@@ -151,20 +151,27 @@ def _fit_table(kernels, T, order, g):
             max(float(f.fit_errors.max()) for f in fits))
 
 
+def _half_spectrum(X, table, axis):
+    """Whether ``X`` has no nonzero imaginary entry and ``table`` is
+    conjugate-symmetric in omega (``table[k] == conj(table[(-k) mod T])``
+    along ``axis`` to :data:`SYMMETRY_TOL` relative), i.e. the operator
+    maps the real signal ``X`` to a real signal and the ``T // 2 + 1``
+    bins of its real FFT carry everything."""
+    if np.iscomplexobj(X) and X.imag.any():
+        return False
+    mirror = np.conj(np.roll(np.flip(table, axis), 1, axis=axis))
+    return bool(np.abs(table - mirror).max(initial=0.0)
+                <= SYMMETRY_TOL * np.abs(table).max(initial=0.0))
+
+
 def _spectrum(X, table):
     """DFT of ``X`` along its last axis and the table columns it needs.
 
-    The half spectrum (``rfft``) is used when ``X`` is real and the table
-    is conjugate-symmetric in omega, i.e. the operator maps real signals
-    to real signals; otherwise the full spectrum. Returns
-    ``(half, Xf, table)`` with ``Xf`` in complex128, the dtype
-    :func:`_matvec` views.
+    The half spectrum (``rfft``) is used when :func:`_half_spectrum`
+    holds, otherwise the full spectrum. Returns ``(half, Xf, table)`` with
+    ``Xf`` in complex128, the dtype :func:`_matvec` views.
     """
-    mirror = np.conj(np.roll(table[:, ::-1], 1, axis=1))   # c[(-k) mod T]
-    half = ((not np.iscomplexobj(X) or not X.imag.any())
-            and np.abs(table - mirror).max()
-            <= SYMMETRY_TOL * np.abs(table).max())
-    if half:
+    if _half_spectrum(X, table, axis=1):
         Xf = np.fft.rfft(np.asarray(X.real, dtype=np.float64), axis=-1)
         return True, Xf, table[:, :Xf.shape[-1]]
     return False, np.fft.fft(np.asarray(X, dtype=np.complex128), axis=-1), table
@@ -183,8 +190,9 @@ def _step_operator(g):
 
 
 def _matvec(A, V):
-    """Real sparse ``A`` times a C-contiguous complex ``V``, computed on the
-    float64 view so ``A`` is never upcast to complex."""
+    """Real sparse or dense ``A`` times a C-contiguous complex ``V`` (a
+    dense ``A`` broadcasts over a stack), computed on the float64 view so
+    ``A`` is never upcast to complex."""
     return (A @ V.view(np.float64)).view(np.complex128)
 
 

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import NotAFrameError, ValidationError
 from .kernels import JointKernel, grid_eval
-from .filtering import (_ffc_analysis, _ffc_synthesis, _record, filter_exact,
-                        filter_ffc)
-from .transforms import (jft, ijft, omega_grid, real_if_close,
-                         validate_signal)
+from .filtering import (_ffc_analysis, _ffc_synthesis, _half_spectrum,
+                        _matvec, _record, filter_exact, filter_ffc)
+from .transforms import omega_grid, real_if_close, validate_signal
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
 DEFAULT_ORDER = 50
@@ -228,15 +227,35 @@ def bank_grid(bank, eig):
                      for kernel in bank.kernels])
 
 
-def _jft_stack(C, eig):
-    # joint transform of a (Z, N, T) stack in two vectorized calls
-    return (np.fft.fft(np.matmul(eig.vectors.T, C), axis=-1)
-            / np.sqrt(C.shape[-1]))
+def _grid_bins(H, A):
+    """``(half, H)``: whether the stack transforms may run on the half
+    spectrum for the input ``A`` (real ``A``, grid ``H`` conjugate-symmetric
+    in omega; see :func:`tvgsp.filtering._half_spectrum`), and ``H`` cut to
+    the bins they then use."""
+    if not _half_spectrum(A, H, axis=-1):
+        return False, H
+    return True, np.ascontiguousarray(H[..., :H.shape[-1] // 2 + 1])
 
 
-def _ijft_stack(S, eig):
-    return (np.matmul(eig.vectors, np.fft.ifft(S, axis=-1))
-            * np.sqrt(S.shape[-1]))
+def _jft_stack(C, eig, half):
+    """Unitary joint spectrum of an ``(..., N, T)`` stack: the GFT by the
+    real eigenvectors (one batched real product, on the float64 view of a
+    complex stack) then the DFT along time. With ``half`` the input is
+    taken as real and only the ``T // 2 + 1`` bins of its real FFT are
+    returned."""
+    T = C.shape[-1]
+    if half:
+        return np.fft.rfft(eig.vectors.T @ np.real(C), axis=-1) / np.sqrt(T)
+    C = np.ascontiguousarray(C, dtype=np.complex128)
+    return np.fft.fft(_matvec(eig.vectors.T, C), axis=-1) / np.sqrt(T)
+
+
+def _ijft_stack(S, eig, T, half):
+    """Inverse of :func:`_jft_stack` for ``T`` time samples (real with
+    ``half``)."""
+    if half:
+        return (eig.vectors @ np.fft.irfft(S, n=T, axis=-1)) * np.sqrt(T)
+    return _matvec(eig.vectors, np.fft.ifft(S, axis=-1)) * np.sqrt(T)
 
 
 def _analyze_stvft(bank, X, g, eig, order, info):
@@ -278,10 +297,13 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     """Analysis operator: coefficients of ``X`` against every bank atom.
 
     With full lattices this is joint filtering by every kernel (exact when
-    ``eig`` is given, otherwise FFC of the given order, all kernels in one
-    Chebyshev recurrence). Subsampled time lattices are supported for
-    STVFT banks via graph-filter-then-windowed-DFT. On the FFC path a dict
-    ``info`` receives ``ffc_fit_error``, which bounds every atom:
+    ``eig`` is given: one joint transform of ``X``, the grid responses, one
+    inverse transform of the stack, on the half spectrum for a real ``X``
+    and a conjugate-symmetric bank; otherwise FFC of the given order, all
+    kernels in one Chebyshev recurrence). The coefficients are complex.
+    Subsampled time lattices are supported for STVFT banks via
+    graph-filter-then-windowed-DFT. On the FFC path a dict ``info``
+    receives ``ffc_fit_error``, which bounds every atom:
     ``||C_z - C_z,exact||_F <= ffc_fit_error * ||X||_F``.
     """
     X = validate_signal(X)
@@ -294,19 +316,22 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
         raise ValidationError(
             "subsampled analysis is only supported for STVFT banks")
     if eig is not None:
-        S = jft(X, eig)
-        return _ijft_stack(bank_grid(bank, eig) * S[None, :, :], eig)
-    C, fit_error = _ffc_analysis(X, bank.kernels, g, order)
-    _record(info, fit_error)
+        half, H = _grid_bins(bank_grid(bank, eig), X)
+        C = _ijft_stack(H * _jft_stack(X, eig, half), eig, bank.T, half)
+    else:
+        C, fit_error = _ffc_analysis(X, bank.kernels, g, order)
+        _record(info, fit_error)
     return C.astype(complex, copy=False)
 
 
 def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
     """Synthesis operator (adjoint of :func:`analyze`):
-    ``Y = sum_z conj(h_z)(L_G, L_T) C_z``. Full lattices only. On the FFC
-    path (one Clenshaw sum for all kernels) a dict ``info`` receives
-    ``ffc_fit_error``; ``||Y - Y_exact||_F <= ffc_fit_error * sum_z
-    ||C_z||_F``."""
+    ``Y = sum_z conj(h_z)(L_G, L_T) C_z``. Full lattices only. The exact
+    path (``eig`` given) runs the transform pair of :func:`analyze`, on
+    the half spectrum for a real ``C`` and a conjugate-symmetric bank. On
+    the FFC path (one Clenshaw sum for all kernels) a dict ``info``
+    receives ``ffc_fit_error``; ``||Y - Y_exact||_F <= ffc_fit_error *
+    sum_z ||C_z||_F``."""
     if bank.subsampled:
         raise ValidationError(
             "synthesis from subsampled lattices is not supported")
@@ -316,8 +341,9 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
             f"coefficients shape {C.shape} does not match "
             f"({bank.size}, {g.N}, {bank.T})")
     if eig is not None:
-        S = (np.conj(bank_grid(bank, eig)) * _jft_stack(C, eig)).sum(axis=0)
-        return ijft(S, eig)
+        half, H = _grid_bins(bank_grid(bank, eig), C)
+        S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
+        return real_if_close(_ijft_stack(S, eig, bank.T, half))
     Y, fit_error = _ffc_synthesis(C, bank.kernels, g, order)
     _record(info, fit_error)
     return real_if_close(Y)

@@ -107,7 +107,7 @@ def build_graph(edge_list, num_vertices, coords=None):
     """Build a :class:`Graph` from a list of ``(src, dst, weight)`` triples.
 
     Duplicate undirected edges are merged by summing their weights.
-    Self-loops and negative weights are rejected.
+    Self-loops and negative or non-finite weights are rejected.
     """
     n = int(num_vertices)
     if n < 0:
@@ -119,11 +119,16 @@ def build_graph(edge_list, num_vertices, coords=None):
             raise ValidationError(f"vertex id out of range: ({i}, {j}) with N={n}")
         if i == j:
             raise ValidationError(f"self-loop at vertex {i} rejected")
-        if w < 0:
-            raise ValidationError(f"negative weight {w} on edge ({i}, {j})")
         rows += [i, j]
         cols += [j, i]
         vals += [w, w]
+    vals = np.asarray(vals, dtype=float)
+    bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))  # < 0, NaN, inf
+    if bad.size:
+        k = bad[0]
+        kind = "negative" if np.isfinite(vals[k]) else "non-finite"
+        raise ValidationError(
+            f"{kind} weight {vals[k]} on edge ({rows[k]}, {cols[k]})")
     W = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     return Graph(W, coords=coords)
 

@@ -195,18 +195,18 @@ _NAMED = {
 }
 
 
-def _number(name, key, value):
-    """A parameter as a finite float (``T``: a positive int), else
-    :class:`ValidationError`."""
+def _number(label, value, integer=False):
+    """``value`` (a number or a numeric string) as a finite float, or with
+    ``integer`` a positive int, else a :class:`ValidationError` naming
+    ``label``."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         number = np.nan
-    if not np.isfinite(number) or (key == "T" and (number < 1 or number % 1)):
-        kind = "a positive integer" if key == "T" else "a finite number"
-        raise ValidationError(
-            f"response '{name}' parameter {key}={value!r} is not {kind}")
-    return int(number) if key == "T" else number
+    if not np.isfinite(number) or (integer and (number < 1 or number % 1)):
+        kind = "a positive integer" if integer else "a finite number"
+        raise ValidationError(f"{label}={value!r} is not {kind}")
+    return int(number) if integer else number
 
 
 def named_response(name, params, lmax=None, T=None):
@@ -229,7 +229,8 @@ def named_response(name, params, lmax=None, T=None):
                 f"response '{name}' takes lmax or lmax_scale, not both")
         if lmax is None:
             raise ValidationError("lmax_scale needs the graph's lmax")
-        params["lmax"] = _number(name, "lmax_scale", params.pop("lmax_scale")) * lmax
+        params["lmax"] = _number(f"response '{name}' parameter lmax_scale",
+                                 params.pop("lmax_scale")) * lmax
     for key, value in (("lmax", lmax), ("T", T)):
         if key in required and value is not None:
             params.setdefault(key, value)
@@ -239,4 +240,6 @@ def named_response(name, params, lmax=None, T=None):
     extra = [key for key in params if key not in required]
     if extra:
         raise ValidationError(f"response '{name}' got unknown parameters {extra}")
-    return factory(**{key: _number(name, key, params[key]) for key in required})
+    return factory(**{key: _number(f"response '{name}' parameter {key}",
+                                   params[key], integer=key == "T")
+                      for key in required})

@@ -6,7 +6,8 @@
   variation prior by a Chambolle-Pock primal-dual scheme (two proximable
   terms plus the linear difference operators; no smoothing of the l1).
 * :func:`sparse_code` fits sparse synthesis coefficients over a frame by
-  FISTA with complex soft thresholding.
+  FISTA with complex soft thresholding and adaptive restart, one joint
+  transform pair per iteration (half spectrum for real problems).
 """
 
 import warnings
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import NotAFrameError, ValidationError
 from .filtering import filter_exact, filter_ffc
-from .frames import (DEFAULT_ORDER, _ijft_stack, _jft_stack, bank_grid,
-                     frame_bounds)
+from .frames import (DEFAULT_ORDER, _grid_bins, _ijft_stack, _jft_stack,
+                     bank_grid)
 from .kernels import tikhonov_response
-from .transforms import (graph_incidence, jft, time_diff, time_diff_adjoint,
+from .transforms import (graph_incidence, time_diff, time_diff_adjoint,
                          validate_signal)
 
 
@@ -81,6 +82,7 @@ class SparseCodeResult:
     objective: float
     iterations: int
     converged: bool
+    restarts: int
 
 
 def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER,
@@ -216,9 +218,22 @@ def sparse_code(spec, g, eig=None):
     """Sparse synthesis coding over a frame by FISTA.
 
     Gradient steps use ``1 / (2 B)`` with ``B`` the upper frame bound (the
-    Lipschitz constant of the smooth part is ``2 ||D^H||^2 <= 2 B``);
-    momentum restarts whenever the objective increases. Stops on relative
-    objective change below ``spec.tol``.
+    Lipschitz constant of the smooth part is ``2 ||D^H||^2 <= 2 B``), read
+    off the bank's joint-grid responses, which are evaluated once. Momentum
+    restarts whenever the objective increases (adaptive restart, O'Donoghue
+    & Candes 2015); ``restarts`` counts them. Stops on relative objective
+    change below ``spec.tol``.
+
+    The iterations run in the joint spectral domain, where the bank is
+    diagonal. A real observation with a grid conjugate-symmetric in omega
+    keeps real iterates and works on the ``T // 2 + 1`` bins of the real
+    FFT (Parseval weight 1 for DC and, for even ``T``, Nyquist, 2 for the
+    rest); otherwise on the full complex spectrum. The residual spectrum is
+    affine in the coefficients, so the momentum point's is
+    ``(1 + beta) R(C_new) - beta R(C)`` and each iteration costs one
+    forward and one adjoint transform. Equivalent to composing the public
+    exact ``synthesize``/``analyze``; ``coeffs`` are complex ``(|Z|, N,
+    T)``.
     """
     if spec.gamma < 0:
         raise ValidationError("sparse coding weight gamma must be nonnegative")
@@ -226,62 +241,66 @@ def sparse_code(spec, g, eig=None):
     if bank.subsampled:
         raise ValidationError("sparse coding requires full bank lattices")
     X = validate_signal(spec.observation)
-    if X.shape != (g.N, bank.T):
+    T = bank.T
+    if X.shape != (g.N, T):
         raise ValidationError(
-            f"observation shape {X.shape} != (N={g.N}, T={bank.T})")
+            f"observation shape {X.shape} != (N={g.N}, T={T})")
     if eig is None:
         eig = g.eigensystem()
-    _, bound_B = frame_bounds(bank, eig)
+    H = bank_grid(bank, eig)
+    bound_B = float((np.abs(H) ** 2).sum(axis=0).max())
     if bound_B <= 0:
         raise NotAFrameError("bank has zero response everywhere")
     step = 1.0 / (2.0 * bound_B)
-
-    # All iterations run in the joint spectral domain with the bank's
-    # responses precomputed; equivalent to composing the public
-    # synthesize/analyze operators (the optimality tests check against
-    # those directly).
-    H = bank_grid(bank, eig)
+    half, H = _grid_bins(H, X)
     Hc = np.conj(H)
-    X_hat = jft(np.asarray(X, dtype=complex), eig)
+    # Parseval weights: a half-spectrum bin other than DC and (even T)
+    # Nyquist also stands for its conjugate mirror
+    weights = np.ones(H.shape[-1])
+    if half:
+        weights[1:(T + 1) // 2] = 2.0
+    X_hat = _jft_stack(X, eig, half)
 
     def residual_spectrum(C):
         # jft(synthesize(C) - X)
-        return (Hc * _jft_stack(C, eig)).sum(axis=0) - X_hat
+        return (Hc * _jft_stack(C, eig, half)).sum(axis=0) - X_hat
 
-    def grad_from_spectrum(R_hat):
-        # 2 * analyze(residual)
-        return 2.0 * _ijft_stack(H * R_hat[None, :, :], eig)
-
-    def objective_from_spectrum(R_hat, C):
-        return float((np.abs(R_hat) ** 2).sum()
+    def objective(R_hat, C):
+        return float((np.abs(R_hat) ** 2).sum(axis=0) @ weights
                      + spec.gamma * np.abs(C).sum())
 
-    C = np.zeros((bank.size, g.N, bank.T), dtype=complex)
-    Z = C.copy()
+    C = np.zeros((bank.size, g.N, T), dtype=float if half else complex)
+    R = -X_hat
+    Z, R_Z = C, R
     t = 1.0
-    obj = objective_from_spectrum(residual_spectrum(C), C)
+    obj = objective(R, C)
     converged = False
-    iterations = 0
+    iterations = restarts = 0
     for iterations in range(1, spec.max_iters + 1):
-        C_new = _soft_threshold(
-            Z - step * grad_from_spectrum(residual_spectrum(Z)),
-            step * spec.gamma)
-        obj_new = objective_from_spectrum(residual_spectrum(C_new), C_new)
+        # 2 * analyze(synthesize(Z) - X)
+        grad = 2.0 * _ijft_stack(H * R_Z, eig, T, half)
+        C_new = _soft_threshold(Z - step * grad, step * spec.gamma)
+        R_new = residual_spectrum(C_new)
+        obj_new = objective(R_new, C_new)
         if obj_new > obj:
             # adaptive restart: drop the momentum and re-anchor
+            restarts += 1
             t = 1.0
-            Z = C_new.copy()
+            Z, R_Z = C_new, R_new
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            Z = C_new + ((t - 1.0) / t_new) * (C_new - C)
+            beta = (t - 1.0) / t_new
+            Z = C_new + beta * (C_new - C)
+            R_Z = (1.0 + beta) * R_new - beta * R   # R is affine in C
             t = t_new
         done = abs(obj_new - obj) <= spec.tol * max(obj_new, 1e-30)
-        C, obj = C_new, obj_new
+        C, R, obj = C_new, R_new, obj_new
         if done:
             converged = True
             break
-    return SparseCodeResult(coeffs=C, objective=obj,
-                            iterations=iterations, converged=converged)
+    return SparseCodeResult(coeffs=C.astype(complex, copy=False),
+                            objective=obj, iterations=iterations,
+                            converged=converged, restarts=restarts)
 
 
 def localize_source(C, bank, g, top_k):

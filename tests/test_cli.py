@@ -504,3 +504,54 @@ def test_non_numeric_coordinate_exits_2(graph_files, tmp_path, capsys):
                   "--coeffs", str(tmp_path / "c.tvcf"))
     err = _assert_invalid_input(code, capsys)
     assert "c.csv: line 3" in err
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"kind": "stvwt", "T": 8, "mother": "mexican_hat",
+      "scales_lambda": [1.0], "scales_omega": [1.0]}, "mother"),
+    ({"kind": "stvwt", "T": "abc", "mother": {"name": "mexican_hat"},
+      "scales_lambda": [1.0], "scales_omega": [1.0]}, "T"),
+    ({"kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
+      "scales_lambda": ["a"], "scales_omega": [1.0]}, "scales_lambda"),
+    ({"kind": "stvft", "T": 8,
+      "window_graph": {"name": "itersine", "num_translates": "x"},
+      "window_time": {"shape": "rectangular", "length": 4}},
+     "num_translates"),
+    ([{"kind": "stvwt", "T": 8}], "bank spec"),
+], ids=["mother-string", "T-text", "scale-text", "translates-text",
+        "top-level-list"])
+def test_bank_spec_wrong_type_exits_2(spec, field, graph_files, tmp_path,
+                                      capsys):
+    gpath, _ = graph_files
+    (tmp_path / "bank.json").write_text(json.dumps(spec))
+    code = invoke("frame-build", "--graph", str(gpath),
+                  "--bank", str(tmp_path / "bank.json"))
+    assert field in _assert_invalid_input(code, capsys)
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_edge_weight_exits_2(weight, tmp_path, capsys):
+    (tmp_path / "g.csv").write_text(
+        f"src,dst,weight\n0,1,1.0\n1,2,{weight}\n")
+    fileio.save_signal_csv(tmp_path / "x.csv", np.ones((3, 4)))
+    code = invoke("transform", "--graph", str(tmp_path / "g.csv"),
+                  "--signal", str(tmp_path / "x.csv"),
+                  "--out", str(tmp_path / "s.csv"))
+    err = _assert_invalid_input(code, capsys)
+    assert f"non-finite weight {weight} on edge (1, 2)" in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sparse_code_reports_restarts(graph_files, bank_file, tmp_path):
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(7).standard_normal((24, 8)))
+    assert invoke("sparse-code", "--graph", str(gpath),
+                  "--bank", str(bank_file),
+                  "--signal", str(tmp_path / "x.csv"),
+                  "--gamma", "0.5", "--max-iters", "300", "--tol", "0",
+                  "--out", str(tmp_path / "c.tvcf"),
+                  "--report", str(tmp_path / "sc.json")) == 0
+    metrics = json.loads((tmp_path / "sc.json").read_text())["metrics"]
+    assert metrics["iterations"] == 300
+    assert 0 < metrics["restarts"] < 300

@@ -283,6 +283,18 @@ def test_canonical_dual_tight_bank_scales(g, eig):
     assert np.abs(H - 0.5).max() <= 1e-12
 
 
+def test_exact_operators_single_precision_input(g, eig, stvwt_bank, signal):
+    X32 = signal.astype(np.float32)
+    for X in (X32, X32 + 1j * X32[::-1]):    # half and full spectrum
+        X64 = X.astype(np.result_type(X, np.float64))
+        C = analyze(stvwt_bank, X, g, eig=eig)
+        assert np.array_equal(C, analyze(stvwt_bank, X64, g, eig=eig))
+        C64 = C.astype(np.complex64)
+        assert np.array_equal(synthesize(stvwt_bank, C64, g, eig=eig),
+                              synthesize(stvwt_bank, C64.astype(complex), g,
+                                         eig=eig))
+
+
 def test_canonical_dual_single_kernel(g, eig, signal):
     # tikhonov is strictly positive on the whole grid
     from tvgsp import tikhonov_response

@@ -1,12 +1,16 @@
-"""Property tests of the FFC engine on random small kNN graphs."""
+"""Property tests of the FFC engine and of the exact joint-spectral
+frame operators and sparse coding on random small kNN graphs."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgsp import (analyze, filter_ffc, heat_response, itersine_graph_design,
+from tvgsp import (SparseCodingSpec, analyze, filter_exact, filter_ffc,
+                   frame_bounds, heat_response, itersine_graph_design,
                    knn_sensor_graph, make_stvft, make_stvwt,
-                   mexican_hat_response, synthesize, time_window)
+                   mexican_hat_response, sparse_code, synthesize, time_window)
+from tvgsp.kernels import JointKernel
 from tvgsp.rng import default_rng
 
 SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
@@ -93,3 +97,106 @@ def test_stvft_ffc_within_reported_fit_error(g, num_translates, shape, length,
     bound = info["ffc_fit_error"] * np.linalg.norm(X)
     for z in range(bank.size):
         assert np.linalg.norm(fast[z] - exact[z]) <= bound * (1 + 1e-9) + 1e-12
+
+
+@SETTINGS
+@given(g=graphs, T=st.integers(2, 12), mother=mothers,
+       num_scales=st.integers(1, 4), seed=st.integers(0, 10_000))
+def test_exact_analysis_synthesis_half_and_full_spectrum_agree(
+        g, T, mother, num_scales, seed):
+    # real inputs of a conjugate-symmetric bank take the half spectrum,
+    # complex inputs the full one; linearity ties the two together
+    rng = default_rng(seed)
+    eig = g.eigensystem()
+    bank = _bank(g, T, mother, num_scales)
+    X, X2 = rng.standard_normal((2, g.N, T))
+    C = analyze(bank, X, g, eig=eig)
+    assert C.dtype == complex
+    for z, kernel in enumerate(bank.kernels):
+        assert _rel(C[z], filter_exact(X, kernel, eig)) <= 1e-12
+    full = analyze(bank, X + 1j * X2, g, eig=eig)
+    assert _rel(full, C + 1j * analyze(bank, X2, g, eig=eig)) <= 1e-12
+    shape = (bank.size, g.N, T)
+    C1, C2 = rng.standard_normal((2,) + shape)
+    Y = synthesize(bank, C1 + 1j * C2, g, eig=eig)
+    Y1 = synthesize(bank, C1, g, eig=eig)
+    Y2 = synthesize(bank, C2, g, eig=eig)
+    assert _rel(Y, Y1 + 1j * Y2) <= 1e-12
+    assert abs(np.vdot(C, C1) - np.vdot(X, Y1)) <= 1e-10 * (
+        np.linalg.norm(C) * np.linalg.norm(C1))
+
+
+def _fista_reference(bank, X, g, gamma, iters):
+    """FISTA on ``||synthesize(C) - X||^2 + gamma ||C||_1`` composed from
+    the public exact operators: step ``1 / (2 B)``, restart on a rise."""
+    eig = g.eigensystem()
+    step = 1.0 / (2.0 * frame_bounds(bank, eig)[1])
+
+    def residual(C):
+        return synthesize(bank, C, g, eig=eig) - X
+
+    def objective(C):
+        return float((np.abs(residual(C)) ** 2).sum()
+                     + gamma * np.abs(C).sum())
+
+    C = np.zeros((bank.size, g.N, bank.T), dtype=complex)
+    Z, t, obj = C, 1.0, objective(C)
+    for _ in range(iters):
+        V = Z - 2.0 * step * analyze(bank, residual(Z), g, eig=eig)
+        mag = np.abs(V)
+        C_new = V * np.maximum(1.0 - step * gamma / np.maximum(mag, 1e-300),
+                               0.0)
+        obj_new = objective(C_new)
+        if obj_new > obj:
+            Z, t = C_new, 1.0
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            Z = C_new + ((t - 1.0) / t_new) * (C_new - C)
+            t = t_new
+        C, obj = C_new, obj_new
+    return C, obj
+
+
+@pytest.mark.parametrize("T", [7, 8])
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("mother", ["mexican_hat", "heat", "shifted"])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(g=graphs, num_scales=st.integers(1, 4), weight=st.floats(0.02, 0.5),
+       iters=st.integers(1, 25), seed=st.integers(0, 10_000))
+def test_sparse_code_matches_fista_from_public_operators(
+        T, complex_valued, mother, g, num_scales, weight, iters, seed):
+    # a real observation of a conjugate-symmetric bank (mexican_hat, heat)
+    # takes the half spectrum, every other case the full one
+    bank = _bank(g, T, mother, num_scales)
+    X, X2 = default_rng(seed).standard_normal((2, g.N, T))
+    if complex_valued:
+        X = X + 1j * X2
+    C0 = analyze(bank, X, g, eig=g.eigensystem())
+    gamma = weight * 2.0 * np.abs(C0).max()
+    result = sparse_code(SparseCodingSpec(bank=bank, observation=X,
+                                          gamma=gamma, max_iters=iters,
+                                          tol=0.0), g)
+    C, obj = _fista_reference(bank, X, g, gamma, iters)
+    assert result.iterations == iters
+    assert result.coeffs.dtype == complex
+    assert abs(result.objective - obj) <= 1e-10 * obj
+    assert _rel(result.coeffs, C) <= 1e-10
+
+
+def test_sparse_code_evaluates_each_bank_kernel_once(monkeypatch):
+    g = knn_sensor_graph(20, 4, seed=3)
+    T = 8
+    g.eigensystem()
+    bank = _bank(g, T, "heat", 3)
+    X = default_rng(4).standard_normal((g.N, T))
+    calls = {}
+    call = JointKernel.__call__
+
+    def counted(self, lam, omega):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return call(self, lam, omega)
+
+    monkeypatch.setattr(JointKernel, "__call__", counted)
+    sparse_code(SparseCodingSpec(bank=bank, observation=X, gamma=0.1,
+                                 max_iters=20, tol=0.0), g)
+    assert calls == {id(kernel): 1 for kernel in bank.kernels}

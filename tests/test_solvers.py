@@ -170,6 +170,23 @@ def test_sparse_code_objective_never_exceeds_initial(g, bank):
     assert result.objective <= initial + 1e-12
 
 
+def test_sparse_code_counts_objective_rises_as_restarts(g, bank):
+    # a run stopped after k iterations is the first k iterations of a longer
+    # one, so the objective trace, and each rise in it, can be read off
+    X = default_rng(12).standard_normal((g.N, 12))
+
+    def run(iters):
+        return sparse_code(SparseCodingSpec(bank=bank, observation=X,
+                                            gamma=2.0, max_iters=iters,
+                                            tol=0.0), g)
+
+    result = run(40)
+    trace = [float((X ** 2).sum())] + [run(k).objective for k in range(1, 41)]
+    rises = sum(b > a for a, b in zip(trace, trace[1:]))
+    assert result.iterations == 40 and result.objective == trace[-1]
+    assert result.restarts == rises > 0
+
+
 def test_sparse_code_subgradient_optimality(g, bank):
     eig = g.eigensystem()
     rng = default_rng(11)
