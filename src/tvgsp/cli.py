@@ -52,12 +52,19 @@ def _parse_params(pairs):
     return params
 
 
-def _int_list(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+def _number_list(text, flag, kind):
+    """Comma-separated ``kind`` values; a bad one names ``flag``."""
+    try:
+        return [kind(v) for v in str(text).split(",") if v != ""]
+    except ValueError:
+        raise ValidationError(f"{flag} expects comma-separated {kind.__name__}"
+                              f" values, got '{text}'") from None
 
 
-def _float_list(text):
-    return [float(v) for v in str(text).split(",") if v != ""]
+def _eigensystem(g, timer):
+    """The graph's (cached) eigensystem, timed as its own stage."""
+    with timer.stage("eigendecomposition"):
+        return g.eigensystem()
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +101,7 @@ def cmd_graph_gen(args):
 def cmd_transform(args):
     timer = reports.StageTimer()
     g = _load_graph(args)
-    eig = g.eigensystem()
+    eig = _eigensystem(g, timer)
     if args.inverse:
         if not args.spectrum:
             raise ValidationError("--inverse needs --spectrum")
@@ -126,18 +133,20 @@ def cmd_dynamics(args):
     timer = reports.StageTimer()
     g = _load_graph(args)
     x1 = fileio.load_signal(args.x1).ravel()
+    eig = (_eigensystem(g, timer)
+           if args.kind == "wave" or args.emit_spectrum else None)
     with timer.stage("evolve"):
         if args.kind == "heat":
             X = heat_evolve(x1, g, args.s, args.T)
         elif args.kind == "wave":
-            X = wave_evolve(x1, g, g.eigensystem(), args.s, args.T)
+            X = wave_evolve(x1, g, eig, args.s, args.T)
         else:
             raise ValidationError(f"unknown dynamics kind '{args.kind}'")
     fileio.save_signal(args.out, X)
     outputs = [args.out]
     if args.emit_spectrum:
         with timer.stage("spectrum"):
-            S = jft(X, g.eigensystem())
+            S = jft(X, eig)
         fileio.save_spectrum_csv(args.emit_spectrum, S)
         outputs.append(args.emit_spectrum)
     return reports.RunReport(
@@ -155,10 +164,11 @@ def cmd_filter(args):
     X = fileio.load_signal(args.signal)
     kernel = named_response(args.kernel, _parse_params(args.param),
                             lmax=g.lmax, T=X.shape[1])
+    eig = _eigensystem(g, timer) if args.method == "exact" else None
     info = {}
     with timer.stage("filter"):
         if args.method == "exact":
-            Y = filter_exact(X, kernel, g.eigensystem())
+            Y = filter_exact(X, kernel, eig)
         elif args.method == "ffc":
             Y = filter_ffc(X, kernel, g, args.order, info=info)
         elif args.method == "cheby2d":
@@ -192,8 +202,7 @@ def cmd_filter_bench(args):
     T = args.t
     rng = default_rng(args.seed + 1)
     X = rng.standard_normal((g.N, T))
-    with timer.stage("eigendecomposition"):
-        eig = g.eigensystem()
+    eig = _eigensystem(g, timer)
     presets = {
         "lp": ("lowpass_sigmoid",
                {"lambda_cut": g.lmax / 4.0, "omega_cut": np.pi / 2.0}),
@@ -209,7 +218,8 @@ def cmd_filter_bench(args):
         kernels[name] = named_response(*presets[name], lmax=g.lmax, T=T)
     with timer.stage("bench"):
         rows = reports.filter_error_table(
-            X, g, eig, kernels, args.methods.split(","), _int_list(args.orders))
+            X, g, eig, kernels, args.methods.split(","),
+            _number_list(args.orders, "--orders", int))
     reports.write_filter_error_csv(args.emit, rows)
     worst = max((r[3] for r in rows), default=0.0)
     return reports.RunReport(
@@ -227,8 +237,9 @@ def cmd_frame_build(args):
     g = _load_graph(args)
     with timer.stage("build"):
         bank = fileio.load_bank(args.bank, g)
+    eig = _eigensystem(g, timer)
     with timer.stage("bounds"):
-        A, B = frame_bounds(bank, g.eigensystem())
+        A, B = frame_bounds(bank, eig)
     outputs = []
     if args.out:
         with open(args.bank) as fh:
@@ -251,7 +262,7 @@ def cmd_analyze(args):
     g = _load_graph(args)
     bank = fileio.load_bank(args.bank, g)
     X = fileio.load_signal(args.signal)
-    eig = g.eigensystem() if args.exact else None
+    eig = _eigensystem(g, timer) if args.exact else None
     info = {}
     with timer.stage("analyze"):
         C = frame_analyze(bank, X, g, eig=eig, order=args.order, info=info)
@@ -273,7 +284,7 @@ def cmd_synthesize(args):
     g = _load_graph(args)
     bank = fileio.load_bank(args.bank, g)
     C = fileio.load_coefficients_binary(args.coeffs)
-    eig = g.eigensystem() if (args.exact or args.dual) else None
+    eig = _eigensystem(g, timer) if (args.exact or args.dual) else None
     if args.dual:
         with timer.stage("dual"):
             bank = canonical_dual(bank, eig)
@@ -295,7 +306,7 @@ def cmd_denoise(args):
     timer = reports.StageTimer()
     g = _load_graph(args)
     Y = fileio.load_signal(args.signal)
-    eig = g.eigensystem() if args.exact else None
+    eig = _eigensystem(g, timer) if args.exact else None
     info = {}
     with timer.stage("denoise"):
         X = denoise_tikhonov(Y, g, args.tau1, args.tau2,
@@ -349,8 +360,9 @@ def cmd_sparse_code(args):
     X = fileio.load_signal(args.signal)
     spec = SparseCodingSpec(bank=bank, observation=X, gamma=args.gamma,
                             max_iters=args.max_iters, tol=args.tol)
+    eig = _eigensystem(g, timer)
     with timer.stage("solve"):
-        result = sparse_code(spec, g)
+        result = sparse_code(spec, g, eig)
     fileio.save_coefficients_binary(args.out, result.coeffs)
     support = int((np.abs(result.coeffs)
                    > 1e-12 * max(np.abs(result.coeffs).max(), 1e-300)).sum())
@@ -393,9 +405,10 @@ def cmd_compaction(args):
     timer = reports.StageTimer()
     g = _load_graph(args)
     X = fileio.load_signal(args.signal)
+    percentiles = _number_list(args.percentiles, "--percentiles", float)
+    eig = _eigensystem(g, timer)
     with timer.stage("experiment"):
-        curve = reports.compaction_experiment(
-            X, g, g.eigensystem(), _float_list(args.percentiles))
+        curve = reports.compaction_experiment(X, g, eig, percentiles)
     reports.write_compaction_csv(args.out, curve)
     metrics = {f"{name}_at_p{int(curve.percentiles[-1])}": errs[-1]
                for name, errs in curve.errors.items()}

@@ -22,9 +22,11 @@ Three interchangeable implementations of ``Y = h(L_G, L_T) X``:
     whose inverse map has square-root singularities; responses with sharp
     temporal structure converge markedly slower than under FFC.
 
-Every graph polynomial of the package, here and in :mod:`tvgsp.frames`,
-runs through one private engine. It fits a ``(Z, bins, M + 1)``
-coefficient table for a list of kernels, applies it with a single
+Every joint filter of the package runs through one private analysis/adjoint
+pair for a list of kernels: exact with an eigensystem (the stacked grid
+responses times the joint spectrum of :mod:`tvgsp.transforms`), else the
+Chebyshev engine, which needs no eigendecomposition. The engine fits a
+``(Z, bins, M + 1)`` coefficient table, applies it with a single
 three-term recurrence whose terms are weighted per kernel (analysis) or
 with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint),
 and multiplies the real ``L`` into complex operands through their float64
@@ -42,15 +44,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .kernels import JointKernel, grid_eval
-from .transforms import jft, ijft, omega_grid, real_if_close, validate_signal
-
-
-def _eval(kernel, lam_col, w_row):
-    """Evaluate on a product grid, materializing broadcast constants."""
-    out = np.empty((lam_col.size, w_row.size), dtype=complex)
-    out[...] = kernel(lam_col.reshape(-1, 1), w_row.reshape(1, -1))
-    return out
+from .kernels import JointKernel, _product_eval, grid_eval
+from .transforms import (_fft, _ifft, _ijft_stack, _jft_stack, _matvec, _rows,
+                         _spectral_bins, omega_grid, real_if_close,
+                         validate_signal)
 
 
 def _check_dims(X, g):
@@ -114,26 +111,20 @@ def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
     """Fit ``h(., omega_k)`` for every DFT frequency at once."""
     nodes, Q = _quadrature(order, interval)
     w = omega_grid(T)
-    coeffs = (Q @ _eval(kernel, nodes, w)).T            # (T, order + 1)
+    coeffs = (Q @ _product_eval(kernel, nodes, w)).T    # (T, order + 1)
 
     theta, probe = _nodes(error_probe, interval)
     basis = np.cos(np.outer(theta, np.arange(order + 1)))
     basis[:, 0] *= 0.5
     approx = basis @ coeffs.T                           # (probe, T)
-    fit_errors = np.abs(approx - _eval(kernel, probe, w)).max(axis=0)
+    fit_errors = np.abs(approx - _product_eval(kernel, probe, w)).max(axis=0)
     return ChebyshevApprox(order=order, interval=tuple(interval),
                            coeffs=coeffs, fit_errors=fit_errors)
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev engine: every graph recurrence and Clenshaw sum of the package
+# Chebyshev engine and the one dispatch between it and the exact grid table
 # ---------------------------------------------------------------------------
-
-#: Relative conjugate asymmetry in omega below which a coefficient table or
-#: a joint-grid response is taken to be that of a real operator. The named
-#: responses measure <= 2e-15; spectrally shifted (STVFT) atoms measure ~1.
-SYMMETRY_TOL = 1e-12
-
 
 def _fit_table(kernels, T, order, g):
     """``(Z, T, M + 1)`` table of ``h_z(., omega_k)`` on ``[0, lmax]`` and
@@ -144,56 +135,17 @@ def _fit_table(kernels, T, order, g):
     """
     if g.lmax == 0:
         w = omega_grid(T)
-        return np.stack([2.0 * _eval(k, np.zeros(1), w).T
+        return np.stack([2.0 * _product_eval(k, np.zeros(1), w).T
                          for k in kernels]), 0.0
     fits = [fit_joint_kernel(k, T, order, (0.0, g.lmax)) for k in kernels]
     return (np.stack([f.coeffs for f in fits]),
             max(float(f.fit_errors.max()) for f in fits))
 
 
-def _half_spectrum(X, table, axis):
-    """Whether ``X`` has no nonzero imaginary entry and ``table`` is
-    conjugate-symmetric in omega (``table[k] == conj(table[(-k) mod T])``
-    along ``axis`` to :data:`SYMMETRY_TOL` relative), i.e. the operator
-    maps the real signal ``X`` to a real signal and the ``T // 2 + 1``
-    bins of its real FFT carry everything."""
-    if np.iscomplexobj(X) and X.imag.any():
-        return False
-    mirror = np.conj(np.roll(np.flip(table, axis), 1, axis=axis))
-    return bool(np.abs(table - mirror).max(initial=0.0)
-                <= SYMMETRY_TOL * np.abs(table).max(initial=0.0))
-
-
-def _spectrum(X, table):
-    """DFT of ``X`` along its last axis and the table columns it needs.
-
-    The half spectrum (``rfft``) is used when :func:`_half_spectrum`
-    holds, otherwise the full spectrum. Returns ``(half, Xf, table)`` with
-    ``Xf`` in complex128, the dtype :func:`_matvec` views.
-    """
-    if _half_spectrum(X, table, axis=1):
-        Xf = np.fft.rfft(np.asarray(X.real, dtype=np.float64), axis=-1)
-        return True, Xf, table[:, :Xf.shape[-1]]
-    return False, np.fft.fft(np.asarray(X, dtype=np.complex128), axis=-1), table
-
-
-def _inverse(Yf, T, half):
-    if half:
-        return np.fft.irfft(Yf, n=T, axis=-1)
-    return np.fft.ifft(Yf, axis=-1)
-
-
 def _step_operator(g):
     """``2 L~ = (4 / lmax) L - 2 I`` where ``L~`` maps ``[0, lmax]`` onto
     ``[-1, 1]``."""
     return sp.csr_array(4.0 / g.lmax * g.L - 2.0 * sp.eye_array(g.N))
-
-
-def _matvec(A, V):
-    """Real sparse or dense ``A`` times a C-contiguous complex ``V`` (a
-    dense ``A`` broadcasts over a stack), computed on the float64 view so
-    ``A`` is never upcast to complex."""
-    return (A @ V.view(np.float64)).view(np.complex128)
 
 
 def _recurrence(Vf, table, g):
@@ -230,30 +182,52 @@ def _clenshaw(term, order, g):
     return 0.5 * (term(0) + _matvec(A, b1)) - b2
 
 
-def _ffc_analysis(X, kernels, g, order):
-    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` and the fit error
-    ``max_{z,k} fit_err``."""
+def _grid(kernels, lambdas, T):
+    """``(Z, N, T)`` stack of the kernels' joint-grid responses."""
+    return np.stack([grid_eval(kernel, lambdas, T) for kernel in kernels])
+
+
+def _analysis(X, kernels, g, eig, order):
+    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` and the fit error: with
+    ``eig`` the grid table times the joint spectrum (error ``None``), else
+    one engine recurrence for all kernels (error ``max_{z,k} fit_err``)."""
     T = X.shape[-1]
+    if eig is not None:
+        half, H = _spectral_bins(X, _grid(kernels, eig.values, T), axis=-1)
+        return _ijft_stack(H * _jft_stack(X, eig, half), eig, T, half), None
     table, fit_error = _fit_table(kernels, T, order, g)
-    half, Xf, table = _spectrum(X, table)
-    return _inverse(_recurrence(Xf, table, g), T, half), fit_error
+    half, table = _spectral_bins(X, table, axis=1)
+    return _ifft(_recurrence(_fft(X, half), table, g), T, half), fit_error
 
 
-def _ffc_synthesis(C, kernels, g, order):
-    """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of the analysis) and
-    the fit error: one Clenshaw sum over
+def _synthesis(C, kernels, g, eig, order):
+    """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of :func:`_analysis`)
+    and the fit error; without ``eig`` one Clenshaw sum over
     ``B_m = sum_z conj(c_{z,.,m}) o F C_z``."""
     T = C.shape[-1]
+    if eig is not None:
+        half, H = _spectral_bins(C, _grid(kernels, eig.values, T), axis=-1)
+        S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
+        return _ijft_stack(S, eig, T, half), None
     table, fit_error = _fit_table(kernels, T, order, g)
-    half, Cf, table = _spectrum(C, table)
+    half, table = _spectral_bins(C, table, axis=1)
+    Cf = _fft(C, half)
     cc = np.conj(np.moveaxis(table, -1, 0))[:, :, None, :]  # (M+1, Z, 1, B)
     Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1, g)
-    return _inverse(Yf, T, half), fit_error
+    return _ifft(Yf, T, half), fit_error
 
 
-def _record(info, fit_error):
-    if info is not None:
-        info["ffc_fit_error"] = fit_error
+def _record(info, fit_error, scale=1.0):
+    """Report ``scale * fit_error``; an exact path (``None``) reports none."""
+    if info is not None and fit_error is not None:
+        info["ffc_fit_error"] = fit_error * scale
+
+
+def _filter(X, kernel, g, eig, order, info=None):
+    """``h(L_G, L_T) X``, real when the imaginary part is negligible."""
+    Y, fit_error = _analysis(X, [kernel], g, eig, order)
+    _record(info, fit_error)
+    return real_if_close(Y[0])
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +237,8 @@ def _record(info, fit_error):
 def filter_exact(X, kernel, eig):
     """Reference joint filter: pointwise multiplication in the joint
     spectral domain."""
-    X = validate_signal(X)
-    S = jft(X, eig)
-    H = grid_eval(kernel, eig.values, X.shape[1])
-    return ijft(S * H, eig)
+    return _filter(_rows(validate_signal(X), eig, "signal"), kernel, None,
+                   eig, None)
 
 
 def filter_ffc(X, kernel, g, order, info=None):
@@ -276,10 +248,7 @@ def filter_ffc(X, kernel, g, order, info=None):
     probed error of the per-frequency fits; ``||Y - Y_exact||_F <=
     ffc_fit_error * ||X||_F``.
     """
-    X = _check_dims(X, g)
-    Y, fit_error = _ffc_analysis(X, [kernel], g, order)
-    _record(info, fit_error)
-    return real_if_close(Y[0])
+    return _filter(_check_dims(X, g), kernel, g, None, order, info)
 
 
 def filter_cheby2d(X, kernel, g, order_graph, order_time):
@@ -297,7 +266,7 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     lam_nodes, QG = _quadrature(order_graph, (0.0, g.lmax))
     mu_nodes, QT = _quadrature(order_time, (0.0, 4.0))
     omega_nodes = np.arccos(1.0 - mu_nodes / 2.0)
-    A = QG @ _eval(kernel, lam_nodes, omega_nodes) @ QT.T
+    A = QG @ _product_eval(kernel, lam_nodes, omega_nodes) @ QT.T
     A[:, 0] *= 0.5      # the graph-axis constant is halved by _clenshaw
 
     def time_shifted(V):
@@ -327,6 +296,5 @@ def filter_separable(X, h1, h2, g, order):
         if not h1.separable:
             raise ValidationError(f"kernel {h1.name} is not separable")
         h1, h2 = h1.h1, h1.h2
-    X = _check_dims(X, g)
-    Y, _ = _ffc_analysis(X, [JointKernel(h1=h1, h2=h2)], g, order)
-    return real_if_close(Y[0])
+    return _filter(_check_dims(X, g), JointKernel(h1=h1, h2=h2), g, None,
+                   order)

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .kernels import JointKernel, grid_eval
-from .filtering import (_ffc_analysis, _ffc_synthesis, _half_spectrum,
-                        _matvec, _record, filter_exact, filter_ffc)
+from .kernels import JointKernel
+from .filtering import _analysis, _filter, _grid, _record, _synthesis
 from .transforms import omega_grid, real_if_close, validate_signal
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
@@ -58,10 +57,7 @@ class FilterBank:
 
 def bank_response_energy(bank, lambdas):
     """``sum_z |h_z(lambda_l, omega_k)|^2`` on the joint grid."""
-    E = np.zeros((np.asarray(lambdas).size, bank.T))
-    for kernel in bank.kernels:
-        E += np.abs(grid_eval(kernel, lambdas, bank.T)) ** 2
-    return E
+    return (np.abs(_grid(bank.kernels, lambdas, bank.T)) ** 2).sum(axis=0)
 
 
 def frame_bounds(bank, eig):
@@ -81,9 +77,7 @@ def localize(kernel, m, tau, g, T, eig=None, order=DEFAULT_ORDER):
         raise ValidationError(f"time index {tau} out of range [0, {T})")
     delta = np.zeros((g.N, T))
     delta[m, tau] = 1.0
-    if eig is not None:
-        return filter_exact(delta, kernel, eig)
-    return filter_ffc(delta, kernel, g, order)
+    return _filter(delta, kernel, g, eig, order)
 
 
 # ---------------------------------------------------------------------------
@@ -215,47 +209,9 @@ def make_stvwt(mother, scales_lambda, scales_omega, g, T,
 # Analysis / synthesis
 # ---------------------------------------------------------------------------
 
-def _materialize(values, size):
-    out = np.empty(size, dtype=complex)
-    out[...] = values
-    return out
-
-
 def bank_grid(bank, eig):
     """Stacked joint-grid responses of all bank kernels: ``(|Z|, N, T)``."""
-    return np.stack([grid_eval(kernel, eig.values, bank.T)
-                     for kernel in bank.kernels])
-
-
-def _grid_bins(H, A):
-    """``(half, H)``: whether the stack transforms may run on the half
-    spectrum for the input ``A`` (real ``A``, grid ``H`` conjugate-symmetric
-    in omega; see :func:`tvgsp.filtering._half_spectrum`), and ``H`` cut to
-    the bins they then use."""
-    if not _half_spectrum(A, H, axis=-1):
-        return False, H
-    return True, np.ascontiguousarray(H[..., :H.shape[-1] // 2 + 1])
-
-
-def _jft_stack(C, eig, half):
-    """Unitary joint spectrum of an ``(..., N, T)`` stack: the GFT by the
-    real eigenvectors (one batched real product, on the float64 view of a
-    complex stack) then the DFT along time. With ``half`` the input is
-    taken as real and only the ``T // 2 + 1`` bins of its real FFT are
-    returned."""
-    T = C.shape[-1]
-    if half:
-        return np.fft.rfft(eig.vectors.T @ np.real(C), axis=-1) / np.sqrt(T)
-    C = np.ascontiguousarray(C, dtype=np.complex128)
-    return np.fft.fft(_matvec(eig.vectors.T, C), axis=-1) / np.sqrt(T)
-
-
-def _ijft_stack(S, eig, T, half):
-    """Inverse of :func:`_jft_stack` for ``T`` time samples (real with
-    ``half``)."""
-    if half:
-        return (eig.vectors @ np.fft.irfft(S, n=T, axis=-1)) * np.sqrt(T)
-    return _matvec(eig.vectors, np.fft.ifft(S, axis=-1)) * np.sqrt(T)
+    return _grid(bank.kernels, eig.values, bank.T)
 
 
 def _analyze_stvft(bank, X, g, eig, order, info):
@@ -274,23 +230,13 @@ def _analyze_stvft(bank, X, g, eig, order, info):
     graph = [JointKernel(h1=lambda lam, _zl=zl: mother.h1(lam - _zl),
                          h2=np.ones_like)
              for zl in bank.meta["z_lambda"]]
-    windows = [_materialize(mother.h2(w_grid - zw), T)
+    windows = [np.broadcast_to(mother.h2(w_grid - zw), T).astype(complex)
                for zw in bank.meta["z_omega"]]
-    if eig is not None:
-        Yg = [eig.vectors @ (_materialize(k.h1(eig.values), g.N)[:, None]
-                             * (eig.vectors.T @ X)) for k in graph]
-    else:
-        Yg, fit_error = _ffc_analysis(X, graph, g, order)
-        # an atom's error is its graph factor's times |h_T(omega - z_omega)|
-        _record(info, fit_error * max(np.abs(hw).max() for hw in windows))
-    out = np.empty((bank.size, g.N, tsel.size), dtype=complex)
-    z = 0
-    for Y in Yg:
-        Fg = np.fft.fft(Y, axis=1)
-        for hw in windows:
-            out[z] = np.fft.ifft(Fg * hw[None, :], axis=1)[:, tsel]
-            z += 1
-    return out
+    Yg, fit_error = _analysis(X, graph, g, eig, order)
+    # an atom's error is its graph factor's times |h_T(omega - z_omega)|
+    _record(info, fit_error, max(np.abs(hw).max() for hw in windows))
+    return np.stack([np.fft.ifft(Fg * hw, axis=-1)[:, tsel]
+                     for Fg in np.fft.fft(Yg, axis=-1) for hw in windows])
 
 
 def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
@@ -315,12 +261,8 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     if bank.subsampled:
         raise ValidationError(
             "subsampled analysis is only supported for STVFT banks")
-    if eig is not None:
-        half, H = _grid_bins(bank_grid(bank, eig), X)
-        C = _ijft_stack(H * _jft_stack(X, eig, half), eig, bank.T, half)
-    else:
-        C, fit_error = _ffc_analysis(X, bank.kernels, g, order)
-        _record(info, fit_error)
+    C, fit_error = _analysis(X, bank.kernels, g, eig, order)
+    _record(info, fit_error)
     return C.astype(complex, copy=False)
 
 
@@ -340,28 +282,32 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
         raise ValidationError(
             f"coefficients shape {C.shape} does not match "
             f"({bank.size}, {g.N}, {bank.T})")
-    if eig is not None:
-        half, H = _grid_bins(bank_grid(bank, eig), C)
-        S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
-        return real_if_close(_ijft_stack(S, eig, bank.T, half))
-    Y, fit_error = _ffc_synthesis(C, bank.kernels, g, order)
+    Y, fit_error = _synthesis(C, bank.kernels, g, eig, order)
     _record(info, fit_error)
     return real_if_close(Y)
 
 
 def _normalized(bank, scale, tag):
-    """Bank of ``h_z / scale(sum_z' |h_z'|^2)``, evaluated pointwise."""
+    """Bank of ``h_z / scale(sum_z' |h_z'|^2)``, evaluated pointwise. The
+    denominator of the last evaluation points is kept (as one tuple, so
+    concurrent callers never mix grids): a grid costs |Z| energies once."""
     kernels = list(bank.kernels)
+    last = (None, None, None)   # (lam, omega, denominator)
 
-    def energy(lam, omega):
-        total = 0.0
-        for kernel in kernels:
-            total = total + np.abs(np.asarray(kernel(lam, omega))) ** 2
-        return total
+    def denominator(lam, omega):
+        nonlocal last
+        entry = last
+        if not (np.array_equal(entry[0], lam)
+                and np.array_equal(entry[1], omega)):
+            total = 0.0
+            for kernel in kernels:
+                total = total + np.abs(np.asarray(kernel(lam, omega))) ** 2
+            entry = last = (np.copy(lam), np.copy(omega), scale(total))
+        return entry[2]
 
     def make(kz):
         return lambda lam, omega: (np.asarray(kz(lam, omega))
-                                   / scale(energy(lam, omega)))
+                                   / denominator(lam, omega))
 
     return FilterBank(
         kernels=[JointKernel(fn=make(kz), name=f"{tag}({kz.name})")

@@ -75,18 +75,23 @@ class JointKernel:
                             lambda omega: z_omega * omega)
 
 
+def _product_eval(kernel, lambdas, omegas):
+    """Complex ``(len(lambdas), len(omegas))`` responses on the product
+    grid, with constant or partial responses broadcast."""
+    lam = np.asarray(lambdas, dtype=float).reshape(-1, 1)
+    w = np.asarray(omegas, dtype=float).reshape(1, -1)
+    out = np.empty((lam.shape[0], w.shape[1]), dtype=complex)
+    out[...] = kernel(lam, w)
+    return out
+
+
 def grid_eval(kernel, lambdas, T):
     """Evaluate a kernel on the joint grid, returning a complex N x T array.
 
     ``lambdas`` are the graph eigenvalues; the temporal axis uses the DFT
     grid wrapped to ``(-pi, pi]``.
     """
-    lam = np.asarray(lambdas, dtype=float).reshape(-1, 1)
-    w = omega_grid(T).reshape(1, -1)
-    H = np.asarray(kernel(lam, w))
-    out = np.empty((lam.shape[0], T), dtype=complex)
-    out[...] = H  # broadcasts constant or partial responses
-    return out
+    return _product_eval(kernel, lambdas, omega_grid(T))
 
 
 def stable_geometric_sum(a, length):

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .filtering import filter_exact, filter_ffc
-from .frames import (DEFAULT_ORDER, _grid_bins, _ijft_stack, _jft_stack,
-                     bank_grid)
+from .filtering import _check_dims, _filter
+from .frames import DEFAULT_ORDER, bank_grid
 from .kernels import tikhonov_response
-from .transforms import (graph_incidence, time_diff, time_diff_adjoint,
+from .transforms import (_ijft_stack, _jft_stack, _spectral_bins,
+                         graph_incidence, time_diff, time_diff_adjoint,
                          validate_signal)
 
 
@@ -94,10 +94,8 @@ def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER,
     is supplied and Chebyshev filtering of the given order otherwise (a
     dict ``info`` then receives ``ffc_fit_error``, see :func:`filter_ffc`).
     """
-    kernel = tikhonov_response(tau1, tau2)
-    if eig is not None:
-        return filter_exact(Y, kernel, eig)
-    return filter_ffc(Y, kernel, g, order, info=info)
+    return _filter(_check_dims(Y, g), tikhonov_response(tau1, tau2), g, eig,
+                   order, info)
 
 
 def _validate_mask(mask, shape):
@@ -134,8 +132,12 @@ def inpaint(spec, g):
     g2 ||diff_T X||_q^q``. The returned iterate is the best-objective one;
     its objective trace is non-increasing by construction. Stops when the
     relative objective improvement over a 10-iteration window falls below
-    ``spec.tol``, else at ``spec.max_iters`` with a warning.
+    ``spec.tol``, else at ``spec.max_iters`` with a warning. ``gap`` is
+    that improvement over the last ``min(10, iterations)`` iterations.
     """
+    if spec.max_iters < 1:
+        raise ValidationError(
+            f"inpaint needs max_iters >= 1, got {spec.max_iters}")
     Y = validate_signal(spec.observation)
     if Y.shape[0] != g.N:
         raise ValidationError(
@@ -170,8 +172,6 @@ def inpaint(spec, g):
     history = [best_obj]
     window = 10
     converged = False
-    gap = np.inf
-    iterations = 0
     for iterations in range(1, spec.max_iters + 1):
         if g1 > 0:
             u_graph = _prox_conjugate(u_graph + sigma * (B @ Xbar),
@@ -193,12 +193,11 @@ def inpaint(spec, g):
             best_obj = obj
             best_X = X.copy()
         history.append(best_obj)
-        if iterations >= window:
-            gap = ((history[-window - 1] - best_obj)
-                   / max(best_obj, 1e-30))
-            if gap < spec.tol:
-                converged = True
-                break
+        gap = ((history[-min(window, iterations) - 1] - best_obj)
+               / max(best_obj, 1e-30))
+        if iterations >= window and gap < spec.tol:
+            converged = True
+            break
     if not converged:
         warnings.warn(
             f"inpaint did not converge in {spec.max_iters} iterations "
@@ -252,7 +251,7 @@ def sparse_code(spec, g, eig=None):
     if bound_B <= 0:
         raise NotAFrameError("bank has zero response everywhere")
     step = 1.0 / (2.0 * bound_B)
-    half, H = _grid_bins(H, X)
+    half, H = _spectral_bins(X, H, axis=-1)
     Hc = np.conj(H)
     # Parseval weights: a half-spectrum bin other than DC and (even T)
     # Nyquist also stands for its conjugate mirror

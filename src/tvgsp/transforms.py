@@ -10,6 +10,13 @@ signal at step ``t``. Conventions used throughout the package:
   Laplacian eigenbasis, hence the joint transform is unitary and Parseval
   holds exactly;
 * the time axis is periodic everywhere (circulant difference operators).
+
+Every exact path (:func:`jft`/:func:`ijft`, filtering, frames, sparse
+coding) runs one private transform pair on ``(..., N, T)`` stacks: the GFT
+by the real eigenvectors, never upcast to complex, then the FFT over the
+``T // 2 + 1`` half-spectrum bins when the input is real and the response
+conjugate-symmetric in omega, else all ``T``; the Chebyshev engine shares
+that choice.
 """
 
 import numpy as np
@@ -20,6 +27,11 @@ from .errors import ImaginaryResidueError, ValidationError
 #: Relative imaginary mass above which an inverse transform refuses to
 #: return a real signal.
 IMAG_TOL = 1e-10
+
+#: Relative conjugate asymmetry in omega below which a coefficient table or
+#: a joint-grid response is taken to be that of a real operator. The named
+#: responses measure <= 2e-15; spectrally shifted (STVFT) atoms measure ~1.
+SYMMETRY_TOL = 1e-12
 
 
 def validate_signal(X):
@@ -87,22 +99,21 @@ def idft(S):
     return np.fft.ifft(S, axis=1) * np.sqrt(S.shape[1])
 
 
+def _rows(A, eig, what):
+    if A.shape[0] != eig.n:
+        raise ValidationError(
+            f"{what} has {A.shape[0]} rows but eigensystem has {eig.n}")
+    return A
+
+
 def gft(X, eig):
     """Graph Fourier transform: project columns on the Laplacian eigenbasis."""
-    X = np.asarray(X)
-    if X.shape[0] != eig.n:
-        raise ValidationError(
-            f"signal has {X.shape[0]} rows but eigensystem has {eig.n}")
-    return eig.vectors.T @ X
+    return eig.vectors.T @ _rows(np.asarray(X), eig, "signal")
 
 
 def igft(S, eig):
     """Inverse of :func:`gft`."""
-    S = np.asarray(S)
-    if S.shape[0] != eig.n:
-        raise ValidationError(
-            f"spectrum has {S.shape[0]} rows but eigensystem has {eig.n}")
-    return eig.vectors @ S
+    return eig.vectors @ _rows(np.asarray(S), eig, "spectrum")
 
 
 def jft(X, eig):
@@ -111,13 +122,7 @@ def jft(X, eig):
     The two transforms commute, so the composition order is immaterial;
     Parseval holds since both factors are unitary.
     """
-    X = validate_signal(X)
-    return np.fft.fft(gft(X, eig), axis=1) / np.sqrt(X.shape[1])
-
-
-def _ijft_complex(S, eig):
-    S = np.asarray(S)
-    return igft(np.fft.ifft(S, axis=1) * np.sqrt(S.shape[1]), eig)
+    return _jft_stack(_rows(validate_signal(X), eig, "signal"), eig, False)
 
 
 def real_if_close(Y, tol=IMAG_TOL, strict=False):
@@ -147,10 +152,67 @@ def ijft(S, eig, real=None):
     raises on non-negligible residue; ``real=False`` always returns the
     complex result.
     """
-    Y = _ijft_complex(S, eig)
+    S = _rows(np.asarray(S), eig, "spectrum")
+    Y = _ijft_stack(S, eig, S.shape[-1], False)
     if real is False:
         return Y
     return real_if_close(Y, strict=bool(real))
+
+
+def _matvec(A, V):
+    """Real sparse or dense ``A`` times a C-contiguous complex ``V`` (a
+    dense ``A`` broadcasts over a stack), computed on the float64 view so
+    ``A`` is never upcast to complex."""
+    return (A @ V.view(np.float64)).view(np.complex128)
+
+
+def _spectral_bins(A, table, axis):
+    """``(half, table)``: ``half`` when ``A`` is real and ``table`` is
+    conjugate-symmetric along ``axis`` to :data:`SYMMETRY_TOL` (the output
+    is then real and the ``T // 2 + 1`` bins of ``rfft`` carry it all),
+    and ``table`` cut to the bins used."""
+    if np.iscomplexobj(A) and A.imag.any():
+        return False, table
+    mirror = np.conj(np.roll(np.flip(table, axis), 1, axis=axis))
+    if not (np.abs(table - mirror).max(initial=0.0)
+            <= SYMMETRY_TOL * np.abs(table).max(initial=0.0)):
+        return False, table
+    return True, np.take(table, np.arange(table.shape[axis] // 2 + 1),
+                         axis=axis)
+
+
+def _fft(A, half):
+    """Unnormalized DFT along the last axis, complex128: the
+    ``T // 2 + 1`` bins of the real FFT of ``A.real`` with ``half``, else
+    all ``T`` bins."""
+    if half:
+        return np.fft.rfft(np.asarray(np.real(A), dtype=np.float64), axis=-1)
+    return np.fft.fft(np.asarray(A, dtype=np.complex128), axis=-1)
+
+
+def _ifft(S, T, half):
+    """Inverse of :func:`_fft` for ``T`` time samples (real with ``half``)."""
+    if half:
+        return np.fft.irfft(S, n=T, axis=-1)
+    return np.fft.ifft(np.asarray(S, dtype=np.complex128), axis=-1)
+
+
+def _jft_stack(C, eig, half):
+    """Unitary joint spectrum of an ``(..., N, T)`` stack: the GFT by the
+    real eigenvectors (a real product for real input, else one batched
+    product on the float64 view), then :func:`_fft` along time. With
+    ``half`` the input is taken as real."""
+    if half or not np.iscomplexobj(C):
+        S = eig.vectors.T @ np.real(C)
+    else:
+        S = _matvec(eig.vectors.T, np.ascontiguousarray(C, np.complex128))
+    return _fft(S, half) / np.sqrt(C.shape[-1])
+
+
+def _ijft_stack(S, eig, T, half):
+    """Inverse of :func:`_jft_stack` for ``T`` time samples."""
+    V = _ifft(S, T, half)
+    return (eig.vectors @ V if half else _matvec(eig.vectors, V)) * np.sqrt(T)
 
 
 # ---------------------------------------------------------------------------

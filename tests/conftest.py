@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from tvgsp import build_graph, knn_sensor_graph, path_graph, ring_graph
@@ -44,3 +47,13 @@ def random_signal(rng):
             X = X + 1j * rng.standard_normal((n, t))
         return X
     return make
+
+
+@pytest.fixture
+def child_env():
+    """Environment of a child interpreter that imports tvgsp from ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join([src, inherited] if inherited
+                                          else [src])}

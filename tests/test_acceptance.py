@@ -449,13 +449,13 @@ def test_criterion_09d_stvwt_source_localization():
     _report(94, f"localization won {wins}/40 trials against the baseline")
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, child_env):
     """Identical command + seed at --threads 1 reproduces byte-identical
     numerical outputs (timings in JSON reports are excluded by design)."""
     def cli(*args):
         proc = subprocess.run([sys.executable, "-m", "tvgsp._main",
                                *args, "--threads", "1"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=child_env)
         assert proc.returncode == 0, proc.stderr
         return proc
 

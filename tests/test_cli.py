@@ -361,11 +361,11 @@ def test_report_to_stdout(graph_files, tmp_path, capsys):
     assert payload["command"] == "transform"
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "tvgsp._main", "graph-gen", "--kind", "ring",
          "--n", "6", "--out", str(tmp_path / "g.csv"), "--threads", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["metrics"]["num_edges"] == 6
 
@@ -555,3 +555,94 @@ def test_sparse_code_reports_restarts(graph_files, bank_file, tmp_path):
     metrics = json.loads((tmp_path / "sc.json").read_text())["metrics"]
     assert metrics["iterations"] == 300
     assert 0 < metrics["restarts"] < 300
+
+
+@pytest.mark.parametrize("command,flag,bad", [
+    ("compaction", "--percentiles", "50,abc"),
+    ("filter-bench", "--orders", "5,x"),
+])
+def test_bad_number_list_exits_2(command, flag, bad, graph_files, tmp_path,
+                                 capsys):
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(8).standard_normal((24, 8)))
+    argv = {"compaction": ["--graph", str(gpath),
+                           "--signal", str(tmp_path / "x.csv"),
+                           "--out", str(tmp_path / "o.csv")],
+            "filter-bench": ["--n", "16", "--t", "8", "--knn", "3",
+                             "--emit", str(tmp_path / "o.csv")]}[command]
+    err = _assert_invalid_input(invoke(command, *argv, flag, bad), capsys)
+    assert flag in err and bad in err
+    assert not (tmp_path / "o.csv").exists()
+
+
+def _inpaint(gpath, tmp_path, max_iters):
+    rng = default_rng(6)
+    M = (rng.random((24, 8)) > 0.3).astype(float)
+    fileio.save_signal_csv(tmp_path / "y.csv",
+                           rng.standard_normal((24, 8)) * M)
+    fileio.save_mask_csv(tmp_path / "m.csv", M)
+    return invoke("inpaint", "--graph", str(gpath),
+                  "--signal", str(tmp_path / "y.csv"),
+                  "--mask", str(tmp_path / "m.csv"),
+                  "--gamma1", "0.2", "--gamma2", "0.5",
+                  "--max-iters", str(max_iters),
+                  "--out", str(tmp_path / "x.csv"),
+                  "--report", str(tmp_path / "r.json"))
+
+
+def test_inpaint_below_gap_window_reports_finite_gap(graph_files, tmp_path):
+    with pytest.warns(UserWarning, match="did not converge"):
+        assert _inpaint(graph_files[0], tmp_path, 5) == 0
+    metrics = json.loads((tmp_path / "r.json").read_text())["metrics"]
+    assert metrics["iterations"] == 5
+    assert metrics["converged"] == 0
+    assert 0 <= metrics["objective_gap"] < np.inf
+
+
+def test_inpaint_without_iterations_exits_2(graph_files, tmp_path, capsys):
+    err = _assert_invalid_input(_inpaint(graph_files[0], tmp_path, 0), capsys)
+    assert "max_iters" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
+                                              tmp_path):
+    gpath, _ = graph_files
+    rng = default_rng(9)
+    fileio.save_signal_csv(tmp_path / "x.csv", rng.standard_normal((24, 8)))
+    fileio.save_signal_csv(tmp_path / "x1.csv", rng.standard_normal((24, 1)))
+    x, out = str(tmp_path / "x.csv"), str(tmp_path / "o.csv")
+    bank, coeffs = ["--bank", str(bank_file)], str(tmp_path / "c.tvcf")
+    evolve = ["--s", "0.05", "--T", "8", "--x1", str(tmp_path / "x1.csv"),
+              "--out", out]
+    runs = [
+        (True, "analyze", [*bank, "--signal", x, "--exact", "--out", coeffs]),
+        (True, "transform", ["--signal", x, "--out", out]),
+        (True, "dynamics", ["--kind", "wave", *evolve]),
+        (True, "dynamics", ["--kind", "heat", *evolve,
+                            "--emit-spectrum", str(tmp_path / "s.csv")]),
+        (True, "filter", ["--signal", x, "--kernel", "tikhonov",
+                          "--param", "tau1=1", "--param", "tau2=1",
+                          "--method", "exact", "--out", out]),
+        (True, "frame-build", bank),
+        (True, "synthesize", [*bank, "--coeffs", coeffs, "--exact",
+                              "--out", out]),
+        (True, "synthesize", [*bank, "--coeffs", coeffs, "--dual",
+                              "--out", out]),
+        (True, "denoise", ["--signal", x, "--exact", "--out", out]),
+        (True, "compaction", ["--signal", x, "--out", out]),
+        (True, "sparse-code", [*bank, "--signal", x, "--gamma", "0.5",
+                               "--max-iters", "5", "--out", coeffs]),
+        (False, "dynamics", ["--kind", "heat", *evolve]),
+        (False, "filter", ["--signal", x, "--kernel", "tikhonov",
+                           "--param", "tau1=1", "--param", "tau2=1",
+                           "--out", out]),
+        (False, "denoise", ["--signal", x, "--out", out]),
+    ]
+    for decomposes, command, argv in runs:
+        report = tmp_path / "r.json"
+        assert invoke(command, "--graph", str(gpath), *argv,
+                      "--report", str(report)) == 0
+        stages = json.loads(report.read_text())["timings_ms"]
+        assert ("eigendecomposition" in stages) == decomposes, (command, argv)

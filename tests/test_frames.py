@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -325,3 +328,38 @@ def test_bank_energy_shape(g, eig, stvwt_bank):
     E = bank_response_energy(stvwt_bank, eig.values)
     assert E.shape == (g.N, T)
     assert (E >= 0).all()
+
+
+def test_dual_kernels_concurrent_grids_never_mix(g, eig, stvwt_bank):
+    # a dual bank keeps the denominator of the last evaluation points;
+    # threads evaluating it on different grids must each get their own
+    dual = canonical_dual(stvwt_bank, eig)
+    omega = np.linspace(-np.pi, np.pi, 7)[None, :]
+    grids = [np.linspace(0.0, g.lmax * (i + 1) / 4, 6)[:, None]
+             for i in range(4)]
+    expected = [[np.asarray(k(lam, omega)) for k in dual.kernels]
+                for lam in grids]
+    errors = []
+
+    def worker(i):
+        try:
+            for _ in range(100):
+                for k, ref in zip(dual.kernels, expected[i]):
+                    if not np.array_equal(k(grids[i], omega), ref):
+                        errors.append(i)
+        except Exception as exc:  # noqa: BLE001 - reported by the assert
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors

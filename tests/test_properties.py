@@ -1,17 +1,21 @@
-"""Property tests of the FFC engine and of the exact joint-spectral
-frame operators and sparse coding on random small kNN graphs."""
+"""Property tests of the joint transform pair, the FFC engine and the
+exact joint-spectral filters, frame operators and sparse coding on random
+small kNN graphs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgsp import (SparseCodingSpec, analyze, filter_exact, filter_ffc,
-                   frame_bounds, heat_response, itersine_graph_design,
-                   knn_sensor_graph, make_stvft, make_stvwt,
-                   mexican_hat_response, sparse_code, synthesize, time_window)
+from tvgsp import (SparseCodingSpec, analyze, canonical_dual, filter_exact,
+                   filter_ffc, frame_bounds, heat_response,
+                   itersine_graph_design, ijft, jft, knn_sensor_graph,
+                   make_stvft, make_stvwt, mexican_hat_response, sparse_code,
+                   synthesize, tikhonov_response, time_window)
 from tvgsp.kernels import JointKernel
 from tvgsp.rng import default_rng
+
+from oracles import dense_jft, dense_joint_filter
 
 SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
 
@@ -200,3 +204,72 @@ def test_sparse_code_evaluates_each_bank_kernel_once(monkeypatch):
     sparse_code(SparseCodingSpec(bank=bank, observation=X, gamma=0.1,
                                  max_iters=20, tol=0.0), g)
     assert calls == {id(kernel): 1 for kernel in bank.kernels}
+
+
+def _signal(rng, shape, complex_valued):
+    X = rng.standard_normal(shape)
+    return X + 1j * rng.standard_normal(shape) if complex_valued else X
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("complex_valued", [False, True])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(g=graphs, half=st.integers(0, 6), seed=st.integers(0, 10_000))
+def test_jft_unitary_and_inverse(parity, complex_valued, g, half, seed):
+    T = 2 * half + parity or 2
+    eig = g.eigensystem()
+    rng = default_rng(seed)
+    X, Y = (_signal(rng, (g.N, T), complex_valued) for _ in range(2))
+    S = jft(X, eig)
+    assert _rel(S, dense_jft(X, eig.vectors, T)) <= 1e-12
+    assert abs(np.linalg.norm(S) - np.linalg.norm(X)) <= (
+        1e-12 * np.linalg.norm(X))
+    assert abs(np.vdot(S, jft(Y, eig)) - np.vdot(X, Y)) <= (
+        1e-12 * np.linalg.norm(X) * np.linalg.norm(Y))
+    back = ijft(S, eig)
+    assert back.dtype == (complex if complex_valued else float)
+    assert _rel(back, X) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("complex_valued", [False, True])
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(g=graphs, half=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_filter_exact_matches_dense_oracle(shift, parity, complex_valued, g,
+                                           half, seed):
+    # the heat response is conjugate-symmetric in omega, so a real input
+    # takes the half spectrum; its omega-shifted copy always the full one
+    T = 2 * half + parity
+    eig = g.eigensystem()
+    kernel = heat_response(1.0 / g.lmax, T).shifted(0.0, shift)
+    X = _signal(default_rng(seed), (g.N, T), complex_valued)
+    reference = dense_joint_filter(X, kernel, eig.vectors, eig.values, T)
+    assert _rel(filter_exact(X, kernel, eig), reference) <= 1e-12
+
+
+def test_dual_synthesis_evaluations_do_not_grow_with_bank_size(monkeypatch):
+    g = knn_sensor_graph(20, 4, seed=3)
+    T = 8
+    eig = g.eigensystem()
+    X = default_rng(5).standard_normal((g.N, T))
+    call = JointKernel.__call__
+    counts = []
+    for num_scales in (2, 6):
+        bank = make_stvwt(heat_response(1.0 / g.lmax, T),
+                          list(np.linspace(0.3, 1.0, num_scales)), [1.0], g,
+                          T, dc_kernel=tikhonov_response(1.0, 1.0))
+        C = analyze(bank, X, g, eig=eig)
+        calls = dict.fromkeys(map(id, bank.kernels), 0)
+
+        def counted(self, lam, omega):
+            if id(self) in calls:
+                calls[id(self)] += 1
+            return call(self, lam, omega)
+
+        monkeypatch.setattr(JointKernel, "__call__", counted)
+        Y = synthesize(canonical_dual(bank, eig), C, g, eig=eig)
+        monkeypatch.setattr(JointKernel, "__call__", call)
+        assert _rel(Y, X) <= 1e-10
+        counts.append(set(calls.values()))
+    assert counts[0] == counts[1]
