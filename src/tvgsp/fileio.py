@@ -13,10 +13,13 @@ Formats (all little-endian, CSV files UTF-8 with LF endings):
 * mask CSV: N x T of 0/1;
 * coordinates CSV: header ``x,y``;
 * bank spec: JSON naming the construction, mother kernel, and lattices.
+
+Every CSV reader skips blank lines; every parse error names the file and
+its line, counting blank lines and the header.
 """
 
-import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -27,17 +30,55 @@ from .kernels import _NAMED, _number, named_response
 
 _SIGNAL_MAGIC = b"TVSG"
 _COEFF_MAGIC = b"TVCF"
+#: magic -> (dtype, rank, what is stored, what one entry is called)
+_BINARY = {_SIGNAL_MAGIC: ("<f8", 2, "signal", "samples"),
+           _COEFF_MAGIC: ("<c16", 3, "coefficient", "coefficients")}
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def _malformed(path, reader):
-    """Error for the CSV row ``reader`` read last (a field that is not a
-    number, or a missing or extra one)."""
-    return ValidationError(f"{path}: line {reader.line_num}: malformed row "
-                           "(non-numeric, missing or extra field)")
+def _read_table(path, header, dtype, what):
+    """Parse the ``what`` CSV table at ``path`` with one ``np.loadtxt``.
+
+    ``header`` is the expected first line, or ``None``. A structured
+    ``dtype`` such as ``"i8,i8,f8"`` gives (rows, 1) records, a plain one a
+    rows x columns matrix. Only a headerless table needs a data row. A
+    parse error names the file, its line and the kind of table.
+    """
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().split("\n")  # a byte that is not UTF-8 fails to parse
+    first = 1 if header is None else 2
+    if header is not None and ([h.strip() for h in lines[0].split(",")]
+                               != header.split(",")):
+        raise ValidationError(f"{path}: expected header '{header}'")
+    rows = lines[first - 1:]
+    if not any(rows):
+        if header is None:
+            raise ValidationError(f"{path}: no data rows")
+        return np.empty((0, 1), dtype)
+    try:
+        return np.loadtxt(rows, delimiter=",", dtype=dtype, comments=None,
+                          ndmin=2)
+    except ValueError:
+        # Only to name the line: the same parse, line by line; a row of
+        # another width than the first is malformed too.
+        shape = None
+        for n, line in enumerate(rows, first):
+            if not line:
+                continue
+            try:
+                row = np.loadtxt([line], delimiter=",", dtype=dtype,
+                                 comments=None, ndmin=2).shape
+            except ValueError:
+                row = None
+            if row is None or shape not in (None, row):
+                raise ValidationError(
+                    f"{path}: line {n}: malformed {what} row (non-numeric, "
+                    "missing or extra field)") from None
+            shape = row
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -53,27 +94,13 @@ def save_edges_csv(path, g):
 
 
 def load_edges_csv(path, num_vertices=None):
-    """Read an edge-list CSV; infers N as ``max id + 1`` unless given."""
-    edges = []
-    max_id = -1
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst", "weight"]:
-            raise ValidationError(f"{path}: expected header 'src,dst,weight'")
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValidationError(f"{path}: malformed edge row {row!r}")
-                i, j, w = int(row[0]), int(row[1]), float(row[2])
-                edges.append((i, j, w))
-                max_id = max(max_id, i, j)
-        except ValueError:
-            raise _malformed(path, reader) from None
-    n = int(num_vertices) if num_vertices is not None else max_id + 1
-    return edges, n
+    """Read an edge-list CSV as ``(edges, N)``: an (E, 3) float array of
+    ``src, dst, weight`` rows and N, ``max id + 1`` unless given."""
+    table = _read_table(path, "src,dst,weight", "i8,i8,f8", "edge")
+    edges = np.column_stack((table["f0"], table["f1"], table["f2"]))
+    if num_vertices is None:
+        num_vertices = edges[:, :2].max(initial=-1) + 1
+    return edges, int(num_vertices)
 
 
 def save_coords_csv(path, coords):
@@ -85,16 +112,7 @@ def save_coords_csv(path, coords):
 
 
 def load_coords_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise ValidationError(f"{path}: expected header 'x,y'")
-        try:
-            rows = [(float(x), float(y)) for x, y in filter(None, reader)]
-        except ValueError:
-            raise _malformed(path, reader) from None
-    return np.asarray(rows, dtype=float)
+    return _read_table(path, "x,y", "f8,f8", "coordinate").view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -111,35 +129,15 @@ def save_signal_csv(path, X):
 
 
 def load_signal_csv(path):
-    try:
-        X = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not a numeric CSV signal ({exc})") from None
-    return X
+    return _read_table(path, None, float, "signal")
 
 
 def save_signal_binary(path, X):
-    X = np.ascontiguousarray(np.asarray(X, dtype="<f8"))
-    if X.ndim != 2:
-        raise ValidationError("signals are written as N x T matrices")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _SIGNAL_MAGIC, X.shape[0], X.shape[1], 0))
-        fh.write(X.tobytes())
+    _save_binary(path, X, _SIGNAL_MAGIC)
 
 
 def load_signal_binary(path):
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValidationError(f"{path}: truncated signal header")
-        magic, n, t, _ = struct.unpack("<4sIII", header)
-        if magic != _SIGNAL_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * t:
-        raise ValidationError(
-            f"{path}: expected {n * t} samples, found {data.size}")
-    return data.reshape(n, t).copy()
+    return _load_binary(path, _SIGNAL_MAGIC)
 
 
 def save_signal(path, X):
@@ -164,10 +162,7 @@ def save_mask_csv(path, M):
 
 
 def load_mask_csv(path):
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: not a numeric CSV mask ({exc})") from None
+    return _read_table(path, None, float, "mask")
 
 
 # ---------------------------------------------------------------------------
@@ -185,58 +180,63 @@ def save_spectrum_csv(path, S):
 
 
 def load_spectrum_csv(path):
-    entries = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["l", "k", "re", "im"]:
-            raise ValidationError(f"{path}: expected header 'l,k,re,im'")
-        try:
-            for row in reader:
-                if not row:
-                    continue
-                l, k = int(row[0]) - 1, int(row[1]) - 1
-                if (l, k) in entries:
-                    raise ValidationError(
-                        f"{path}: duplicate entry for l={l + 1}, k={k + 1}")
-                entries[(l, k)] = complex(float(row[2]), float(row[3]))
-        except (ValueError, IndexError):
-            raise _malformed(path, reader) from None
-    if not entries:
+    table = _read_table(path, "l,k,re,im", "i8,i8,f8,f8", "spectrum").ravel()
+    if not table.size:
         raise ValidationError(f"{path}: empty spectrum")
-    n = 1 + max(l for l, _ in entries)
-    t = 1 + max(k for _, k in entries)
-    if len(entries) != n * t:
+    l, k = table["f0"] - 1, table["f1"] - 1
+    order = np.lexsort((k, l))  # stable: a repeat sorts after its first
+    dup = np.zeros(l.size, bool)
+    dup[order[1:]] = (np.diff(l[order]) == 0) & (np.diff(k[order]) == 0)
+    bad = np.flatnonzero((l < 0) | (k < 0) | dup)
+    if bad.size:
+        r = bad[0]
+        why = (f"duplicate entry for l={l[r] + 1}, k={k[r] + 1}" if dup[r]
+               else "frequency indices start at 1")
+        with open(path, encoding="utf-8", errors="replace") as fh:  # its line
+            line = [i for i, text in enumerate(fh, 1) if i > 1 and text != "\n"][r]
+        raise ValidationError(f"{path}: line {line}: {why}")
+    n, t = int(l.max()) + 1, int(k.max()) + 1
+    if table.size != n * t:
         raise ValidationError(
-            f"{path}: incomplete spectrum ({len(entries)} of {n * t} entries)")
+            f"{path}: incomplete spectrum ({table.size} of {n * t} entries)")
     S = np.empty((n, t), dtype=complex)
-    for (l, k), v in entries.items():
-        S[l, k] = v
+    S.real[l, k], S.imag[l, k] = table["f2"], table["f3"]
     return S
 
 
 def save_coefficients_binary(path, C):
-    C = np.ascontiguousarray(np.asarray(C, dtype="<c16"))
-    if C.ndim != 3:
-        raise ValidationError("coefficients are written as |Z| x N x T tensors")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIII", _COEFF_MAGIC, *C.shape))
-        fh.write(C.tobytes())
+    _save_binary(path, C, _COEFF_MAGIC)
 
 
 def load_coefficients_binary(path):
+    return _load_binary(path, _COEFF_MAGIC)
+
+
+def _save_binary(path, A, magic):
+    """Write the 16-byte header (magic, three u32 sizes) and the payload."""
+    dtype, rank, what, _ = _BINARY[magic]
+    A = np.ascontiguousarray(np.asarray(A, dtype=dtype))
+    if A.ndim != rank:
+        raise ValidationError(f"{what}s are written as {rank}-D arrays")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIII", magic, *A.shape, *[0] * (3 - rank)))
+        fh.write(A.tobytes())
+
+
+def _load_binary(path, magic):
+    dtype, rank, what, entries = _BINARY[magic]
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ValidationError(f"{path}: truncated coefficient header")
-        magic, z, n, t = struct.unpack("<4sIII", header)
-        if magic != _COEFF_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<c16")
-    if data.size != z * n * t:
-        raise ValidationError(
-            f"{path}: expected {z * n * t} coefficients, found {data.size}")
-    return data.reshape(z, n, t).copy()
+        header, payload = fh.read(16), fh.read()
+    if len(header) != 16:
+        raise ValidationError(f"{path}: truncated {what} header")
+    if header[:4] != magic:
+        raise ValidationError(f"{path}: bad magic {header[:4]!r}")
+    shape = struct.unpack("<3I", header[4:])[:rank]
+    size, width = math.prod(shape), np.dtype(dtype).itemsize
+    if len(payload) != size * width:
+        raise ValidationError(f"{path}: expected {size} {entries}, "
+                              f"found {len(payload) / width:.15g}")
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
 # ---------------------------------------------------------------------------

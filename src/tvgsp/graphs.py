@@ -68,6 +68,8 @@ class Graph:
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         if self.coords is not None and self.coords.shape[0] != self.N:
             raise ValidationError("coords must have one row per vertex")
+        if self.coords is not None and not np.isfinite(self.coords).all():
+            raise ValidationError("coords contain NaN or Inf entries")
         self._eigensystem = None
         self._edges = None
 
@@ -104,7 +106,8 @@ class Graph:
 
 
 def build_graph(edge_list, num_vertices, coords=None):
-    """Build a :class:`Graph` from a list of ``(src, dst, weight)`` triples.
+    """Build a :class:`Graph` from an (E, 3) array of ``(src, dst, weight)``
+    rows, or anything ``np.asarray`` turns into one, such as a list of triples.
 
     Duplicate undirected edges are merged by summing their weights.
     Self-loops and negative or non-finite weights are rejected.
@@ -112,24 +115,23 @@ def build_graph(edge_list, num_vertices, coords=None):
     n = int(num_vertices)
     if n < 0:
         raise ValidationError("num_vertices must be nonnegative")
-    rows, cols, vals = [], [], []
-    for src, dst, w in edge_list:
-        i, j, w = int(src), int(dst), float(w)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValidationError(f"vertex id out of range: ({i}, {j}) with N={n}")
-        if i == j:
-            raise ValidationError(f"self-loop at vertex {i} rejected")
-        rows += [i, j]
-        cols += [j, i]
-        vals += [w, w]
-    vals = np.asarray(vals, dtype=float)
-    bad = np.flatnonzero(~((vals >= 0) & (vals < np.inf)))  # < 0, NaN, inf
+    edges = np.asarray(edge_list, dtype=float).reshape(len(edge_list), 3)
+    (i, j), w = edges[:, :2].astype(np.int64).T, edges[:, 2]
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
     if bad.size:
         k = bad[0]
-        kind = "negative" if np.isfinite(vals[k]) else "non-finite"
+        if i[k] == j[k] and 0 <= i[k] < n:
+            raise ValidationError(f"self-loop at vertex {i[k]} rejected")
+        raise ValidationError(f"vertex id out of range: ({i[k]}, {j[k]}) with N={n}")
+    bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # < 0, NaN, inf
+    if bad.size:
+        k = bad[0]
+        kind = "negative" if np.isfinite(w[k]) else "non-finite"
         raise ValidationError(
-            f"{kind} weight {vals[k]} on edge ({rows[k]}, {cols[k]})")
-    W = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+            f"{kind} weight {w[k]} on edge ({i[k]}, {j[k]})")
+    ij = np.column_stack((i, j))  # both directions, summed in list order
+    W = sp.coo_array((np.repeat(w, 2), (ij.ravel(), ij[:, ::-1].ravel())),
+                     shape=(n, n)).tocsr()
     return Graph(W, coords=coords)
 
 
@@ -184,7 +186,7 @@ def path_graph(n):
     """Path graph P_n with unit weights."""
     if n < 1:
         raise ValidationError("path graph needs at least one vertex")
-    edges = [(i, i + 1, 1.0) for i in range(n - 1)]
+    edges = np.column_stack((np.arange(n - 1), np.arange(1, n), np.ones(n - 1)))
     coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
     return build_graph(edges, n, coords=coords)
 
@@ -193,7 +195,7 @@ def ring_graph(n):
     """Cycle graph with unit weights."""
     if n < 3:
         raise ValidationError("ring graph needs at least three vertices")
-    edges = [(i, (i + 1) % n, 1.0) for i in range(n)]
+    edges = np.column_stack((np.arange(n), np.arange(1, n + 1) % n, np.ones(n)))
     theta = 2 * np.pi * np.arange(n) / n
     coords = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return build_graph(edges, n, coords=coords)
@@ -204,14 +206,10 @@ def grid2d_graph(rows, cols):
     if rows < 1 or cols < 1:
         raise ValidationError("grid dimensions must be positive")
     n = rows * cols
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1, 1.0))
-            if r + 1 < rows:
-                edges.append((v, v + cols, 1.0))
+    v = np.arange(n).reshape(rows, cols)
+    src = np.concatenate((v[:, :-1].ravel(), v[:-1].ravel()))  # right, down
+    dst = np.concatenate((v[:, 1:].ravel(), v[1:].ravel()))
+    edges = np.column_stack((src, dst, np.ones(src.size)))
     rr, cc = np.divmod(np.arange(n), cols)
     coords = np.stack([cc.astype(float), rr.astype(float)], axis=1)
     return build_graph(edges, n, coords=coords)
@@ -236,13 +234,14 @@ def knn_sensor_graph(n, k, seed=0, sigma=None):
         sigma = float(dist[:, -1].mean())
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    merged = {}
-    for i in range(n):
-        for d, j in zip(dist[i], idx[i]):
-            key = (min(i, j), max(i, j))
-            merged[key] = np.exp(-d * d / (2 * sigma * sigma))
-    edges = [(i, j, w) for (i, j), w in merged.items()]
-    return build_graph(edges, n, coords=pts)
+    # one edge per pair; where both ends pick each other the later row wins
+    src = np.repeat(np.arange(n), k)
+    lo, hi = np.minimum(src, idx.ravel()), np.maximum(src, idx.ravel())
+    last = lo.size - 1 - np.unique((lo * n + hi)[::-1], return_index=True)[1]
+    d = dist.ravel()[last]
+    w = np.exp(-d * d / (2 * sigma * sigma))
+    return build_graph(np.column_stack((lo[last], hi[last], w)), n,
+                       coords=pts)
 
 
 def erdos_renyi_graph(n, p, seed=0):
@@ -250,11 +249,11 @@ def erdos_renyi_graph(n, p, seed=0):
     if not 0 <= p <= 1:
         raise ValidationError("edge probability must lie in [0, 1]")
     rng = default_rng(seed)
-    edges = []
-    for i in range(n):
-        draws = rng.random(n - i - 1)
-        for off in np.flatnonzero(draws < p):
-            edges.append((i, i + 1 + off, 1.0))
+    # one draw per row of the upper triangle keeps memory linear in n
+    hits = [np.flatnonzero(rng.random(n - i - 1) < p) for i in range(n - 1)]
+    src = np.repeat(np.arange(len(hits)), [h.size for h in hits])
+    dst = src + 1 + np.concatenate([np.empty(0, int), *hits])  # n < 2: none
+    edges = np.column_stack((src, dst, np.ones(src.size)))
     return build_graph(edges, n)
 
 

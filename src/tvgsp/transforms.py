@@ -153,6 +153,8 @@ def ijft(S, eig, real=None):
     complex result.
     """
     S = _rows(np.asarray(S), eig, "spectrum")
+    if not np.isfinite(S).all():
+        raise ValidationError("spectrum contains NaN or Inf entries")
     Y = _ijft_stack(S, eig, S.shape[-1], False)
     if real is False:
         return Y

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -504,6 +505,49 @@ def test_non_numeric_coordinate_exits_2(graph_files, tmp_path, capsys):
                   "--coeffs", str(tmp_path / "c.tvcf"))
     err = _assert_invalid_input(code, capsys)
     assert "c.csv: line 3" in err
+
+
+def _bad_spectrum(row, tmp_path):
+    lines = ["l,k,re,im"] + [f"{l},{k},1.0,0.0" for l in range(1, 25)
+                             for k in range(1, 9)]
+    lines[1] = row
+    (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+    return ["transform", "--inverse", "--spectrum", str(tmp_path / "s.csv"),
+            "--out", str(tmp_path / "x.csv")]
+
+
+def _empty_signal(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    return ["filter", "--signal", str(tmp_path / "empty.csv"),
+            "--kernel", "tikhonov", "--param", "tau1=0.4", "--param",
+            "tau2=0.8", "--out", str(tmp_path / "y.csv")]
+
+
+def _nan_coordinate(tmp_path):
+    coords = fileio.load_coords_csv(tmp_path / "c.csv")
+    coords[3, 0] = np.nan
+    fileio.save_coords_csv(tmp_path / "c.csv", coords)
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf",
+                                    np.ones((1, 24, 8), dtype=complex))
+    return ["localize", "--coords", str(tmp_path / "c.csv"),
+            "--coeffs", str(tmp_path / "c.tvcf")]
+
+
+@pytest.mark.parametrize("make_argv,message", [
+    (_empty_signal, "empty.csv: no data rows"),
+    (lambda tmp: _bad_spectrum("1,1,nan,0.0", tmp),
+     "spectrum contains NaN or Inf entries"),
+    (lambda tmp: _bad_spectrum("0,1,1.0,0.0", tmp),
+     "s.csv: line 2: frequency indices start at 1"),
+    (_nan_coordinate, "coords contain NaN or Inf entries"),
+], ids=["empty-signal", "nan-spectrum", "zero-based-index", "nan-coordinate"])
+def test_bad_input_file_exits_2_with_one_line(make_argv, message, graph_files,
+                                               tmp_path, capsys):
+    gpath, _ = graph_files
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(*make_argv(tmp_path), "--graph", str(gpath))
+    assert message in _assert_invalid_input(code, capsys)
 
 
 @pytest.mark.parametrize("spec,field", [

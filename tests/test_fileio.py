@@ -1,5 +1,12 @@
+import os
+import struct
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgsp import ValidationError, build_graph, knn_sensor_graph
 from tvgsp import fileio
@@ -62,6 +69,9 @@ def test_signal_binary_validation(tmp_path):
     path.write_bytes(b"TVSG")
     with pytest.raises(ValidationError, match="truncated"):
         fileio.load_signal_binary(path)
+    path.write_bytes(struct.pack("<4sIII", b"TVSG", 2, 2, 0) + b"\0" * 37)
+    with pytest.raises(ValidationError, match="expected 4 samples, found 4.625"):
+        fileio.load_signal_binary(path)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):
@@ -78,6 +88,14 @@ def test_spectrum_csv_one_based_indices(tmp_path):
     path = tmp_path / "s.csv"
     fileio.save_spectrum_csv(path, np.array([[1.0 + 2.0j]]))
     assert path.read_text().splitlines()[1] == "1,1,1.0,2.0"
+
+
+def test_edge_csv_header_only_is_an_edgeless_graph(tmp_path):
+    path = tmp_path / "g.csv"
+    fileio.save_edges_csv(path, build_graph([], 4))
+    assert fileio.load_edges_csv(path)[1] == 0
+    g = build_graph(*fileio.load_edges_csv(path, 4))
+    assert (g.N, g.num_edges) == (4, 0)
 
 
 def test_spectrum_csv_incomplete_rejected(tmp_path):
@@ -169,11 +187,51 @@ def test_bank_spec_wave_gauss_lmax_scale():
     (fileio.load_coords_csv, "x,y\n0.1,0.2,0.3\n", "line 2"),
     (fileio.load_spectrum_csv, "l,k,re,im\n1,1,0.5,x\n", "line 2"),
     (fileio.load_spectrum_csv, "l,k,re,im\n1,1,0.5\n", "line 2"),
+    (fileio.load_spectrum_csv, "l,k,re,im\n\n0,1,0.5,0.0\n", "line 3"),
+    (fileio.load_spectrum_csv, "l,k,re,im\n1,1,0,0\n\n1,1,0,0\n", "line 4"),
+    (fileio.load_edges_csv, "src,dst,weight\n\n0,1,1.0\n1,1.0,1.0\n", "line 4"),
+    (fileio.load_coords_csv, b"x,y\n0.1,0.2\n0.3,\xff\n", "line 3"),
+    (fileio.load_signal_csv, "1,2,3\n4,5\n", "line 2"),
+    (fileio.load_signal_csv, "1,2\n3,x\n", "line 2"),
+    (fileio.load_signal_csv, "1,2\n\n3,4,5\n", "line 3"),
+    (fileio.load_signal_csv, "", "no data rows"),
     (fileio.load_mask_csv, "1,0\n0,z\n", "mask"),
+    (fileio.load_mask_csv, "1,0\n0,z\n", "line 2"),
+    (fileio.load_mask_csv, "1,0\n0\n", "line 2"),
+    (fileio.load_mask_csv, "1,0\n\n\n0,1,1\n", "line 4"),
+    (fileio.load_mask_csv, "\n\n", "no data rows"),
+    (fileio.load_signal_csv, "1,2\n# note\n3,4\n", "line 2"),
+    (fileio.load_mask_csv, "1,0 # note\n", "line 1"),
 ])
 def test_csv_parsing_errors_name_the_file(loader, text, match, tmp_path):
     path = tmp_path / "input.csv"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValidationError, match=match) as err:
         loader(path)
     assert "input.csv" in str(err.value)
+
+
+_READERS = [(fileio.load_edges_csv, "src,dst,weight\n"),
+            (fileio.load_coords_csv, "x,y\n"),
+            (fileio.load_spectrum_csv, "l,k,re,im\n"),
+            (fileio.load_signal_csv, ""), (fileio.load_mask_csv, "")]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(reader=st.sampled_from(_READERS), header=st.booleans(),
+       body=st.text(st.sampled_from("0123456789.,-+eE naxf#\n\r\t\x00\xff"),
+                    max_size=60))
+def test_csv_readers_fail_only_with_validation_errors(reader, header, body):
+    """Malformed text either parses or raises a ValidationError naming the
+    file; no other exception and no warning escapes."""
+    loader, first_line = reader
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write((first_line if header else "") + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                loader(path)
+            except ValidationError as exc:
+                assert str(exc).startswith(f"{path}: ")

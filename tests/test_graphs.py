@@ -1,6 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from tvgsp import (EigendecompositionCapError, ValidationError, build_graph,
                    eigendecompose, erdos_renyi_graph, estimate_lambda_max,
@@ -182,3 +187,75 @@ def test_edges_canonical_order():
 
 def test_power_iteration_refine_empty():
     assert estimate_lambda_max(build_graph([], 3), refine=True) == 0.0
+
+
+# SHA-256 over W.indptr, W.indices, W.data and coords (when present),
+# recorded from the per-edge loop generators these replaced.
+GOLDEN = [
+    ("path", {"n": 9}, 0,
+     "bb252b12aa811669494e4007be668b4a69dfc860a88dadab90113ca06e5fcb80"),
+    ("ring", {"n": 11}, 0,
+     "26321bc6bb62d85d777756b34ab9e5b9ae44e0e6ff491bf7c70666467b8f33f1"),
+    ("grid2d", {"rows": 4, "cols": 5}, 0,
+     "b6cf7838b0d3053443daa20e7121c8fd19f4734256557c550338d56e7014fde6"),
+    ("knn_sensor", {"n": 60, "k": 5}, 3,
+     "af7d4d66199cad4273f0b8af884afc0f83b1560c701f8601fbecbb56c3e4e561"),
+    ("knn_sensor", {"n": 200, "k": 6}, 11,
+     "ab77af7d73c93f102ac83538cbb3f58c0fea713ac78662607baa08701789fd4a"),
+    ("erdos_renyi", {"n": 30, "p": 0.3}, 5,
+     "09d1c34577fa6d693d311f7805d35489aba97c5ffd0db813a71c58f475341738"),
+    ("erdos_renyi", {"n": 57, "p": 0.05}, 2,
+     "1fbf0d59cfbfdabadda31bab80399e5e0f0b9ef340d3ad3e41a25c05b6af3713"),
+]
+
+
+@pytest.mark.parametrize("kind,params,seed,digest", GOLDEN)
+def test_generators_are_byte_identical(kind, params, seed, digest):
+    g = generate_graph(kind, params, rng_seed=seed)
+    h = hashlib.sha256()
+    for a in (g.W.indptr, g.W.indices, g.W.data) + (
+            () if g.coords is None else (g.coords,)):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("edges,n,message", [
+    ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)], 3, "self-loop at vertex 2"),
+    ([(0, 1, -1.0), (4, 4, 1.0)], 3, r"vertex id out of range: \(4, 4\) with N=3"),
+    ([(0, 1, 1.0), (1, 2, -0.5), (0, 2, np.nan)], 3,
+     r"negative weight -0.5 on edge \(1, 2\)"),
+    (np.array([[0, 1, 1.0], [2, 1, np.inf]]), 3,
+     r"non-finite weight inf on edge \(2, 1\)"),
+])
+def test_build_graph_names_the_first_bad_edge(edges, n, message):
+    with pytest.raises(ValidationError, match=message):
+        build_graph(edges, n)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_build_graph_sums_duplicates_like_a_loop(n, data):
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    edges = [(i, j, float(w)) for (i, j), w in data.draw(st.lists(
+        st.tuples(pairs, st.integers(0, 9)), max_size=30))]
+    dense = np.zeros((n, n))
+    for i, j, w in edges:
+        dense[i, j] += w
+        dense[j, i] += w
+    for given_edges in (edges, np.array(edges).reshape(-1, 3)):
+        assert np.array_equal(build_graph(given_edges, n).W.toarray(), dense)
+
+
+def test_knn_sensor_matches_the_pairwise_loop():
+    for n, k, seed in [(40, 3, 0), (120, 7, 4)]:
+        g = knn_sensor_graph(n, k, seed=seed)
+        dist, idx = cKDTree(g.coords).query(g.coords, k=k + 1)
+        sigma = float(dist[:, -1].mean())
+        merged = {}
+        for i in range(n):
+            for d, j in zip(dist[i, 1:], idx[i, 1:]):
+                w = np.exp(-d * d / (2 * sigma * sigma))
+                merged[(min(i, j), max(i, j))] = w
+        ref = build_graph([(i, j, w) for (i, j), w in merged.items()], n)
+        assert np.array_equal(g.W.toarray(), ref.W.toarray())
