@@ -9,10 +9,13 @@ via ``--seed`` (default 0).
 
 Exit codes: 0 success, 2 validation error (including bad flags), 3
 numerical failure. Errors print a single ``code: message`` line.
+
+A command times the files it reads in a ``load`` stage and the files it
+writes (not the report) in a ``write`` stage; its work has stages between.
 """
 
 import argparse
-import json
+import functools
 import sys
 
 import numpy as np
@@ -81,13 +84,14 @@ def cmd_graph_gen(args):
     with timer.stage("generate"):
         g = generate_graph(args.kind, params, rng_seed=args.seed)
     outputs = [args.out]
-    fileio.save_edges_csv(args.out, g)
-    if args.coords_out:
-        if g.coords is None:
-            raise ValidationError(
-                f"generator '{args.kind}' provides no coordinates")
-        fileio.save_coords_csv(args.coords_out, g.coords)
-        outputs.append(args.coords_out)
+    with timer.stage("write"):
+        fileio.save_edges_csv(args.out, g)
+        if args.coords_out:
+            if g.coords is None:
+                raise ValidationError(
+                    f"generator '{args.kind}' provides no coordinates")
+            fileio.save_coords_csv(args.coords_out, g.coords)
+            outputs.append(args.coords_out)
     return reports.RunReport(
         command="graph-gen",
         params={"kind": args.kind, "seed": args.seed, **params},
@@ -100,23 +104,28 @@ def cmd_graph_gen(args):
 
 def cmd_transform(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
+    if args.inverse and not args.spectrum:
+        raise ValidationError("--inverse needs --spectrum")
+    if not args.inverse and not args.signal:
+        raise ValidationError("forward transform needs --signal")
+    with timer.stage("load"):
+        g = _load_graph(args)
+        if args.inverse:
+            S = fileio.load_spectrum_csv(args.spectrum)
+        else:
+            X = fileio.load_signal(args.signal)
     eig = _eigensystem(g, timer)
     if args.inverse:
-        if not args.spectrum:
-            raise ValidationError("--inverse needs --spectrum")
-        S = fileio.load_spectrum_csv(args.spectrum)
         with timer.stage("ijft"):
             X = ijft(S, eig, real=True)
-        fileio.save_signal(args.out, X)
+        with timer.stage("write"):
+            fileio.save_signal(args.out, X)
         metrics = {"signal_norm": float(np.linalg.norm(X))}
     else:
-        if not args.signal:
-            raise ValidationError("forward transform needs --signal")
-        X = fileio.load_signal(args.signal)
         with timer.stage("jft"):
             S = jft(X, eig)
-        fileio.save_spectrum_csv(args.out, S)
+        with timer.stage("write"):
+            fileio.save_spectrum_csv(args.out, S)
         norm_x = np.linalg.norm(X)
         metrics = {
             "signal_norm": float(norm_x),
@@ -131,8 +140,9 @@ def cmd_transform(args):
 
 def cmd_dynamics(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    x1 = fileio.load_signal(args.x1).ravel()
+    with timer.stage("load"):
+        g = _load_graph(args)
+        x1 = fileio.load_signal(args.x1).ravel()
     eig = (_eigensystem(g, timer)
            if args.kind == "wave" or args.emit_spectrum else None)
     with timer.stage("evolve"):
@@ -142,13 +152,15 @@ def cmd_dynamics(args):
             X = wave_evolve(x1, g, eig, args.s, args.T)
         else:
             raise ValidationError(f"unknown dynamics kind '{args.kind}'")
-    fileio.save_signal(args.out, X)
-    outputs = [args.out]
     if args.emit_spectrum:
         with timer.stage("spectrum"):
             S = jft(X, eig)
-        fileio.save_spectrum_csv(args.emit_spectrum, S)
-        outputs.append(args.emit_spectrum)
+    outputs = [args.out]
+    with timer.stage("write"):
+        fileio.save_signal(args.out, X)
+        if args.emit_spectrum:
+            fileio.save_spectrum_csv(args.emit_spectrum, S)
+            outputs.append(args.emit_spectrum)
     return reports.RunReport(
         command="dynamics",
         params={"kind": args.kind, "s": args.s, "T": args.T},
@@ -160,8 +172,9 @@ def cmd_dynamics(args):
 
 def cmd_filter(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    X = fileio.load_signal(args.signal)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        X = fileio.load_signal(args.signal)
     kernel = named_response(args.kernel, _parse_params(args.param),
                             lmax=g.lmax, T=X.shape[1])
     eig = _eigensystem(g, timer) if args.method == "exact" else None
@@ -180,7 +193,8 @@ def cmd_filter(args):
         else:
             raise ValidationError(f"unknown filtering method '{args.method}'")
     Y = real_if_close(Y, strict=True)
-    fileio.save_signal(args.out, Y)
+    with timer.stage("write"):
+        fileio.save_signal(args.out, Y)
     return reports.RunReport(
         command="filter",
         params={"kernel": args.kernel, "method": args.method,
@@ -194,7 +208,8 @@ def cmd_filter(args):
 def cmd_filter_bench(args):
     timer = reports.StageTimer()
     if args.graph:
-        g = _load_graph(args)
+        with timer.stage("load"):
+            g = _load_graph(args)
     else:
         with timer.stage("fixture_graph"):
             g = generate_graph("knn_sensor", {"n": args.n, "k": args.knn},
@@ -220,7 +235,8 @@ def cmd_filter_bench(args):
         rows = reports.filter_error_table(
             X, g, eig, kernels, args.methods.split(","),
             _number_list(args.orders, "--orders", int))
-    reports.write_filter_error_csv(args.emit, rows)
+    with timer.stage("write"):
+        reports.write_filter_error_csv(args.emit, rows)
     worst = max((r[3] for r in rows), default=0.0)
     return reports.RunReport(
         command="filter-bench",
@@ -234,19 +250,20 @@ def cmd_filter_bench(args):
 
 def cmd_frame_build(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        spec = fileio.load_bank_spec(args.bank)
     with timer.stage("build"):
-        bank = fileio.load_bank(args.bank, g)
+        bank = fileio.build_bank(spec, g)
     eig = _eigensystem(g, timer)
     with timer.stage("bounds"):
         A, B = frame_bounds(bank, eig)
     outputs = []
     if args.out:
-        with open(args.bank) as fh:
-            spec = json.load(fh)
         spec["computed"] = {"frame_bound_A": A, "frame_bound_B": B,
                             "certified": bank.bounds_certified}
-        fileio.save_bank_spec(args.out, spec)
+        with timer.stage("write"):
+            fileio.save_bank_spec(args.out, spec)
         outputs.append(args.out)
     return reports.RunReport(
         command="frame-build",
@@ -259,14 +276,16 @@ def cmd_frame_build(args):
 
 def cmd_analyze(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    bank = fileio.load_bank(args.bank, g)
-    X = fileio.load_signal(args.signal)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        bank = fileio.load_bank(args.bank, g)
+        X = fileio.load_signal(args.signal)
     eig = _eigensystem(g, timer) if args.exact else None
     info = {}
     with timer.stage("analyze"):
         C = frame_analyze(bank, X, g, eig=eig, order=args.order, info=info)
-    fileio.save_coefficients_binary(args.out, C)
+    with timer.stage("write"):
+        fileio.save_coefficients_binary(args.out, C)
     nx = np.linalg.norm(X)
     return reports.RunReport(
         command="analyze",
@@ -281,9 +300,10 @@ def cmd_analyze(args):
 
 def cmd_synthesize(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    bank = fileio.load_bank(args.bank, g)
-    C = fileio.load_coefficients_binary(args.coeffs)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        bank = fileio.load_bank(args.bank, g)
+        C = fileio.load_coefficients_binary(args.coeffs)
     eig = _eigensystem(g, timer) if (args.exact or args.dual) else None
     if args.dual:
         with timer.stage("dual"):
@@ -292,7 +312,8 @@ def cmd_synthesize(args):
     with timer.stage("synthesize"):
         Y = frame_synthesize(bank, C, g, eig=eig, order=args.order, info=info)
     Y = real_if_close(Y, strict=True)
-    fileio.save_signal(args.out, Y)
+    with timer.stage("write"):
+        fileio.save_signal(args.out, Y)
     return reports.RunReport(
         command="synthesize",
         params={"bank": args.bank, "dual": bool(args.dual),
@@ -304,14 +325,16 @@ def cmd_synthesize(args):
 
 def cmd_denoise(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    Y = fileio.load_signal(args.signal)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        Y = fileio.load_signal(args.signal)
     eig = _eigensystem(g, timer) if args.exact else None
     info = {}
     with timer.stage("denoise"):
         X = denoise_tikhonov(Y, g, args.tau1, args.tau2,
                              eig=eig, order=args.order, info=info)
-    fileio.save_signal(args.out, X)
+    with timer.stage("write"):
+        fileio.save_signal(args.out, X)
     objective = (float(np.linalg.norm(X - Y) ** 2)
                  + args.tau1 * variation_norm(X, g, p=2, q=2,
                                               w_graph=1.0, w_time=0.0)
@@ -328,9 +351,10 @@ def cmd_denoise(args):
 
 def cmd_inpaint(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    Y = fileio.load_signal(args.signal)
-    M = fileio.load_mask_csv(args.mask)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        Y = fileio.load_signal(args.signal)
+        M = fileio.load_mask_csv(args.mask)
     spec = InverseProblemSpec(
         observation=Y, mask=M,
         regularizer=Regularizer(p=args.p, q=args.q,
@@ -339,7 +363,8 @@ def cmd_inpaint(args):
         max_iters=args.max_iters, tol=args.tol)
     with timer.stage("solve"):
         result = inpaint(spec, g)
-    fileio.save_signal(args.out, result.signal)
+    with timer.stage("write"):
+        fileio.save_signal(args.out, result.signal)
     return reports.RunReport(
         command="inpaint",
         params={"p": args.p, "q": args.q, "gamma1": args.gamma1,
@@ -355,15 +380,17 @@ def cmd_inpaint(args):
 
 def cmd_sparse_code(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    bank = fileio.load_bank(args.bank, g)
-    X = fileio.load_signal(args.signal)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        bank = fileio.load_bank(args.bank, g)
+        X = fileio.load_signal(args.signal)
     spec = SparseCodingSpec(bank=bank, observation=X, gamma=args.gamma,
                             max_iters=args.max_iters, tol=args.tol)
     eig = _eigensystem(g, timer)
     with timer.stage("solve"):
         result = sparse_code(spec, g, eig)
-    fileio.save_coefficients_binary(args.out, result.coeffs)
+    with timer.stage("write"):
+        fileio.save_coefficients_binary(args.out, result.coeffs)
     support = int((np.abs(result.coeffs)
                    > 1e-12 * max(np.abs(result.coeffs).max(), 1e-300)).sum())
     return reports.RunReport(
@@ -381,17 +408,18 @@ def cmd_sparse_code(args):
 
 def cmd_localize(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    if g.coords is None:
-        raise ValidationError("localization needs --coords")
-    bank = fileio.load_bank(args.bank, g) if args.bank else None
-    C = fileio.load_coefficients_binary(args.coeffs)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        if g.coords is None:
+            raise ValidationError("localization needs --coords")
+        bank = fileio.load_bank(args.bank, g) if args.bank else None
+        C = fileio.load_coefficients_binary(args.coeffs)
+        X = fileio.load_signal(args.signal) if args.signal else None
     with timer.stage("localize"):
         estimate = localize_source(C, bank, g, args.top_k)
     metrics = {"estimate_x": float(estimate[0]),
                "estimate_y": float(estimate[1])}
-    if args.signal:
-        X = fileio.load_signal(args.signal)
+    if X is not None:
         baseline = signal_energy_centroid(X, g)
         metrics["baseline_x"] = float(baseline[0])
         metrics["baseline_y"] = float(baseline[1])
@@ -403,13 +431,15 @@ def cmd_localize(args):
 
 def cmd_compaction(args):
     timer = reports.StageTimer()
-    g = _load_graph(args)
-    X = fileio.load_signal(args.signal)
+    with timer.stage("load"):
+        g = _load_graph(args)
+        X = fileio.load_signal(args.signal)
     percentiles = _number_list(args.percentiles, "--percentiles", float)
     eig = _eigensystem(g, timer)
     with timer.stage("experiment"):
         curve = reports.compaction_experiment(X, g, eig, percentiles)
-    reports.write_compaction_csv(args.out, curve)
+    with timer.stage("write"):
+        reports.write_compaction_csv(args.out, curve)
     metrics = {f"{name}_at_p{int(curve.percentiles[-1])}": errs[-1]
                for name, errs in curve.errors.items()}
     return reports.RunReport(
@@ -422,7 +452,9 @@ def cmd_compaction(args):
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (``run`` reuses it)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomness (default 0)")
@@ -455,7 +487,6 @@ def build_parser():
     p.add_argument("--sigma", type=float)
     p.add_argument("--out", required=True)
     p.add_argument("--coords-out", default=None)
-    p.set_defaults(func=cmd_graph_gen)
 
     p = sub.add_parser("transform", parents=[common, graph_args],
                        help="joint Fourier transform (or inverse)")
@@ -463,7 +494,6 @@ def build_parser():
     p.add_argument("--spectrum")
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("dynamics", parents=[common, graph_args],
                        help="evolve a PDE on the graph")
@@ -473,7 +503,6 @@ def build_parser():
     p.add_argument("--x1", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-spectrum", default=None)
-    p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("filter", parents=[common, graph_args],
                        help="apply a named joint filter")
@@ -486,7 +515,6 @@ def build_parser():
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--order-t", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("filter-bench", parents=[common],
                        help="accuracy/runtime table for filter methods")
@@ -499,13 +527,11 @@ def build_parser():
     p.add_argument("--orders", default="5,10,20,40")
     p.add_argument("--methods", default="exact,ffc,cheby2d")
     p.add_argument("--emit", required=True)
-    p.set_defaults(func=cmd_filter_bench)
 
     p = sub.add_parser("frame-build", parents=[common, graph_args],
                        help="build a bank spec and compute frame bounds")
     p.add_argument("--bank", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_frame_build)
 
     p = sub.add_parser("analyze", parents=[common, graph_args],
                        help="frame analysis coefficients")
@@ -514,7 +540,6 @@ def build_parser():
     p.add_argument("--exact", action="store_true")
     p.add_argument("--order", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synthesize", parents=[common, graph_args],
                        help="frame synthesis from coefficients")
@@ -525,7 +550,6 @@ def build_parser():
     p.add_argument("--exact", action="store_true")
     p.add_argument("--order", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("denoise", parents=[common, graph_args],
                        help="joint Tikhonov denoising")
@@ -535,7 +559,6 @@ def build_parser():
     p.add_argument("--exact", action="store_true")
     p.add_argument("--order", type=int, default=50)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_denoise)
 
     p = sub.add_parser("inpaint", parents=[common, graph_args],
                        help="masked recovery with a mixed variation prior")
@@ -548,7 +571,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_inpaint)
 
     p = sub.add_parser("sparse-code", parents=[common, graph_args],
                        help="sparse synthesis coding over a frame")
@@ -558,7 +580,6 @@ def build_parser():
     p.add_argument("--max-iters", type=int, default=500)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sparse_code)
 
     p = sub.add_parser("localize", parents=[common, graph_args],
                        help="source localization from coefficients")
@@ -568,27 +589,27 @@ def build_parser():
     p.add_argument("--top-k", type=int, default=3)
     p.add_argument("--signal", default=None,
                    help="also report the energy-centroid baseline")
-    p.set_defaults(func=cmd_localize)
 
     p = sub.add_parser("compaction", parents=[common, graph_args],
                        help="energy compaction of DFT vs GFT vs JFT")
     p.add_argument("--signal", required=True)
     p.add_argument("--percentiles", default="50,75,90,95,99")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compaction)
 
     return parser
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.threads is not None and args.threads < 1:
         print("invalid_input: --threads must be a positive integer",
               file=sys.stderr)
         return 2
+    # looked up per call rather than bound into the cached parser, so that
+    # rebinding a module-level cmd_* function takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = args.func(args)
+        report = command(args)
     except OSError as exc:
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2

@@ -159,18 +159,19 @@ def damped_wave_kernel(lam, omega, beta, T):
     Raises :class:`SingularKernelError` when the denominator vanishes
     (e.g. at ``beta = omega = lambda = 0``).
     """
-    lam, omega = np.broadcast_arrays(
-        np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
+    lam, omega = np.asarray(lam, dtype=float), np.asarray(omega, dtype=float)
     w = beta + 1j * omega
+    cosh_w, exp_w = np.cosh(w), np.exp(w)  # on omega's shape, not the grid's
     shift = lam / 2.0 - 1.0
-    den = 2.0 * (np.cosh(w) + shift)
+    den = 2.0 * (cosh_w + shift)
     bad = np.abs(den) < 1e-12
     if np.any(bad):
+        lam, omega = np.broadcast_arrays(lam, omega)
         idx = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
         raise SingularKernelError(
             f"damped wave kernel singular at (lambda={float(lam[idx]):g}, "
             f"omega={float(omega[idx]):g}, beta={beta:g})")
-    return (np.exp(w) + shift) / (den * np.sqrt(T))
+    return (exp_w + shift) / (den * np.sqrt(T))
 
 
 def damped_wave_response(beta, T):

@@ -306,13 +306,17 @@ def build_bank(spec, g):
     raise ValidationError(f"unknown bank kind '{kind}'")
 
 
-def load_bank(path, g):
+def load_bank_spec(path):
+    """The parsed JSON of a bank spec file, unvalidated (see ``build_bank``)."""
     with open(path) as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
-    return build_bank(spec, g)
+
+
+def load_bank(path, g):
+    return build_bank(load_bank_spec(path), g)
 
 
 def save_bank_spec(path, spec):

@@ -4,14 +4,17 @@ The :class:`Graph` owns the combinatorial Laplacian ``L = D - W`` and a
 cheap upper bound on its largest eigenvalue; the dense eigendecomposition
 is computed lazily and cached. Graphs are immutable after construction
 and safe to share across threads.
+
+Of scipy only ``scipy.sparse`` is imported at module level. The
+submodules that a single function needs (``scipy.sparse.csgraph``,
+``scipy.sparse.linalg``, ``scipy.spatial``) are imported inside it, so a
+process that never calls it does not pay their import time.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import EigendecompositionCapError, ValidationError
 from .rng import default_rng
@@ -99,9 +102,7 @@ class Graph:
         """Whether the graph has one connected component (True for N <= 1)."""
         if self.N == 0:
             return True
-        # imported here: scipy.sparse.csgraph adds ~1 MB of memory and
-        # ~4 ms to any process importing it, and only graph-gen asks this
-        from scipy.sparse.csgraph import connected_components
+        from scipy.sparse.csgraph import connected_components  # deferred
         return bool(connected_components(self.W, directed=False)[0] == 1)
 
 
@@ -151,9 +152,10 @@ def estimate_lambda_max(g, refine=False):
     if g.N <= 32:
         est = float(np.linalg.eigvalsh(g.L.toarray())[-1])
     else:
+        from scipy.sparse.linalg import eigsh  # deferred
         v0 = default_rng(0).standard_normal(g.N)
-        est = float(spla.eigsh(g.L, k=1, which="LA", v0=v0,
-                               return_eigenvectors=False)[0])
+        est = float(eigsh(g.L, k=1, which="LA", v0=v0,
+                          return_eigenvectors=False)[0])
     return float(min(bound, 1.01 * est))
 
 
@@ -227,8 +229,8 @@ def knn_sensor_graph(n, k, seed=0, sigma=None):
         raise ValidationError(f"knn_sensor requires 1 <= k < N (got k={k}, N={n})")
     rng = default_rng(seed)
     pts = rng.random((n, 2))
-    tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=k + 1)
+    from scipy.spatial import cKDTree  # deferred
+    dist, idx = cKDTree(pts).query(pts, k=k + 1)
     dist, idx = dist[:, 1:], idx[:, 1:]  # drop self-match
     if sigma is None:
         sigma = float(dist[:, -1].mean())

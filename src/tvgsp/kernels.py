@@ -7,7 +7,6 @@ that fast separable filtering and windowed transforms can exploit them.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ValidationError
 from .transforms import omega_grid
@@ -123,6 +122,7 @@ def lowpass_sigmoid_response(lambda_cut, omega_cut):
 
     Takes the value 1/4 at ``(lambda_cut, omega_cut)``.
     """
+    from scipy.special import expit  # deferred: only this kernel needs it
     return JointKernel(
         h1=lambda lam: expit(lambda_cut - lam),
         h2=lambda omega: expit(omega_cut - np.abs(omega)),

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from tvgsp import build_graph, fileio, filter_exact, grid_eval, named_response
-from tvgsp.cli import run
+from tvgsp import (build_graph, cli, fileio, filter_exact, grid_eval,
+                   named_response)
+from tvgsp.cli import build_parser, run
 from tvgsp.kernels import _NAMED
 from tvgsp.rng import default_rng
 
@@ -652,10 +653,13 @@ def test_inpaint_without_iterations_exits_2(graph_files, tmp_path, capsys):
 
 def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
                                               tmp_path):
-    gpath, _ = graph_files
+    """Also: every command that reads files has a ``load`` stage, and one
+    that writes files (``--out``, ``--emit``) a ``write`` stage."""
+    gpath, cpath = graph_files
     rng = default_rng(9)
     fileio.save_signal_csv(tmp_path / "x.csv", rng.standard_normal((24, 8)))
     fileio.save_signal_csv(tmp_path / "x1.csv", rng.standard_normal((24, 1)))
+    fileio.save_mask_csv(tmp_path / "m.csv", rng.random((24, 8)) > 0.3)
     x, out = str(tmp_path / "x.csv"), str(tmp_path / "o.csv")
     bank, coeffs = ["--bank", str(bank_file)], str(tmp_path / "c.tvcf")
     evolve = ["--s", "0.05", "--T", "8", "--x1", str(tmp_path / "x1.csv"),
@@ -670,6 +674,10 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
                           "--param", "tau1=1", "--param", "tau2=1",
                           "--method", "exact", "--out", out]),
         (True, "frame-build", bank),
+        (True, "frame-build", [*bank, "--out", str(tmp_path / "b.json")]),
+        (True, "filter-bench", ["--t", "8", "--kernels", "lp", "--orders",
+                                "5", "--methods", "exact,ffc",
+                                "--emit", str(tmp_path / "e.csv")]),
         (True, "synthesize", [*bank, "--coeffs", coeffs, "--exact",
                               "--out", out]),
         (True, "synthesize", [*bank, "--coeffs", coeffs, "--dual",
@@ -683,10 +691,68 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
                            "--param", "tau1=1", "--param", "tau2=1",
                            "--out", out]),
         (False, "denoise", ["--signal", x, "--out", out]),
+        (False, "inpaint", ["--signal", x, "--mask", str(tmp_path / "m.csv"),
+                            "--gamma1", "0.2", "--gamma2", "0.5",
+                            "--max-iters", "3", "--out", out]),
+        (False, "localize", ["--coords", str(cpath), *bank,
+                             "--coeffs", coeffs, "--signal", x]),
+        (False, "analyze", [*bank, "--signal", x, "--out", coeffs]),
     ]
     for decomposes, command, argv in runs:
         report = tmp_path / "r.json"
-        assert invoke(command, "--graph", str(gpath), *argv,
-                      "--report", str(report)) == 0
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "inpaint did not converge")
+            assert invoke(command, "--graph", str(gpath), *argv,
+                          "--report", str(report)) == 0
         stages = json.loads(report.read_text())["timings_ms"]
         assert ("eigendecomposition" in stages) == decomposes, (command, argv)
+        assert "load" in stages, (command, argv)
+        writes = "--out" in argv or "--emit" in argv
+        assert ("write" in stages) == writes, (command, argv)
+    assert invoke("graph-gen", "--kind", "ring", "--n", "6",
+                  "--out", str(tmp_path / "ring.csv"),
+                  "--report", str(report)) == 0
+    stages = json.loads(report.read_text())["timings_ms"]
+    assert set(stages) == {"generate", "write"}  # graph-gen reads no file
+
+
+def _report_without_timings(path):
+    report = json.loads(path.read_text())
+    del report["timings_ms"]
+    return report
+
+
+def test_parser_is_built_once_and_reused(tmp_path, child_env, monkeypatch):
+    """``run`` reuses one parser: flags of one call do not leak into the
+    next, whose report equals that of a fresh process, and a ``cmd_*``
+    function rebound after the parser was built is the one that runs."""
+    assert build_parser() is build_parser()
+    calls = []
+
+    def traced(args, _real=cli.cmd_graph_gen):
+        calls.append(args.command)
+        return _real(args)
+
+    monkeypatch.setattr(cli, "cmd_graph_gen", traced)
+    assert invoke("filter-bench", "--seed", "5", "--n", "12", "--t", "4",
+                  "--knn", "3", "--kernels", "lp", "--orders", "3",
+                  "--methods", "exact", "--emit", str(tmp_path / "e.csv"),
+                  "--report", str(tmp_path / "bench.json")) == 0
+    assert json.loads((tmp_path / "bench.json").read_text())["params"][
+        "seed"] == 5
+    argv = ["graph-gen", "--kind", "knn_sensor", "--n", "24", "--k", "4"]
+    assert invoke(*argv, "--out", str(tmp_path / "warm.csv"),
+                  "--report", str(tmp_path / "warm.json")) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvgsp._main", *argv,
+         "--out", str(tmp_path / "fresh.csv"),
+         "--report", str(tmp_path / "fresh.json")],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert calls == ["graph-gen"]
+    warm = _report_without_timings(tmp_path / "warm.json")
+    fresh = _report_without_timings(tmp_path / "fresh.json")
+    assert warm["params"]["seed"] == 0
+    assert {**warm, "outputs": None} == {**fresh, "outputs": None}
+    assert ((tmp_path / "warm.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())

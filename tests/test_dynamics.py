@@ -157,6 +157,41 @@ def test_damped_wave_singularity_reported():
         damped_wave_kernel(0.0, 0.0, 0.0, 8)
 
 
+def _damped_wave_on_broadcast_grid(lam, omega, beta, T):
+    """The kernel formula with every factor evaluated on the full grid."""
+    lam, omega = np.broadcast_arrays(
+        np.asarray(lam, dtype=float), np.asarray(omega, dtype=float))
+    w = beta + 1j * omega
+    shift = lam / 2.0 - 1.0
+    return (np.exp(w) + shift) / (2.0 * (np.cosh(w) + shift) * np.sqrt(T))
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 3.0, 14.0])
+def test_damped_wave_matches_the_broadcast_formula(beta):
+    rng = default_rng(int(beta * 100))
+    for _ in range(5):
+        n, T = int(rng.integers(1, 60)), int(rng.integers(1, 70))
+        lam = rng.uniform(0.0, 30.0, (n, 1))
+        omega = rng.uniform(-np.pi, np.pi, (1, T))
+        grids = [(lam, omega), (lam, omega_grid(T)[None, :]),
+                 np.broadcast_arrays(lam, omega), (lam[:, 0], omega[0, 0]),
+                 (float(lam[0, 0]), omega[0])]
+        for lam_g, omega_g in grids:
+            got = damped_wave_kernel(lam_g, omega_g, beta, T)
+            want = _damped_wave_on_broadcast_grid(lam_g, omega_g, beta, T)
+            assert got.shape == want.shape
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
+def test_damped_wave_singularity_names_its_grid_point():
+    lam = np.array([[2.0], [0.0]])
+    omega = np.array([[0.5, 0.0, -0.5]])
+    with pytest.raises(SingularKernelError,
+                       match=r"lambda=0, omega=0, beta=0\)"):
+        damped_wave_kernel(lam, omega, 0.0, 8)
+
+
 def test_damped_wave_large_beta_asymptote():
     # the finite-beta correction decays like exp(-beta): beta = 14 already
     # sits below 1e-6 and doubling it changes nothing at that scale
