@@ -31,7 +31,7 @@ from .rng import default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
                       inpaint, denoise_tikhonov, localize_source,
                       signal_energy_centroid, sparse_code)
-from .transforms import ijft, jft, real_if_close, variation_norm
+from .transforms import ijft, jft, joint_gradient, real_if_close
 from .dynamics import heat_evolve, wave_evolve
 from .filtering import (filter_cheby2d, filter_exact, filter_ffc,
                         filter_separable)
@@ -335,11 +335,10 @@ def cmd_denoise(args):
                              eig=eig, order=args.order, info=info)
     with timer.stage("write"):
         fileio.save_signal(args.out, X)
+    gpart, tpart = joint_gradient(X, g)
     objective = (float(np.linalg.norm(X - Y) ** 2)
-                 + args.tau1 * variation_norm(X, g, p=2, q=2,
-                                              w_graph=1.0, w_time=0.0)
-                 + args.tau2 * variation_norm(X, g, p=2, q=2,
-                                              w_graph=0.0, w_time=1.0))
+                 + args.tau1 * float((gpart ** 2).sum())
+                 + args.tau2 * float((tpart ** 2).sum()))
     return reports.RunReport(
         command="denoise",
         params={"tau1": args.tau1, "tau2": args.tau2,

@@ -15,7 +15,8 @@ Formats (all little-endian, CSV files UTF-8 with LF endings):
 * bank spec: JSON naming the construction, mother kernel, and lattices.
 
 Every CSV reader skips blank lines; every parse error names the file and
-its line, counting blank lines and the header.
+its line, counting blank lines and the header. The signal, spectrum and
+coefficient readers reject NaN and Inf entries, naming the file.
 """
 
 import json
@@ -37,6 +38,14 @@ _BINARY = {_SIGNAL_MAGIC: ("<f8", 2, "signal", "samples"),
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _finite(A, path, what):
+    """``A``, or a :class:`ValidationError` naming ``path`` when it holds a
+    NaN or Inf entry."""
+    if not np.isfinite(A).all():
+        raise ValidationError(f"{path}: {what} contains NaN or Inf entries")
+    return A
 
 
 def _read_table(path, header, dtype, what):
@@ -129,7 +138,7 @@ def save_signal_csv(path, X):
 
 
 def load_signal_csv(path):
-    return _read_table(path, None, float, "signal")
+    return _finite(_read_table(path, None, float, "signal"), path, "signal")
 
 
 def save_signal_binary(path, X):
@@ -201,7 +210,7 @@ def load_spectrum_csv(path):
             f"{path}: incomplete spectrum ({table.size} of {n * t} entries)")
     S = np.empty((n, t), dtype=complex)
     S.real[l, k], S.imag[l, k] = table["f2"], table["f3"]
-    return S
+    return _finite(S, path, "spectrum")
 
 
 def save_coefficients_binary(path, C):
@@ -236,7 +245,8 @@ def _load_binary(path, magic):
     if len(payload) != size * width:
         raise ValidationError(f"{path}: expected {size} {entries}, "
                               f"found {len(payload) / width:.15g}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+    return _finite(np.frombuffer(payload, dtype=dtype).reshape(shape).copy(),
+                   path, f"{what} file")
 
 
 # ---------------------------------------------------------------------------

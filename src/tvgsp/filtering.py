@@ -41,7 +41,6 @@ kernels of a bank.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .kernels import JointKernel, _product_eval, grid_eval
@@ -145,6 +144,7 @@ def _fit_table(kernels, T, order, g):
 def _step_operator(g):
     """``2 L~ = (4 / lmax) L - 2 I`` where ``L~`` maps ``[0, lmax]`` onto
     ``[-1, 1]``."""
+    import scipy.sparse as sp  # deferred: exact paths run no recurrence
     return sp.csr_array(4.0 / g.lmax * g.L - 2.0 * sp.eye_array(g.N))
 
 

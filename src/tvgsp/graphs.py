@@ -1,20 +1,23 @@
 """Weighted undirected graphs, Laplacians, and synthetic generators.
 
-The :class:`Graph` owns the combinatorial Laplacian ``L = D - W`` and a
-cheap upper bound on its largest eigenvalue; the dense eigendecomposition
-is computed lazily and cached. Graphs are immutable after construction
-and safe to share across threads.
+A :class:`Graph` stores its weight matrix as numpy CSR arrays, from which
+it derives the degrees, a cheap upper bound on the largest Laplacian
+eigenvalue, the edge list and the dense Laplacian ``L = D - W`` handed to
+the eigendecomposition; the decomposition is computed lazily and cached.
+Graphs are immutable after construction and safe to share across threads.
 
-Of scipy only ``scipy.sparse`` is imported at module level. The
-submodules that a single function needs (``scipy.sparse.csgraph``,
-``scipy.sparse.linalg``, ``scipy.spatial``) are imported inside it, so a
-process that never calls it does not pay their import time.
+No scipy module is imported at module level. ``scipy.sparse`` is imported
+when a sparse product needs ``Graph.W`` or ``Graph.L`` and when
+``Graph(weights)`` converts a weight matrix (:func:`build_graph` builds its
+arrays with numpy); the submodules that a single function needs
+(``scipy.sparse.csgraph``, ``scipy.sparse.linalg``, ``scipy.spatial``) are
+imported inside it. A process that works on the eigenbasis alone loads no
+scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EigendecompositionCapError, ValidationError
 from .rng import default_rng
@@ -40,22 +43,56 @@ class GraphEigensystem:
         return self.values.shape[0]
 
 
+def _canonical_csr(rows, cols, vals, n):
+    """CSR arrays ``(indptr, indices, data)`` of the n x n matrix with COO
+    entries ``(rows, cols, vals)``: entries sorted by row then column,
+    duplicates summed in input order, zeros dropped, int64 indices."""
+    key = np.asarray(rows, np.int64) * n + np.asarray(cols, np.int64)
+    order = np.argsort(key, kind="stable")  # equal keys keep input order
+    key = key[order]
+    first = np.ones(key.size, bool)
+    first[1:] = key[1:] != key[:-1]
+    # bincount adds in index order, as a loop over the entries would; it
+    # returns int64 when there are no entries
+    sums = np.bincount(np.cumsum(first) - 1,
+                       weights=np.asarray(vals, float)[order]).astype(float)
+    keep = sums != 0
+    row, col = np.divmod(key[first][keep], max(n, 1))
+    return np.searchsorted(row, np.arange(n + 1)), col, sums[keep]
+
+
+def _row_ids(indptr):
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
 class Graph:
     """Undirected weighted graph with cached Laplacian.
 
+    The weights live in numpy CSR arrays. ``W`` and ``L`` are the weight
+    matrix and the combinatorial Laplacian as ``scipy.sparse.csr_array``;
+    each is built on first use and cached (``W`` shares the graph's
+    arrays; threads racing on first use build the same matrix twice).
+    :meth:`laplacian_dense` builds ``L`` densely from the arrays, without
+    scipy.
+
     Parameters
     ----------
-    weights : scipy.sparse matrix
-        Symmetric nonnegative N x N weight matrix with zero diagonal.
+    weights : scipy.sparse matrix or array_like
+        Symmetric nonnegative N x N weight matrix with zero diagonal,
+        converted by ``scipy.sparse.csr_array`` to float64 weights.
+        Duplicate entries are summed.
     coords : ndarray, optional
         N x d vertex coordinates (used by generators and source
         localization).
     """
 
     def __init__(self, weights, coords=None):
-        W = sp.csr_array(weights)
-        if W.shape[0] != W.shape[1]:
+        import scipy.sparse as sp  # deferred: build_graph does not need it
+        W = sp.csr_array(weights, dtype=float, copy=True)
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValidationError("weight matrix must be square")
+        W.sum_duplicates()
         W.eliminate_zeros()
         if (W != W.T).nnz:
             raise ValidationError("weight matrix must be symmetric")
@@ -63,22 +100,60 @@ class Graph:
             raise ValidationError("self-loops are not supported")
         if W.nnz and W.data.min() < 0:
             raise ValidationError("edge weights must be nonnegative")
-        self.W = W
-        self.N = W.shape[0]
-        self.degrees = np.asarray(W.sum(axis=1)).ravel()
-        self.L = sp.csr_array(sp.diags(self.degrees) - W)
+        self._setup((W.indptr.astype(np.int64), W.indices.astype(np.int64),
+                     W.data), coords)
+
+    @classmethod
+    def _from_csr(cls, csr, coords=None):
+        """The graph of canonical CSR arrays (see :func:`_canonical_csr`)
+        of a weight matrix that is valid by construction."""
+        g = cls.__new__(cls)
+        g._setup(csr, coords)
+        return g
+
+    def _setup(self, csr, coords):
+        indptr, indices, data = csr
+        self.N = indptr.size - 1
+        self._indptr, self._indices, self._data = indptr, indices, data
+        # reduceat over the rows adds as W.sum(axis=1) does, bit for bit
+        nonempty = np.flatnonzero(np.diff(indptr))
+        self.degrees = np.zeros(self.N)
+        self.degrees[nonempty] = np.add.reduceat(data, indptr[nonempty])
         self.lmax = estimate_lambda_max(self)
         self.coords = None if coords is None else np.asarray(coords, dtype=float)
         if self.coords is not None and self.coords.shape[0] != self.N:
             raise ValidationError("coords must have one row per vertex")
         if self.coords is not None and not np.isfinite(self.coords).all():
             raise ValidationError("coords contain NaN or Inf entries")
-        self._eigensystem = None
-        self._edges = None
+        self._W = self._L = self._eigensystem = self._edges = None
+
+    @property
+    def W(self):
+        """Weight matrix (``scipy.sparse.csr_array``, int64 indices)."""
+        if self._W is None:
+            import scipy.sparse as sp  # deferred: first sparse use
+            self._W = sp.csr_array((self._data, self._indices, self._indptr),
+                                   shape=(self.N, self.N))
+        return self._W
+
+    @property
+    def L(self):
+        """Combinatorial Laplacian ``D - W`` (``scipy.sparse.csr_array``)."""
+        if self._L is None:
+            import scipy.sparse as sp  # deferred: first sparse use
+            self._L = sp.csr_array(sp.diags(self.degrees) - self.W)
+        return self._L
+
+    def laplacian_dense(self):
+        """``D - W`` as a new dense array, equal to ``L.toarray()``."""
+        L = np.zeros((self.N, self.N))
+        L[_row_ids(self._indptr), self._indices] = -self._data
+        L.flat[::self.N + 1] = self.degrees
+        return L
 
     @property
     def num_edges(self):
-        return self.W.nnz // 2
+        return self._data.size // 2
 
     def edges(self):
         """Return (src, dst, weight) arrays, one entry per undirected edge.
@@ -87,9 +162,10 @@ class Graph:
         gradient rows are reproducible across runs.
         """
         if self._edges is None:
-            coo = sp.triu(self.W, k=1).tocoo()
-            order = np.lexsort((coo.col, coo.row))
-            self._edges = (coo.row[order], coo.col[order], coo.data[order])
+            rows = _row_ids(self._indptr)
+            upper = self._indices > rows
+            self._edges = (rows[upper], self._indices[upper],
+                           self._data[upper])
         return self._edges
 
     def eigensystem(self, cap=DEFAULT_EIG_CAP):
@@ -110,8 +186,8 @@ def build_graph(edge_list, num_vertices, coords=None):
     """Build a :class:`Graph` from an (E, 3) array of ``(src, dst, weight)``
     rows, or anything ``np.asarray`` turns into one, such as a list of triples.
 
-    Duplicate undirected edges are merged by summing their weights.
-    Self-loops and negative or non-finite weights are rejected.
+    Duplicate undirected edges are merged by summing their weights in list
+    order. Self-loops and negative or non-finite weights are rejected.
     """
     n = int(num_vertices)
     if n < 0:
@@ -130,10 +206,11 @@ def build_graph(edge_list, num_vertices, coords=None):
         kind = "negative" if np.isfinite(w[k]) else "non-finite"
         raise ValidationError(
             f"{kind} weight {w[k]} on edge ({i[k]}, {j[k]})")
-    ij = np.column_stack((i, j))  # both directions, summed in list order
-    W = sp.coo_array((np.repeat(w, 2), (ij.ravel(), ij[:, ::-1].ravel())),
-                     shape=(n, n)).tocsr()
-    return Graph(W, coords=coords)
+    # both directions with the same weights, summed in list order: the
+    # matrix is symmetric, without self-loops or negative weights
+    ij = np.column_stack((i, j))
+    return Graph._from_csr(_canonical_csr(ij.ravel(), ij[:, ::-1].ravel(),
+                                          np.repeat(w, 2), n), coords=coords)
 
 
 def estimate_lambda_max(g, refine=False):
@@ -144,13 +221,13 @@ def estimate_lambda_max(g, refine=False):
     seeded Lanczos iteration (dense for tiny graphs) and inflated by 1% to
     stay an upper bound; the degree bound caps the result.
     """
-    if g.N == 0 or g.W.nnz == 0:
+    if g.num_edges == 0:
         return 0.0
     bound = 2.0 * g.degrees.max()
     if not refine:
         return float(bound)
     if g.N <= 32:
-        est = float(np.linalg.eigvalsh(g.L.toarray())[-1])
+        est = float(np.linalg.eigvalsh(g.laplacian_dense())[-1])
     else:
         from scipy.sparse.linalg import eigsh  # deferred
         v0 = default_rng(0).standard_normal(g.N)
@@ -172,7 +249,7 @@ def eigendecompose(g, cap=DEFAULT_EIG_CAP):
             f"graph has {g.N} > {cap} vertices; use the Chebyshev fast path "
             "(filter_ffc) which only needs the lambda_max bound"
         )
-    values, vectors = np.linalg.eigh(g.L.toarray())
+    values, vectors = np.linalg.eigh(g.laplacian_dense())
     values = np.maximum(values, 0.0)
     # Sign convention: first entry above rounding noise is made positive so
     # spectra are reproducible across runs and platforms.

@@ -17,10 +17,12 @@ by the real eigenvectors, never upcast to complex, then the FFT over the
 ``T // 2 + 1`` half-spectrum bins when the input is real and the response
 conjugate-symmetric in omega, else all ``T``; the Chebyshev engine shares
 that choice.
+
+``scipy.sparse`` is imported only by the functions that build a sparse
+operator (:func:`time_laplacian`, :func:`graph_incidence`), on first use.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ImaginaryResidueError, ValidationError
 
@@ -68,6 +70,7 @@ def omega_grid(T, centered=True):
 
 def time_laplacian(T):
     """Circulant second-difference matrix (the time Laplacian)."""
+    import scipy.sparse as sp  # deferred: first sparse use
     if T == 1:
         return sp.csr_array((1, 1))
     main = 2.0 * np.ones(T)
@@ -239,6 +242,7 @@ def graph_incidence(g):
     Row ``e`` holds ``sqrt(w_e) (delta_src - delta_dst)`` for the e-th edge
     in the graph's canonical edge order.
     """
+    import scipy.sparse as sp  # deferred: first sparse use
     src, dst, w = g.edges()
     m = src.shape[0]
     if m == 0:
@@ -271,7 +275,11 @@ def joint_gradient(X, g):
     parts sum to the joint Laplacian quadratic form.
     """
     X = np.asarray(X)
-    return graph_incidence(g) @ X, time_diff(X)
+    src, dst, w = g.edges()
+    # equal to graph_incidence(g) @ X up to the sign of zero: the sparse
+    # product adds onto +0.0 where this difference may give -0.0
+    root = np.sqrt(w)[:, None]
+    return root * X[src] - root * X[dst], time_diff(X)
 
 
 def variation_norm(X, g, p=2, q=2, w_graph=1.0, w_time=1.0):

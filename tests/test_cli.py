@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tvgsp import (build_graph, cli, fileio, filter_exact, grid_eval,
-                   named_response)
+                   named_response, ring_graph)
 from tvgsp.cli import build_parser, run
 from tvgsp.kernels import _NAMED
 from tvgsp.rng import default_rng
@@ -756,3 +756,34 @@ def test_parser_is_built_once_and_reused(tmp_path, child_env, monkeypatch):
     assert {**warm, "outputs": None} == {**fresh, "outputs": None}
     assert ((tmp_path / "warm.csv").read_bytes()
             == (tmp_path / "fresh.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command", [
+    ["synthesize", "--bank", "bank.json"],
+    ["synthesize", "--bank", "bank.json", "--exact"],
+    ["localize", "--coords", "c.csv", "--bank", "bank.json"],
+], ids=["synthesize", "synthesize-exact", "localize"])
+def test_non_finite_coefficients_exit_2_naming_the_file(command, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    g = ring_graph(6)
+    fileio.save_edges_csv("g.csv", g)
+    fileio.save_coords_csv("c.csv", g.coords)
+    fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
+    fileio.save_bank_spec("bank.json", {
+        "kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
+        "scales_lambda": [0.5, 1.0], "scales_omega": [1.0]})
+    assert invoke("analyze", "--graph", "g.csv", "--bank", "bank.json",
+                  "--signal", "x.csv", "--exact", "--out", "C.tvcf",
+                  "--report", "r.json") == 0
+    C = fileio.load_coefficients_binary("C.tvcf")
+    C[0, 2, 3] = np.inf
+    fileio.save_coefficients_binary("C.tvcf", C)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(*command, "--graph", "g.csv", "--coeffs", "C.tvcf",
+                      *(["--out", "y.csv"] if command[0] == "synthesize"
+                        else []))
+    err = _assert_invalid_input(code, capsys)
+    assert "C.tvcf: coefficient file contains NaN or Inf entries" in err
+    assert not (tmp_path / "y.csv").exists()

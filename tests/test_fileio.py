@@ -235,3 +235,60 @@ def test_csv_readers_fail_only_with_validation_errors(reader, header, body):
                 loader(path)
             except ValidationError as exc:
                 assert str(exc).startswith(f"{path}: ")
+
+
+def _complex(parts):
+    parts = np.asarray(parts, dtype=float)
+    C = np.empty(parts.shape[:-1], dtype=complex)
+    C.real, C.imag = parts[..., 0], parts[..., 1]
+    return C
+
+
+#: name -> (save, load, array from a float64 array of the drawn shape)
+_CODECS = {
+    "x.bin": (fileio.save_signal, fileio.load_signal, lambda A: A[..., 0]),
+    "x.csv": (fileio.save_signal, fileio.load_signal, lambda A: A[..., 0]),
+    "s.csv": (fileio.save_spectrum_csv, fileio.load_spectrum_csv, _complex),
+    "c.tvcf": (fileio.save_coefficients_binary,
+               fileio.load_coefficients_binary,
+               lambda A: _complex(A.reshape(A.shape[0], 1, *A.shape[1:]))),
+}
+_EXTREMES = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308,
+             1.7976931348623157e308]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_CODECS)), rows=st.integers(1, 4),
+       cols=st.integers(1, 4), data=st.data())
+def test_codecs_round_trip_bit_for_bit(name, rows, cols, data):
+    """Signals, spectra and coefficients come back with the same bits,
+    including -0.0, subnormals and magnitudes near the float64 limit."""
+    save, load, make = _CODECS[name]
+    value = st.one_of(st.sampled_from(_EXTREMES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    A = make(np.array(data.draw(st.lists(
+        value, min_size=rows * cols * 2, max_size=rows * cols * 2)),
+        dtype=float).reshape(rows, cols, 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        save(path, A)
+        B = load(path)
+    assert B.dtype == A.dtype and B.shape == A.shape
+    assert B.tobytes() == A.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_CODECS)), bad=st.sampled_from(
+    [np.nan, np.inf, -np.inf]), at=st.integers(0, 11), imag=st.booleans())
+def test_codecs_reject_non_finite_entries_naming_the_file(name, bad, at,
+                                                          imag):
+    save, load, make = _CODECS[name]
+    A = make(default_rng(at).standard_normal((3, 4, 2)))
+    A.flat[at] = complex(0.0, bad) if imag and A.dtype == complex else bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        save(path, A)
+        with pytest.raises(ValidationError,
+                           match="contains NaN or Inf entries") as err:
+            load(path)
+    assert str(err.value).startswith(f"{path}: ")

@@ -2,15 +2,16 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from tvgsp import (EigendecompositionCapError, ValidationError, build_graph,
-                   eigendecompose, erdos_renyi_graph, estimate_lambda_max,
-                   generate_graph, grid2d_graph, knn_sensor_graph, path_graph,
-                   ring_graph)
+from tvgsp import (EigendecompositionCapError, Graph, ValidationError,
+                   build_graph, eigendecompose, erdos_renyi_graph,
+                   estimate_lambda_max, generate_graph, grid2d_graph,
+                   knn_sensor_graph, path_graph, ring_graph)
 from oracles import quadratic_form
 
 
@@ -259,3 +260,65 @@ def test_knn_sensor_matches_the_pairwise_loop():
                 merged[(min(i, j), max(i, j))] = w
         ref = build_graph([(i, j, w) for (i, j), w in merged.items()], n)
         assert np.array_equal(g.W.toarray(), ref.W.toarray())
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_csr(A, B):
+    return all(_same_bits(getattr(A, k), getattr(B, k))
+               for k in ("indptr", "indices", "data"))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_graph_arrays_match_scipy_bit_for_bit(n, data):
+    """On random weighted edge lists with duplicates, zero weights and
+    isolated vertices, ``build_graph`` and ``Graph`` of a scipy matrix give
+    the ``W``, ``L``, degrees, edges and dense Laplacian that scipy builds.
+
+    At most 16 edges keep every row at 16 stored entries or fewer before
+    duplicates are summed: scipy sorts such a row stably (an insertion
+    sort) and so sums its duplicates in list order, as the graph does;
+    beyond 16 its sort is unstable and its sum order unspecified.
+    """
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1e3))
+    drawn = data.draw(st.lists(st.tuples(pairs, weight), max_size=16))
+    ij = np.array([p for p, _ in drawn], dtype=np.int64).reshape(-1, 2)
+    w = np.array([x for _, x in drawn], dtype=float)
+    rows, cols, vals = ij.ravel(), ij[:, ::-1].ravel(), np.repeat(w, 2)
+    W = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    W.eliminate_zeros()
+    if not drawn:  # scipy's empty CSR has int32 indices, a graph's are int64
+        W = sp.csr_array((W.data, W.indices.astype(np.int64),
+                          W.indptr.astype(np.int64)), shape=(n, n))
+    degrees = np.asarray(W.sum(axis=1)).ravel()
+    L = sp.csr_array(sp.diags(degrees) - W)
+    upper = sp.triu(W, k=1).tocoo()
+    order = np.lexsort((upper.col, upper.row))
+    for g in (build_graph(np.column_stack((ij, w)), n),
+              Graph(sp.coo_array((vals, (rows, cols)), shape=(n, n))),
+              Graph(W)):
+        assert _same_csr(g.W, W) and _same_csr(g.L, L)
+        assert _same_bits(g.degrees, degrees)
+        assert all(_same_bits(a, b[order]) for a, b in zip(
+            g.edges(), (upper.row, upper.col, upper.data)))
+        assert _same_bits(g.laplacian_dense(), L.toarray())
+        assert g.num_edges == W.nnz // 2
+
+
+@pytest.mark.parametrize("weights,message", [
+    (np.ones((2, 3)), "must be square"),
+    (np.ones(4), "must be square"),
+    (np.array([[0.0, 1.0], [2.0, 0.0]]), "must be symmetric"),
+    (np.array([[1.0, 0.0], [0.0, 0.0]]), "self-loops are not supported"),
+    (np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be nonnegative"),
+])
+def test_graph_rejects_bad_weight_matrices(weights, message):
+    for given_weights in (weights, sp.coo_array(np.atleast_2d(weights))):
+        with pytest.raises(ValidationError, match=message):
+            Graph(given_weights)

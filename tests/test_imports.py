@@ -1,7 +1,9 @@
-"""Import boundary: ``import tvgsp`` and ``import tvgsp.cli`` load numpy and
-``scipy.sparse`` only. Each heavier scipy submodule is imported inside the
-one function that needs it, and that function returns the same values in
-a fresh interpreter as in this one.
+"""Import boundary: ``import tvgsp`` and ``import tvgsp.cli`` load no scipy
+module. ``scipy.sparse`` is imported on the first sparse product, so the
+CLI stages that work on the eigenbasis alone load no scipy at all, and each
+heavier scipy submodule is imported inside the one function that needs it.
+A deferred import returns the same values in a fresh interpreter as in this
+one.
 """
 
 import json
@@ -12,30 +14,83 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvgsp import (erdos_renyi_graph, estimate_lambda_max, grid_eval,
-                   knn_sensor_graph, named_response)
+from tvgsp import (erdos_renyi_graph, estimate_lambda_max, fileio, grid_eval,
+                   joint_laplacian_apply, knn_sensor_graph, named_response,
+                   ring_graph)
+from tvgsp.rng import default_rng
 
-DEFERRED = ("scipy.spatial", "scipy.special", "scipy.sparse.linalg")
+DEFERRED = ("scipy.sparse", "scipy.spatial", "scipy.special",
+            "scipy.sparse.linalg")
 
 
-def _child(case, env):
-    """In a fresh interpreter, import ``tvgsp`` and ``tvgsp.cli``, then call
-    ``case`` of this module (if given); return its value and the deferred
-    submodules loaded by then."""
-    call = (f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-            f"from test_imports import {case}\nvalue = {case}()\n"
-            if case else "value = None\n")
-    script = ("import json, sys\nimport tvgsp, tvgsp.cli\n" + call
-              + f"loaded = [m for m in {DEFERRED!r} if m in sys.modules]\n"
-              "print(json.dumps({'value': value, 'loaded': loaded}))")
+def _child(code, env, cwd=None):
+    """In a fresh interpreter, import ``tvgsp`` and ``tvgsp.cli``, then run
+    ``code``, which sets ``value``; return that value and the scipy modules
+    loaded by then."""
+    script = ("import json, sys\nimport tvgsp, tvgsp.cli\nvalue = None\n"
+              + code + "\nscipy = sorted(m for m in sys.modules"
+              " if m.split('.')[0] == 'scipy')\n"
+              "print(json.dumps({'value': value, 'scipy': scipy}))")
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
+def _call(case):
+    """``_child`` code that calls ``case`` of this module."""
+    return (f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            f"from test_imports import {case}\nvalue = {case}()")
+
+
 def test_package_and_cli_load_no_deferred_submodule(child_env):
-    assert _child(None, child_env)["loaded"] == []
+    assert _child("", child_env)["scipy"] == []
+
+
+@pytest.fixture
+def stage_files(tmp_path):
+    g = ring_graph(12)
+    fileio.save_edges_csv(tmp_path / "g.csv", g)
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(3).standard_normal((12, 8)))
+    fileio.save_bank_spec(tmp_path / "bank.json", {
+        "kind": "stvwt", "T": 8,
+        "mother": {"name": "damped_wave", "params": {"beta": 0.5}},
+        "scales_lambda": [0.4, 0.8, 1.2], "scales_omega": [1.0],
+        "check_admissibility": False})
+    return tmp_path
+
+
+def _run_stages(stages, env, cwd):
+    common = ["--graph", "g.csv", "--signal", "x.csv", "--report", "r.json"]
+    code = f"value = [tvgsp.cli.run(argv + {common!r}) for argv in {stages!r}]"
+    result = _child(code, env, cwd)
+    assert result["value"] == [0] * len(stages)
+    return result["scipy"]
+
+
+def test_eigenbasis_stages_load_no_scipy(stage_files, child_env):
+    stages = [
+        ["filter", "--kernel", "wave_gauss", "--method", "exact",
+         "--out", "y.csv"],
+        ["analyze", "--bank", "bank.json", "--exact", "--out", "c.tvcf"],
+        ["sparse-code", "--bank", "bank.json", "--gamma", "0.5",
+         "--max-iters", "20", "--out", "s.tvcf"],
+    ]
+    assert _run_stages(stages, child_env, stage_files) == []
+
+
+def test_chebyshev_stage_loads_scipy_sparse(stage_files, child_env):
+    stages = [["filter", "--kernel", "wave_gauss", "--method", "ffc",
+               "--order", "10", "--out", "y.csv"]]
+    assert "scipy.sparse" in _run_stages(stages, child_env, stage_files)
+
+
+def _sparse_laplacian():
+    g = erdos_renyi_graph(40, 0.2, seed=2)
+    X = default_rng(5).standard_normal((g.N, 6))
+    return [g.L.indptr.tolist(), g.L.indices.tolist(), g.L.data.tolist(),
+            joint_laplacian_apply(X, g).tolist()]
 
 
 def _knn_graph():
@@ -58,12 +113,9 @@ def _sigmoid_grid():
 
 
 # floats cross JSON as their shortest repr, so equality here is bitwise
-@pytest.mark.parametrize("module, case", [
-    ("scipy.spatial", "_knn_graph"),
-    ("scipy.sparse.linalg", "_lanczos_bound"),
-    ("scipy.special", "_sigmoid_grid"),
-])
+@pytest.mark.parametrize("module, case", zip(DEFERRED, [
+    "_sparse_laplacian", "_knn_graph", "_sigmoid_grid", "_lanczos_bound"]))
 def test_deferred_import_loads_on_demand(module, case, child_env):
-    result = _child(case, child_env)
-    assert module in result["loaded"]
+    result = _child(_call(case), child_env)
+    assert module in result["scipy"]
     assert result["value"] == globals()[case]()

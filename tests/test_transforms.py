@@ -210,6 +210,23 @@ def test_joint_gradient_constant_zero(sensor30):
     assert np.abs(tpart).max() == 0.0
 
 
+def test_joint_gradient_graph_part_is_the_incidence_product(rng):
+    """The graph part of ``joint_gradient`` equals ``graph_incidence(g) @ X``
+    entry for entry (``array_equal`` takes -0.0 == 0.0) on random graphs,
+    with duplicate and isolated vertices, and signals with zero entries."""
+    for n in (2, 7, 30):
+        for _ in range(20):
+            ij = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            ij = ij[ij[:, 0] != ij[:, 1]]
+            w = rng.uniform(0.0, 5.0, ij.shape[0])
+            g = build_graph(np.column_stack((ij, w)), n)
+            X = rng.standard_normal((n, 4))
+            X[rng.random(X.shape) < 0.3] = 0.0
+            X[rng.random(X.shape) < 0.1] = -0.0
+            assert np.array_equal(joint_gradient(X, g)[0],
+                                  graph_incidence(g) @ X)
+
+
 def test_gradient_energy_matches_laplacian_form(sensor30, rng):
     for _ in range(100):
         X = rng.standard_normal((30, 5))
