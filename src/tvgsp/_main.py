@@ -8,6 +8,10 @@ environment before pulling in the heavy modules.
 import os
 import sys
 
+#: Environment variables that cap the numerical thread pools.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
 
 def _requested_threads(argv):
     for i, arg in enumerate(argv):
@@ -22,8 +26,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     threads = _requested_threads(argv)
     if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        for var in THREAD_VARS:
             os.environ[var] = str(threads)
     from .cli import run
     return run(argv)

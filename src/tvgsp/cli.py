@@ -3,9 +3,9 @@
 Subcommands cover graph generation, transforms, PDE dynamics, filtering
 and its benchmark, frame construction/analysis/synthesis, the regression
 solvers, source localization, and the energy-compaction experiment. Every
-run emits a JSON report (stdout or ``--report``); numerical outputs are
-CSV or the binary formats of :mod:`tvgsp.fileio`. All randomness is seeded
-via ``--seed`` (default 0).
+run emits a JSON report (stdout or ``--report``) that also records the
+environment it ran in; numerical outputs are CSV or the binary formats of
+:mod:`tvgsp.fileio`. All randomness is seeded via ``--seed`` (default 0).
 
 Exit codes: 0 success, 2 validation error (including bad flags), 3
 numerical failure. Errors print a single ``code: message`` line.
@@ -83,6 +83,7 @@ def cmd_graph_gen(args):
             params[key] = value
     with timer.stage("generate"):
         g = generate_graph(args.kind, params, rng_seed=args.seed)
+        connected = g.is_connected()
     outputs = [args.out]
     with timer.stage("write"):
         fileio.save_edges_csv(args.out, g)
@@ -98,7 +99,7 @@ def cmd_graph_gen(args):
         timings_ms=timer.timings_ms,
         metrics={"num_vertices": g.N, "num_edges": g.num_edges,
                  "lambda_max_bound": g.lmax,
-                 "connected": int(g.is_connected())},
+                 "connected": int(connected)},
         outputs=outputs)
 
 
@@ -608,13 +609,17 @@ def run(argv=None):
     # rebinding a module-level cmd_* function takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        report = command(args)
+        # no floating-point warning reaches stderr: a result that is not
+        # finite fails the finite-metric check of its report
+        with np.errstate(all="ignore"):
+            report = command(args)
     except OSError as exc:
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
+    report.environment = reports.environment()
     if args.report:
         with open(args.report, "w", newline="\n") as fh:
             fh.write(report.to_json() + "\n")

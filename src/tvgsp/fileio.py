@@ -318,10 +318,10 @@ def build_bank(spec, g):
 
 def load_bank_spec(path):
     """The parsed JSON of a bank spec file, unvalidated (see ``build_bank``)."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
 

@@ -2,16 +2,17 @@
 
 A :class:`Graph` stores its weight matrix as numpy CSR arrays, from which
 it derives the degrees, a cheap upper bound on the largest Laplacian
-eigenvalue, the edge list and the dense Laplacian ``L = D - W`` handed to
-the eigendecomposition; the decomposition is computed lazily and cached.
-Graphs are immutable after construction and safe to share across threads.
+eigenvalue, the edge list, the connected components and the dense
+Laplacian ``L = D - W`` handed to the eigendecomposition; the
+decomposition is computed lazily and cached. Graphs are immutable after
+construction and safe to share across threads.
 
-No scipy module is imported at module level. ``scipy.sparse`` is imported
-when a sparse product needs ``Graph.W`` or ``Graph.L`` and when
-``Graph(weights)`` converts a weight matrix (:func:`build_graph` builds its
-arrays with numpy); the submodules that a single function needs
-(``scipy.sparse.csgraph``, ``scipy.sparse.linalg``, ``scipy.spatial``) are
-imported inside it. A process that works on the eigenbasis alone loads no
+No scipy module is imported at module level, and the generators and the
+component count use numpy alone. ``scipy.sparse`` is imported when a
+sparse product needs ``Graph.W`` or ``Graph.L`` and when
+``Graph(weights)`` converts a weight matrix; ``scipy.sparse.linalg`` is
+imported inside the Lanczos estimate of :func:`estimate_lambda_max`. A
+process that generates graphs or works on the eigenbasis alone loads no
 scipy.
 """
 
@@ -73,8 +74,8 @@ class Graph:
     matrix and the combinatorial Laplacian as ``scipy.sparse.csr_array``;
     each is built on first use and cached (``W`` shares the graph's
     arrays; threads racing on first use build the same matrix twice).
-    :meth:`laplacian_dense` builds ``L`` densely from the arrays, without
-    scipy.
+    :meth:`laplacian_dense`, :meth:`edges` and :meth:`num_components` work
+    on the arrays, without scipy.
 
     Parameters
     ----------
@@ -174,12 +175,28 @@ class Graph:
             self._eigensystem = eigendecompose(self, cap=cap)
         return self._eigensystem
 
+    def num_components(self):
+        """Number of connected components; an isolated vertex is one.
+
+        Min-label hooking with pointer jumping over the CSR arrays: every
+        tree root adopts the smallest root adjacent to its tree, then every
+        vertex jumps to its root, until each edge joins two vertices of one
+        tree. Labels only decrease, so the trees stay acyclic, and each
+        round that finds a crossing edge removes at least one root.
+        """
+        rows, cols = _row_ids(self._indptr), self._indices
+        label = np.arange(self.N)
+        while True:
+            while not np.array_equal(up := label[label], label):
+                label = up
+            lu, lv = label[rows], label[cols]
+            if np.array_equal(lu, lv):
+                return int(np.count_nonzero(label == np.arange(self.N)))
+            np.minimum.at(label, lu, lv)  # both directions are stored
+
     def is_connected(self):
         """Whether the graph has one connected component (True for N <= 1)."""
-        if self.N == 0:
-            return True
-        from scipy.sparse.csgraph import connected_components  # deferred
-        return bool(connected_components(self.W, directed=False)[0] == 1)
+        return self.num_components() <= 1
 
 
 def build_graph(edge_list, num_vertices, coords=None):
@@ -294,6 +311,81 @@ def grid2d_graph(rows, cols):
     return build_graph(edges, n, coords=coords)
 
 
+def _offsets(sizes):
+    """``0, 1, ..., s - 1`` for each ``s`` of ``sizes``, concatenated."""
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+
+def _nearest(xy, rows, block, group, m):
+    """Squared distances and indices of the ``m`` nearest candidates of the
+    points ``rows``, nearest first, equal distances by index.
+
+    The candidates of ``rows[r]`` are the row ``group[r]`` of ``block``, an
+    index array of at least ``m`` columns into ``xy``, the coordinates as
+    (2, n + 1) with a last point at infinity that pads ``block``. A squared
+    distance is ``dx*dx + dy*dy``, the sum ``cKDTree`` forms.
+    """
+    bx, by = xy[:, block]
+    dx = bx[group] - xy[0, rows, None]
+    dy = by[group] - xy[1, rows, None]
+    d2 = dx * dx + dy * dy
+    near = np.argpartition(d2, m - 1, axis=1)[:, :m]
+    # sorted by index, then stably by distance: a lexsort, but faster
+    near = np.take_along_axis(
+        near, np.argsort(block[group[:, None], near], axis=1), 1)
+    d2 = np.take_along_axis(d2, near, 1)
+    order = np.argsort(d2, axis=1, kind="stable")
+    near = np.take_along_axis(near, order, 1)
+    return np.take_along_axis(d2, order, 1), block[group[:, None], near]
+
+
+def _knn(pts, m):
+    """Squared distances and indices of the ``m`` nearest of the (n, 2)
+    points ``pts`` in the unit square to each of them, itself included, as
+    ``cKDTree(pts).query(pts, m)`` gives them before its square root.
+
+    The points are bucketed into a G x G grid of about ``0.6 m + 2`` points
+    per cell, and each is searched among the points of its 3 x 3 block of
+    cells. A point is certified when its m-th squared distance lies
+    strictly below the squared distance to the nearest edge of its block
+    that has points beyond it (less 1e-12, for the rounding of the cell
+    assignment); the rest are searched again among all points.
+    """
+    n = pts.shape[0]
+    G = max(1, int(np.sqrt(n / (0.6 * m + 2))))
+    cxy = np.minimum((pts * G).astype(np.int64), G - 1)
+    cell = cxy[:, 1] * G + cxy[:, 0]
+    order = np.argsort(cell, kind="stable")
+    start = np.searchsorted(cell[order], np.arange(G * G + 1))
+    # a cell's block is three runs of the cell-sorted points, one per grid
+    # row; they fill a row of ``block`` one after another, padded with n
+    cy, cx = np.divmod(np.arange(G * G), G)
+    first, size = [], []
+    for ry in (cy - 1, cy, cy + 1):
+        row = np.clip(ry, 0, G - 1) * G
+        a = start[row + np.maximum(cx - 1, 0)]
+        b = start[row + np.minimum(cx + 1, G - 1) + 1]
+        first.append(a)
+        size.append(np.where((ry >= 0) & (ry < G), b - a, 0))
+    runs, count = np.column_stack(size).ravel(), sum(size)
+    pos = np.repeat(np.column_stack(first).ravel(), runs) + _offsets(runs)
+    block = np.full((G * G, max(count.max(), m)), n)
+    block[np.repeat(np.arange(G * G), count), _offsets(count)] = order[pos]
+    xy = np.full((2, n + 1), np.inf)
+    xy[:, :n] = pts.T
+    d2, idx = _nearest(xy, np.arange(n), block, cell, m)
+    below = np.where(cxy >= 2, pts - (cxy - 1) / G, np.inf)
+    above = np.where(cxy <= G - 3, (cxy + 2) / G - pts, np.inf)
+    margin = np.minimum(below, above).min(1) - 1e-12
+    redo = np.flatnonzero(~(d2[:, -1] < margin * margin))
+    step = max(1, 2 ** 20 // n)  # bounds the (rows, n) arrays to 2^20 entries
+    for s in range(0, redo.size, step):
+        rows = redo[s:s + step]
+        d2[rows], idx[rows] = _nearest(xy, rows, np.arange(n)[None],
+                                       np.zeros_like(rows), m)
+    return d2, idx
+
+
 def knn_sensor_graph(n, k, seed=0, sigma=None):
     """Random sensor graph: uniform points in the unit square, k nearest
     neighbors, Gaussian kernel weights ``exp(-d^2 / (2 sigma^2))``.
@@ -306,9 +398,8 @@ def knn_sensor_graph(n, k, seed=0, sigma=None):
         raise ValidationError(f"knn_sensor requires 1 <= k < N (got k={k}, N={n})")
     rng = default_rng(seed)
     pts = rng.random((n, 2))
-    from scipy.spatial import cKDTree  # deferred
-    dist, idx = cKDTree(pts).query(pts, k=k + 1)
-    dist, idx = dist[:, 1:], idx[:, 1:]  # drop self-match
+    d2, idx = _knn(pts, k + 1)
+    dist, idx = np.sqrt(d2[:, 1:]), idx[:, 1:]  # drop self-match
     if sigma is None:
         sigma = float(dist[:, -1].mean())
     if sigma <= 0:

@@ -1,6 +1,11 @@
 """Run reports, benchmark tables, and the energy-compaction experiment."""
 
+import importlib.util
 import json
+import os
+import platform
+import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -16,9 +21,10 @@ from .filtering import filter_cheby2d, filter_exact, filter_ffc
 class RunReport:
     """Machine-readable record of one CLI run.
 
-    Metrics must be finite; timings are wall-clock milliseconds per stage
-    (inherently non-reproducible, everything else is deterministic under a
-    fixed seed).
+    Metrics must be finite; timings are wall-clock milliseconds per stage.
+    Timings and the ``environment`` block (see :func:`environment`) are
+    inherently non-reproducible; everything else is deterministic under a
+    fixed seed.
     """
 
     command: str
@@ -26,6 +32,7 @@ class RunReport:
     timings_ms: dict = field(default_factory=dict)
     metrics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for key, value in self.metrics.items():
@@ -35,7 +42,7 @@ class RunReport:
     def to_json(self):
         payload = {"command": self.command, "params": self.params,
                    "timings_ms": self.timings_ms, "metrics": self.metrics,
-                   "outputs": self.outputs}
+                   "outputs": self.outputs, "environment": self.environment}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -43,7 +50,59 @@ class RunReport:
         payload = json.loads(text)
         return cls(command=payload["command"], params=payload["params"],
                    timings_ms=payload["timings_ms"],
-                   metrics=payload["metrics"], outputs=payload["outputs"])
+                   metrics=payload["metrics"], outputs=payload["outputs"],
+                   environment=payload.get("environment", {}))
+
+
+def _scipy_version():
+    """The installed scipy's version, read without importing scipy (from
+    ``scipy/version.py``) unless it is imported already; ``None`` when
+    scipy is not found."""
+    if "scipy" in sys.modules:
+        return sys.modules["scipy"].__version__
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.origin:
+        return None
+    try:
+        with open(os.path.join(os.path.dirname(spec.origin),
+                               "version.py")) as fh:
+            text = fh.read()
+    except OSError:
+        return None
+    found = re.search(r"^version\s*=\s*['\"]([^'\"]+)", text, re.M)
+    return found and found.group(1)
+
+
+def _peak_rss_kb():
+    """The process's peak resident set (``VmHWM`` of ``/proc/self/status``)
+    in kB, or ``None`` where the kernel does not report it."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def environment():
+    """What a run report records of the process it ran in: the Python,
+    tvgsp, numpy and scipy versions, the scipy modules it loaded, the
+    thread-cap variables and its peak resident memory. Imports no
+    dependency."""
+    from . import __version__
+    from ._main import THREAD_VARS  # kept with the code that sets them
+    return {
+        "python": platform.python_version(),
+        "tvgsp": __version__,
+        "numpy": np.__version__,
+        "scipy": _scipy_version(),
+        "scipy_modules": sorted(m for m in sys.modules
+                                if m.startswith("scipy.") or m == "scipy"),
+        "thread_caps": {var: os.environ.get(var) for var in THREAD_VARS},
+        "peak_rss_kb": _peak_rss_kb(),
+    }
 
 
 class StageTimer:

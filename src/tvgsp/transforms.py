@@ -136,13 +136,18 @@ def real_if_close(Y, tol=IMAG_TOL, strict=False):
     """
     if not np.iscomplexobj(Y):
         return Y
-    scale = np.linalg.norm(Y)
-    residue = np.linalg.norm(Y.imag)
-    if residue <= tol * max(scale, 1e-300):
+    with np.errstate(over="ignore"):  # an overflow is redone in units below
+        scale, residue = np.linalg.norm(Y), np.linalg.norm(Y.imag)
+    unit = 1.0
+    if np.isinf(scale) and np.isfinite(Y).all():
+        unit = max(np.abs(Y.real).max(), np.abs(Y.imag).max())
+        scale = np.linalg.norm(Y / unit)
+        residue = np.linalg.norm(Y.imag / unit)
+    if residue <= tol * max(scale, 1e-300 / unit):
         return np.ascontiguousarray(Y.real)
     if strict:
         raise ImaginaryResidueError(
-            f"imaginary residue {residue:.3e} exceeds {tol:.1e} x |Y|; "
+            f"imaginary residue {residue * unit:.3e} exceeds {tol:.1e} x |Y|; "
             "the spectrum is not consistent with a real signal")
     return Y
 

@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
+import os
+import platform
+import re
+import shutil
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tvgsp
 from tvgsp import (build_graph, cli, fileio, filter_exact, grid_eval,
                    named_response, ring_graph)
 from tvgsp.cli import build_parser, run
@@ -33,6 +42,33 @@ def test_graph_gen_report(graph_files, tmp_path):
     assert report["metrics"]["num_vertices"] == 24
     assert report["metrics"]["connected"] == 1
     assert "generate" in report["timings_ms"]
+
+
+def test_report_records_its_environment(tmp_path, child_env):
+    """The block names the versions, the scipy modules the run loaded, the
+    thread caps and the peak memory, and stays out of ``metrics``."""
+    report = tmp_path / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvgsp._main", "graph-gen", "--kind", "ring",
+         "--n", "6", "--threads", "2", "--out", str(tmp_path / "g.csv"),
+         "--report", str(report)],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    payload = json.loads(report.read_text())
+    env = payload["environment"]
+    import scipy
+    assert {k: env[k] for k in ("python", "tvgsp", "numpy", "scipy")} == {
+        "python": platform.python_version(), "tvgsp": tvgsp.__version__,
+        "numpy": np.__version__, "scipy": scipy.__version__}
+    assert env["scipy_modules"] == []
+    assert env["thread_caps"] == dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+         "NUMEXPR_NUM_THREADS"), "2")
+    if os.path.exists("/proc/self/status"):
+        assert 1000 < env["peak_rss_kb"] < 10 ** 7
+    else:
+        assert env["peak_rss_kb"] is None
+    assert "environment" not in payload["metrics"]
 
 
 def test_transform_roundtrip(graph_files, tmp_path):
@@ -716,9 +752,11 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
     assert set(stages) == {"generate", "write"}  # graph-gen reads no file
 
 
-def _report_without_timings(path):
+def _reproducible_report(path):
+    """The report at ``path`` without its timings and environment, which
+    differ from process to process."""
     report = json.loads(path.read_text())
-    del report["timings_ms"]
+    del report["timings_ms"], report["environment"]
     return report
 
 
@@ -750,8 +788,8 @@ def test_parser_is_built_once_and_reused(tmp_path, child_env, monkeypatch):
         capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert calls == ["graph-gen"]
-    warm = _report_without_timings(tmp_path / "warm.json")
-    fresh = _report_without_timings(tmp_path / "fresh.json")
+    warm = _reproducible_report(tmp_path / "warm.json")
+    fresh = _reproducible_report(tmp_path / "fresh.json")
     assert warm["params"]["seed"] == 0
     assert {**warm, "outputs": None} == {**fresh, "outputs": None}
     assert ((tmp_path / "warm.csv").read_bytes()
@@ -787,3 +825,114 @@ def test_non_finite_coefficients_exit_2_naming_the_file(command, tmp_path,
     err = _assert_invalid_input(code, capsys)
     assert "C.tvcf: coefficient file contains NaN or Inf entries" in err
     assert not (tmp_path / "y.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: malformed TVSG/TVCF bytes and bank specs never escape the contract
+# ---------------------------------------------------------------------------
+
+FUZZ_BANK = {"kind": "stvwt", "T": 8,
+             "mother": {"name": "mexican_hat", "params": {}},
+             "scales_lambda": [0.5, 1.0], "scales_omega": [1.0],
+             "check_admissibility": False}
+#: the input each fuzzed file replaces, and the command lines that read it
+FUZZ_TARGETS = {
+    "x.bin": [["filter", "--signal", "x.bin", "--kernel", "heat",
+               "--method", "exact", "--out", "y.bin"],
+              ["analyze", "--bank", "bank.json", "--signal", "x.bin",
+               "--order", "8", "--out", "c2.tvcf"]],
+    "c.tvcf": [["synthesize", "--bank", "bank.json", "--coeffs", "c.tvcf",
+                "--exact", "--out", "y.bin"],
+               ["localize", "--coords", "xy.csv", "--bank", "bank.json",
+                "--coeffs", "c.tvcf"]],
+    "bank.json": [["frame-build", "--bank", "bank.json"],
+                  ["analyze", "--bank", "bank.json", "--signal", "x.bin",
+                   "--exact", "--out", "c2.tvcf"]],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A ring graph, its coordinates, a signal, a bank spec and the
+    signal's coefficients, all valid."""
+    path = tmp_path_factory.mktemp("fuzz")
+    g = ring_graph(6)
+    fileio.save_edges_csv(path / "g.csv", g)
+    fileio.save_coords_csv(path / "xy.csv", g.coords)
+    fileio.save_signal_binary(path / "x.bin",
+                              default_rng(5).standard_normal((6, 8)))
+    fileio.save_bank_spec(path / "bank.json", FUZZ_BANK)
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        assert invoke("analyze", "--graph", "g.csv", "--bank", "bank.json",
+                      "--signal", "x.bin", "--exact", "--out", "c.tvcf",
+                      "--report", "r.json") == 0
+    finally:
+        os.chdir(cwd)
+    return path
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _fuzzed_file(draw, valid, name):
+    """``valid`` truncated, or with a few bytes replaced or inserted; a
+    bank spec may instead have one field replaced by another JSON value
+    or deleted."""
+    how = draw(st.sampled_from(["truncate", "replace", "insert", "field"]
+                               if name == "bank.json" else
+                               ["truncate", "replace", "insert"]))
+    if how == "truncate":
+        return valid[:draw(st.integers(0, len(valid) - 1))]
+    if how == "field":
+        spec = json.loads(json.dumps(FUZZ_BANK))
+        parent = draw(st.sampled_from([spec, spec["mother"]]))
+        key = draw(st.sampled_from(sorted(parent) + ["params", "dc_kernel"]))
+        if draw(st.booleans()):
+            parent.pop(key, None)
+        else:
+            parent[key] = draw(_JSON)
+        return json.dumps(spec).encode()
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        chunk = draw(st.binary(min_size=1, max_size=8))
+        if how == "replace":
+            data[at:at + len(chunk)] = chunk
+        else:
+            data[at:at] = chunk
+    return bytes(data)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_malformed_inputs_exit_2_or_3_with_one_line(fuzz_dir, data):
+    name = data.draw(st.sampled_from(sorted(FUZZ_TARGETS)))
+    argv = data.draw(st.sampled_from(FUZZ_TARGETS[name]))
+    fuzzed = data.draw(_fuzzed_file((fuzz_dir / name).read_bytes(), name))
+    work = fuzz_dir / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(fuzz_dir, work, ignore=shutil.ignore_patterns("work"))
+    (work / name).write_bytes(fuzzed)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = invoke(*argv, "--graph", "g.csv", "--report", "r.json")
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    assert code in (0, 2, 3), lines
+    assert len(lines) <= (0 if code == 0 else 1), lines
+    if code:
+        assert re.fullmatch(r"[a-z_]+: .+", lines[0]), lines

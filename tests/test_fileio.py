@@ -171,6 +171,13 @@ def test_bank_spec_validation(tmp_path):
         fileio.load_bank(bad, g)
 
 
+def test_bank_spec_that_is_not_utf8_is_invalid_json(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\x80{"kind": "stvwt"}')
+    with pytest.raises(ValidationError, match=r"bad\.json: invalid JSON .*utf-8"):
+        fileio.load_bank_spec(bad)
+
+
 def test_bank_spec_wave_gauss_lmax_scale():
     g = knn_sensor_graph(12, 3, seed=11)
     spec = {"kind": "stvwt", "T": 8,

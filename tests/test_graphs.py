@@ -10,8 +10,9 @@ from scipy.spatial import cKDTree
 
 from tvgsp import (EigendecompositionCapError, Graph, ValidationError,
                    build_graph, eigendecompose, erdos_renyi_graph,
-                   estimate_lambda_max, generate_graph, grid2d_graph,
-                   knn_sensor_graph, path_graph, ring_graph)
+                   estimate_lambda_max, generate_graph, graphs,
+                   grid2d_graph, knn_sensor_graph, path_graph, ring_graph)
+from tvgsp.rng import default_rng
 from oracles import quadratic_form
 
 
@@ -260,6 +261,63 @@ def test_knn_sensor_matches_the_pairwise_loop():
                 merged[(min(i, j), max(i, j))] = w
         ref = build_graph([(i, j, w) for (i, j), w in merged.items()], n)
         assert np.array_equal(g.W.toarray(), ref.W.toarray())
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 3000), k=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_knn_search_matches_ckdtree_bit_for_bit(n, k, seed):
+    m = min(k, n - 1) + 1
+    pts = default_rng(seed).random((n, 2))
+    d2, idx = graphs._knn(pts, m)
+    dist, ref = cKDTree(pts).query(pts, k=m)
+    assert _same_bits(np.sqrt(d2).reshape(dist.shape), dist)
+    assert np.array_equal(idx.reshape(ref.shape), ref)
+
+
+def test_knn_search_redoes_uncertified_points_against_all(monkeypatch):
+    """With most points in one corner, the scattered rest have their m-th
+    neighbour beyond their block of cells; they are searched again among
+    all points."""
+    pts = default_rng(8).random((1500, 2))
+    pts[:1300] *= 0.1
+    redone = []
+
+    def spy(xy, rows, block, group, m, _real=graphs._nearest):
+        if block.shape[0] == 1 and rows.size < pts.shape[0]:
+            redone.extend(rows.tolist())
+        return _real(xy, rows, block, group, m)
+
+    monkeypatch.setattr(graphs, "_nearest", spy)
+    d2, idx = graphs._knn(pts, 9)
+    dist, ref = cKDTree(pts).query(pts, k=9)
+    assert len(redone) > 10
+    assert _same_bits(np.sqrt(d2), dist) and np.array_equal(idx, ref)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n=st.integers(0, 40), data=st.data())
+def test_component_count_matches_scipy(n, data):
+    """Random sparse graphs, with isolated vertices, and shuffled paths
+    with one edge cut."""
+    pairs = (st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]) if n > 1 else st.nothing())
+    edges = [(i, j, 1.0) for i, j in data.draw(st.lists(pairs, max_size=n))]
+    perm = default_rng(data.draw(st.integers(0, 99))).permutation(n)
+    path = [(i, j, 1.0) for i, j in zip(perm[:-1], perm[1:])]
+    cut = data.draw(st.integers(0, max(n - 2, 0)))
+    for g in (build_graph(edges, n), build_graph(path, n),
+              build_graph(path[:cut] + path[cut + 1:], n)):
+        expected = csgraph.connected_components(g.W, directed=False)[0]
+        assert g.num_components() == expected
+        assert g.is_connected() == (expected <= 1)
+
+
+def test_component_count_of_a_long_shuffled_path():
+    n = 20000
+    perm = default_rng(3).permutation(n)
+    edges = np.column_stack((perm[:-1], perm[1:], np.ones(n - 1)))
+    assert build_graph(edges, n).num_components() == 1
+    assert build_graph(np.delete(edges, n // 2, 0), n).num_components() == 2
 
 
 def _same_bits(a, b):

@@ -1,9 +1,9 @@
 """Import boundary: ``import tvgsp`` and ``import tvgsp.cli`` load no scipy
-module. ``scipy.sparse`` is imported on the first sparse product, so the
-CLI stages that work on the eigenbasis alone load no scipy at all, and each
-heavier scipy submodule is imported inside the one function that needs it.
-A deferred import returns the same values in a fresh interpreter as in this
-one.
+module. ``scipy.sparse`` is imported on the first sparse product, so
+``graph-gen`` and the CLI stages that work on the eigenbasis alone load no
+scipy at all, and each heavier scipy submodule is imported inside the one
+function that needs it. A deferred import returns the same values in a
+fresh interpreter as in this one.
 """
 
 import json
@@ -14,13 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvgsp import (erdos_renyi_graph, estimate_lambda_max, fileio, grid_eval,
-                   joint_laplacian_apply, knn_sensor_graph, named_response,
+from tvgsp import (cli, erdos_renyi_graph, estimate_lambda_max, fileio,
+                   grid_eval, jft, joint_laplacian_apply, named_response,
                    ring_graph)
 from tvgsp.rng import default_rng
 
-DEFERRED = ("scipy.sparse", "scipy.spatial", "scipy.special",
-            "scipy.sparse.linalg")
+DEFERRED = ("scipy.sparse", "scipy.special", "scipy.sparse.linalg")
 
 
 def _child(code, env, cwd=None):
@@ -80,10 +79,122 @@ def test_eigenbasis_stages_load_no_scipy(stage_files, child_env):
     assert _run_stages(stages, child_env, stage_files) == []
 
 
+def test_filter_bench_fixture_graph_loads_no_scipy(tmp_path, child_env):
+    """Without ``--graph`` the benchmark generates its kNN sensor graph,
+    with no scipy; the exact method and the wave kernel need none either."""
+    argv = ["filter-bench", "--n", "30", "--knn", "4", "--t", "8",
+            "--kernels", "wave", "--orders", "3", "--methods", "exact",
+            "--emit", "e.csv", "--report", "r.json"]
+    result = _child(f"value = tvgsp.cli.run({argv!r})", child_env, tmp_path)
+    assert result == {"value": 0, "scipy": []}
+
+
+# Every stage of the three benchmark pipelines (perfbench's exact_desk,
+# ffc_large and solve_seismic), on small inputs, and the scipy packages it
+# loads in a fresh process: only the Chebyshev stages, the heat recurrence
+# and inpaint's incidence operator need scipy.sparse.
+CHAIN_STAGES = [
+    ("exact_desk", "graph-gen --kind knn_sensor --n 40 --k 5 --out g2.csv "
+     "--coords-out xy2.csv", set()),
+    ("exact_desk", "dynamics --kind wave --s 0.2 --T 8 --x1 x1.csv "
+     "--out y.csv --emit-spectrum s2.csv", set()),
+    ("exact_desk", "transform --inverse --spectrum s.csv --out y.csv", set()),
+    ("exact_desk", "filter --signal x.csv --kernel wave_gauss --method exact "
+     "--out y.csv", set()),
+    ("exact_desk", "analyze --bank bank.json --signal x.csv --exact "
+     "--out c2.tvcf", set()),
+    ("exact_desk", "synthesize --bank bank.json --coeffs c.tvcf --dual "
+     "--exact --out y.csv", set()),
+    ("exact_desk", "denoise --signal x.csv --exact --out y.csv", set()),
+    ("exact_desk", "compaction --signal x.csv --out y.csv", set()),
+    ("ffc_large", "dynamics --kind heat --s 0.2 --T 8 --x1 x1.csv "
+     "--out y.csv", {"sparse"}),
+    ("ffc_large", "filter --signal x.csv --kernel wave_gauss --method ffc "
+     "--order 10 --out y.csv", {"sparse"}),
+    ("ffc_large", "analyze --bank bank.json --signal x.csv --order 10 "
+     "--out c2.tvcf", {"sparse"}),
+    ("ffc_large", "synthesize --bank bank.json --coeffs c.tvcf --order 10 "
+     "--out y.csv", {"sparse"}),
+    ("ffc_large", "denoise --signal x.csv --order 10 --out y.csv",
+     {"sparse"}),
+    ("solve_seismic", "inpaint --signal x.csv --mask m.csv --gamma1 0.2 "
+     "--gamma2 0.5 --max-iters 5 --out y.csv", {"sparse"}),
+    ("solve_seismic", "sparse-code --bank bank.json --signal x.csv "
+     "--gamma 0.5 --max-iters 5 --out c2.tvcf", set()),
+    ("solve_seismic", "localize --coords xy.csv --bank bank.json "
+     "--coeffs c.tvcf --signal x.csv", set()),
+]
+
+
+@pytest.mark.parametrize("chain, command, packages", CHAIN_STAGES,
+                         ids=[f"{chain}-{command.split()[0]}"
+                              for chain, command, _ in CHAIN_STAGES])
+def test_benchmark_stage_loads_only_its_scipy_packages(
+        chain, command, packages, stage_files, child_env):
+    rng, g = default_rng(4), ring_graph(12)
+    fileio.save_coords_csv(stage_files / "xy.csv", g.coords)
+    fileio.save_signal_csv(stage_files / "x1.csv",
+                           rng.standard_normal((12, 1)))
+    fileio.save_mask_csv(stage_files / "m.csv", rng.random((12, 8)) > 0.3)
+    fileio.save_spectrum_csv(stage_files / "s.csv", jft(
+        rng.standard_normal((12, 8)), g.eigensystem()))
+    fileio.save_coefficients_binary(stage_files / "c.tvcf",
+                                    rng.standard_normal((3, 12, 8)) + 0j)
+    argv = command.split() + ["--report", "r.json"]
+    if argv[0] != "graph-gen":
+        argv += ["--graph", "g.csv"]
+    result = _child(f"value = tvgsp.cli.run({argv!r})", child_env,
+                    stage_files)
+    assert result["value"] == 0
+    # public subpackages: not scipy's private helpers or its version module
+    loaded = {m.split(".")[1] for m in result["scipy"] if "." in m}
+    assert {p for p in loaded if not p.startswith("_")} - {"version"} == (
+        packages)
+
+
 def test_chebyshev_stage_loads_scipy_sparse(stage_files, child_env):
     stages = [["filter", "--kernel", "wave_gauss", "--method", "ffc",
                "--order", "10", "--out", "y.csv"]]
     assert "scipy.sparse" in _run_stages(stages, child_env, stage_files)
+
+
+GRAPH_GEN = [
+    ["--kind", "path", "--n", "9", "--coords-out", "xy.csv"],
+    ["--kind", "ring", "--n", "11", "--coords-out", "xy.csv"],
+    ["--kind", "grid2d", "--rows", "4", "--cols", "5", "--coords-out", "xy.csv"],
+    ["--kind", "knn_sensor", "--n", "300", "--k", "6", "--seed", "4",
+     "--coords-out", "xy.csv"],
+    ["--kind", "erdos_renyi", "--n", "30", "--p", "0.3", "--seed", "5"],
+]
+
+
+def _graph_gen_argvs(tag):
+    """``graph-gen`` of every kind, writing into files named by ``tag``."""
+    return [["graph-gen", *[f"{tag}{i}-{a}" if a.endswith(".csv") else a
+                            for a in argv],
+             "--out", f"{tag}{i}-g.csv", "--report", f"{tag}{i}-r.json"]
+            for i, argv in enumerate(GRAPH_GEN)]
+
+
+def test_graph_gen_loads_no_scipy(tmp_path, child_env, monkeypatch):
+    """Every kind, knn_sensor's neighbour search and the ``connected``
+    metric included, runs on numpy alone, and writes in a fresh process
+    the bytes and metrics it writes in this one."""
+    fresh = _graph_gen_argvs("fresh")
+    code = f"value = [tvgsp.cli.run(argv) for argv in {fresh!r}]"
+    result = _child(code, child_env, tmp_path)
+    assert result == {"value": [0] * len(fresh), "scipy": []}
+    monkeypatch.chdir(tmp_path)
+    here = _graph_gen_argvs("here")
+    assert [cli.run(argv) for argv in here] == [0] * len(here)
+    for a, b in zip(fresh, here):
+        for name, other in zip(a, b):
+            if name.endswith(".csv"):
+                assert (tmp_path / name).read_bytes() == (
+                    tmp_path / other).read_bytes()
+            if name.endswith(".json"):
+                assert (json.loads((tmp_path / name).read_text())["metrics"]
+                        == json.loads((tmp_path / other).read_text())["metrics"])
 
 
 def _sparse_laplacian():
@@ -91,12 +202,6 @@ def _sparse_laplacian():
     X = default_rng(5).standard_normal((g.N, 6))
     return [g.L.indptr.tolist(), g.L.indices.tolist(), g.L.data.tolist(),
             joint_laplacian_apply(X, g).tolist()]
-
-
-def _knn_graph():
-    g = knn_sensor_graph(60, 5, seed=4)
-    return [g.W.indptr.tolist(), g.W.indices.tolist(), g.W.data.tolist(),
-            g.coords.tolist()]
 
 
 def _lanczos_bound():
@@ -114,7 +219,7 @@ def _sigmoid_grid():
 
 # floats cross JSON as their shortest repr, so equality here is bitwise
 @pytest.mark.parametrize("module, case", zip(DEFERRED, [
-    "_sparse_laplacian", "_knn_graph", "_sigmoid_grid", "_lanczos_bound"]))
+    "_sparse_laplacian", "_sigmoid_grid", "_lanczos_bound"]))
 def test_deferred_import_loads_on_demand(module, case, child_env):
     result = _child(_call(case), child_env)
     assert module in result["scipy"]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,13 @@ def test_run_report_roundtrip():
                        outputs=["a.csv"])
     again = RunReport.from_json(report.to_json())
     assert again == report
+
+
+def test_run_report_reads_reports_without_environment():
+    payload = json.loads(RunReport(command="x", metrics={"a": 1.0}).to_json())
+    del payload["environment"]
+    report = RunReport.from_json(json.dumps(payload))
+    assert report.environment == {} and report.metrics == {"a": 1.0}
 
 
 def test_run_report_rejects_nonfinite_metric():

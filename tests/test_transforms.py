@@ -6,7 +6,8 @@ from tvgsp import (ImaginaryResidueError, ValidationError, build_graph, dft,
                    joint_laplacian_apply, knn_sensor_graph, path_graph,
                    ring_graph, time_laplacian, time_laplacian_eigenvalues,
                    unvec, variation_norm, vec)
-from tvgsp.transforms import omega_grid, time_diff, time_diff_adjoint
+from tvgsp.transforms import (omega_grid, real_if_close, time_diff,
+                              time_diff_adjoint)
 from tvgsp.transforms import graph_incidence, validate_signal
 
 from oracles import (dense_jft, dense_ijft, dense_joint_laplacian,
@@ -293,3 +294,13 @@ def test_validate_signal_rejects_nonfinite():
 def test_gft_dimension_mismatch(sensor30):
     with pytest.raises(ValidationError):
         gft(np.ones((29, 4)), sensor30.eigensystem())
+
+
+def test_real_if_close_keeps_an_imaginary_part_whose_norm_overflows():
+    """``|Y|`` overflows to inf here; that must not make an imaginary part
+    of the same size pass as negligible."""
+    Y = np.full((4, 4), 1e200 + 1e200j)
+    assert np.iscomplexobj(real_if_close(Y))
+    with pytest.raises(ImaginaryResidueError, match=r"residue 4\.000e\+200"):
+        real_if_close(Y, strict=True)
+    assert not np.iscomplexobj(real_if_close(np.full((4, 4), 1e200 + 0j)))
