@@ -2,7 +2,9 @@
 
 Thread caps must reach the BLAS runtime before numpy is first imported,
 so this module scans argv (and the TVGSP_THREADS fallback) and sets the
-environment before pulling in the heavy modules.
+environment before pulling in the heavy modules. Importing the package
+(and so this module) loads no dependency: ``tvgsp`` resolves its public
+names on first access.
 """
 
 import os

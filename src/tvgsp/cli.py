@@ -65,9 +65,12 @@ def _number_list(text, flag, kind):
 
 
 def _eigensystem(g, timer):
-    """The graph's (cached) eigensystem, timed as its own stage."""
+    """The graph's eigensystem, timed as its own stage; the timer notes
+    whether it was computed or reused from the process memo."""
     with timer.stage("eigendecomposition"):
-        return g.eigensystem()
+        eig = g.eigensystem()
+    timer.eigensystem = g.eigensystem_source
+    return eig
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,8 @@ def cmd_transform(args):
     return reports.RunReport(
         command="transform",
         params={"inverse": bool(args.inverse)},
-        timings_ms=timer.timings_ms, metrics=metrics, outputs=[args.out])
+        timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem, metrics=metrics, outputs=[args.out])
 
 
 def cmd_dynamics(args):
@@ -166,6 +170,7 @@ def cmd_dynamics(args):
         command="dynamics",
         params={"kind": args.kind, "s": args.s, "T": args.T},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"initial_norm": float(np.linalg.norm(x1)),
                  "final_norm": float(np.linalg.norm(X[:, -1]))},
         outputs=outputs)
@@ -201,6 +206,7 @@ def cmd_filter(args):
         params={"kernel": args.kernel, "method": args.method,
                 "order": args.order},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"input_norm": float(np.linalg.norm(X)),
                  "output_norm": float(np.linalg.norm(Y)), **info},
         outputs=[args.out])
@@ -245,6 +251,7 @@ def cmd_filter_bench(args):
                 "methods": args.methods, "orders": args.orders,
                 "seed": args.seed},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"max_rel_error": float(worst), "rows": len(rows)},
         outputs=[args.emit])
 
@@ -270,6 +277,7 @@ def cmd_frame_build(args):
         command="frame-build",
         params={"bank": args.bank, "kind": bank.kind, "size": bank.size},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"frame_bound_A": A, "frame_bound_B": B,
                  "bounds_certified": int(bank.bounds_certified)},
         outputs=outputs)
@@ -293,6 +301,7 @@ def cmd_analyze(args):
         params={"bank": args.bank, "exact": bool(args.exact),
                 "order": args.order},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"coefficient_energy_ratio":
                  float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300)),
                  **info},
@@ -320,6 +329,7 @@ def cmd_synthesize(args):
         params={"bank": args.bank, "dual": bool(args.dual),
                 "exact": bool(args.exact), "order": args.order},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"output_norm": float(np.linalg.norm(Y)), **info},
         outputs=[args.out])
 
@@ -345,6 +355,7 @@ def cmd_denoise(args):
         params={"tau1": args.tau1, "tau2": args.tau2,
                 "exact": bool(args.exact), "order": args.order},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"objective": objective, "iterations": 0, **info},
         outputs=[args.out])
 
@@ -398,6 +409,7 @@ def cmd_sparse_code(args):
         params={"bank": args.bank, "gamma": args.gamma,
                 "max_iters": args.max_iters, "tol": args.tol},
         timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem,
         metrics={"objective": result.objective,
                  "iterations": result.iterations,
                  "converged": int(result.converged),
@@ -445,7 +457,8 @@ def cmd_compaction(args):
     return reports.RunReport(
         command="compaction",
         params={"percentiles": args.percentiles},
-        timings_ms=timer.timings_ms, metrics=metrics, outputs=[args.out])
+        timings_ms=timer.timings_ms,
+        eigensystem=timer.eigensystem, metrics=metrics, outputs=[args.out])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ Laplacian ``L = D - W`` handed to the eigendecomposition; the
 decomposition is computed lazily and cached. Graphs are immutable after
 construction and safe to share across threads.
 
+The process keeps the last eigensystem it computed in a one-entry memo,
+keyed by the exact contents of the graph's CSR arrays (``N`` and the bytes
+of ``indptr``, ``indices`` and ``data``), never by a file path or an
+object's identity. A graph built later from equal edges, such as each
+stage of an in-process pipeline that reloads one graph file, takes that
+eigensystem instead of decomposing its Laplacian again. Its ``values`` and
+``vectors`` are read-only, since several graphs may share them. The memo
+keeps at most one eigensystem (8 N^2 bytes of vectors) alive after its
+graph is gone.
+
 No scipy module is imported at module level, and the generators and the
 component count use numpy alone. ``scipy.sparse`` is imported when a
 sparse product needs ``Graph.W`` or ``Graph.L`` and when
@@ -33,7 +43,8 @@ class GraphEigensystem:
 
     ``values`` is nondecreasing with ``values[0] == 0`` (up to rounding) and
     ``vectors`` is orthonormal with columns following the
-    first-nonzero-entry-positive sign convention.
+    first-nonzero-entry-positive sign convention. Both are read-only when
+    they come from :func:`eigendecompose`.
     """
 
     values: np.ndarray
@@ -60,6 +71,19 @@ def _canonical_csr(rows, cols, vals, n):
     keep = sums != 0
     row, col = np.divmod(key[first][keep], max(n, 1))
     return np.searchsorted(row, np.arange(n + 1)), col, sums[keep]
+
+
+#: ``(key, eigensystem)`` of the last decomposition (see :func:`_csr_key`),
+#: or None. It is replaced whole, never updated in place, so threads read
+#: either the old entry or the new one.
+_memo = None
+
+
+def _csr_key(g):
+    """The memo key of ``g``: its vertex count and the bytes of its CSR
+    arrays, which fix its Laplacian."""
+    return (g.N, g._indptr.tobytes(), g._indices.tobytes(),
+            g._data.tobytes())
 
 
 def _row_ids(indptr):
@@ -127,6 +151,9 @@ class Graph:
         if self.coords is not None and not np.isfinite(self.coords).all():
             raise ValidationError("coords contain NaN or Inf entries")
         self._W = self._L = self._eigensystem = self._edges = None
+        #: "computed" or "reused" (from the memo) once :meth:`eigensystem`
+        #: has run, else None
+        self.eigensystem_source = None
 
     @property
     def W(self):
@@ -170,9 +197,23 @@ class Graph:
         return self._edges
 
     def eigensystem(self, cap=DEFAULT_EIG_CAP):
-        """Dense eigendecomposition, computed once and cached."""
+        """Dense eigendecomposition, cached on the graph.
+
+        On the first call it is taken from the process memo when the memo
+        holds the eigensystem of equal CSR arrays, and computed by
+        :func:`eigendecompose` (and memoized) otherwise; ``cap`` is
+        enforced either way. :attr:`eigensystem_source` tells which.
+        """
+        global _memo
         if self._eigensystem is None:
-            self._eigensystem = eigendecompose(self, cap=cap)
+            _check_cap(self, cap)
+            key, memo = _csr_key(self), _memo
+            if memo is not None and memo[0] == key:
+                self._eigensystem, self.eigensystem_source = memo[1], "reused"
+            else:
+                eig = eigendecompose(self, cap=cap)
+                _memo = (key, eig)
+                self._eigensystem, self.eigensystem_source = eig, "computed"
         return self._eigensystem
 
     def num_components(self):
@@ -257,25 +298,32 @@ def eigendecompose(g, cap=DEFAULT_EIG_CAP):
     """Full eigendecomposition of the graph Laplacian.
 
     Eigenvalues are sorted ascending and clipped at zero (the Laplacian is
-    positive semidefinite; tiny negative values are rounding noise). Raises
-    when the graph exceeds ``cap`` vertices, directing callers to the
-    Chebyshev fast path that needs no decomposition.
+    positive semidefinite; tiny negative values are rounding noise). Both
+    arrays are read-only. Raises when the graph exceeds ``cap`` vertices,
+    directing callers to the Chebyshev fast path that needs no
+    decomposition. Consults no memo: :meth:`Graph.eigensystem` does.
     """
+    _check_cap(g, cap)
+    values, vectors = np.linalg.eigh(g.laplacian_dense())
+    values = np.maximum(values, 0.0)
+    # Sign convention: first entry above rounding noise is made positive so
+    # spectra are reproducible across runs and platforms.
+    if vectors.size:
+        big = np.abs(vectors) > 1e-12
+        first, cols = big.argmax(axis=0), np.arange(vectors.shape[1])
+        flip = big[first, cols] & (vectors[first, cols] < 0)
+        vectors *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or a no-op
+    # shared through the memo: a write in place would reach other graphs
+    values.flags.writeable = vectors.flags.writeable = False
+    return GraphEigensystem(values=values, vectors=vectors)
+
+
+def _check_cap(g, cap):
     if g.N > cap:
         raise EigendecompositionCapError(
             f"graph has {g.N} > {cap} vertices; use the Chebyshev fast path "
             "(filter_ffc) which only needs the lambda_max bound"
         )
-    values, vectors = np.linalg.eigh(g.laplacian_dense())
-    values = np.maximum(values, 0.0)
-    # Sign convention: first entry above rounding noise is made positive so
-    # spectra are reproducible across runs and platforms.
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            vectors[:, j] = -col
-    return GraphEigensystem(values=values, vectors=vectors)
 
 
 def path_graph(n):

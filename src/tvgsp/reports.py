@@ -22,9 +22,12 @@ class RunReport:
     """Machine-readable record of one CLI run.
 
     Metrics must be finite; timings are wall-clock milliseconds per stage.
-    Timings and the ``environment`` block (see :func:`environment`) are
-    inherently non-reproducible; everything else is deterministic under a
-    fixed seed.
+    ``eigensystem`` says how the ``eigendecomposition`` stage obtained the
+    eigensystem: ``"computed"``, ``"reused"`` from the process memo (see
+    :mod:`tvgsp.graphs`), or None when the run had no such stage. Timings,
+    ``eigensystem`` and the ``environment`` block (see :func:`environment`)
+    depend on the process; everything else is deterministic under a fixed
+    seed.
     """
 
     command: str
@@ -33,6 +36,7 @@ class RunReport:
     metrics: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
+    eigensystem: str | None = None
 
     def __post_init__(self):
         for key, value in self.metrics.items():
@@ -42,7 +46,8 @@ class RunReport:
     def to_json(self):
         payload = {"command": self.command, "params": self.params,
                    "timings_ms": self.timings_ms, "metrics": self.metrics,
-                   "outputs": self.outputs, "environment": self.environment}
+                   "outputs": self.outputs, "environment": self.environment,
+                   "eigensystem": self.eigensystem}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -51,7 +56,8 @@ class RunReport:
         return cls(command=payload["command"], params=payload["params"],
                    timings_ms=payload["timings_ms"],
                    metrics=payload["metrics"], outputs=payload["outputs"],
-                   environment=payload.get("environment", {}))
+                   environment=payload.get("environment", {}),
+                   eigensystem=payload.get("eigensystem"))
 
 
 def _scipy_version():
@@ -106,10 +112,12 @@ def environment():
 
 
 class StageTimer:
-    """Collects per-stage wall times for a :class:`RunReport`."""
+    """Collects per-stage wall times for a :class:`RunReport`, and how its
+    eigendecomposition stage obtained the eigensystem."""
 
     def __init__(self):
         self.timings_ms = {}
+        self.eigensystem = None
 
     @contextmanager
     def stage(self, name):

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvgsp
-from tvgsp import (build_graph, cli, fileio, filter_exact, grid_eval,
-                   named_response, ring_graph)
+from tvgsp import (build_graph, cli, fileio, filter_exact, graphs,
+                   grid_eval, named_response, ring_graph)
 from tvgsp.cli import build_parser, run
 from tvgsp.kernels import _NAMED
 from tvgsp.rng import default_rng
@@ -740,8 +740,11 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
             warnings.filterwarnings("ignore", "inpaint did not converge")
             assert invoke(command, "--graph", str(gpath), *argv,
                           "--report", str(report)) == 0
-        stages = json.loads(report.read_text())["timings_ms"]
+        payload = json.loads(report.read_text())
+        stages = payload["timings_ms"]
         assert ("eigendecomposition" in stages) == decomposes, (command, argv)
+        assert (payload["eigensystem"] in ("computed", "reused")
+                if decomposes else payload["eigensystem"] is None)
         assert "load" in stages, (command, argv)
         writes = "--out" in argv or "--emit" in argv
         assert ("write" in stages) == writes, (command, argv)
@@ -936,3 +939,45 @@ def test_malformed_inputs_exit_2_or_3_with_one_line(fuzz_dir, data):
     assert len(lines) <= (0 if code == 0 else 1), lines
     if code:
         assert re.fullmatch(r"[a-z_]+: .+", lines[0]), lines
+
+
+def test_in_process_chain_decomposes_the_graph_once(graph_files, bank_file,
+                                                   tmp_path, monkeypatch):
+    """Two eigenbasis stages reading one graph file: the second takes the
+    eigensystem of the first from the process memo and its report says so;
+    the files and metrics equal those of the same chain with the memo
+    emptied between the stages."""
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(5).standard_normal((24, 8)))
+    calls = []
+    real = graphs.eigendecompose
+    monkeypatch.setattr(graphs, "eigendecompose",
+                        lambda g, cap: calls.append(g.N) or real(g, cap))
+
+    def chain(tag, empty_between):
+        stages = [["transform", "--signal", "x.csv", "--out", f"{tag}.csv"],
+                  ["analyze", "--bank", str(bank_file), "--signal", "x.csv",
+                   "--exact", "--out", f"{tag}.tvcf"]]
+        monkeypatch.setattr(graphs, "_memo", None)
+        reports = []
+        for i, argv in enumerate(stages):
+            if empty_between:
+                monkeypatch.setattr(graphs, "_memo", None)
+            assert invoke(*argv, "--graph", str(gpath),
+                          "--report", f"{tag}{i}.json") == 0
+            reports.append(json.loads((tmp_path / f"{tag}{i}.json")
+                                      .read_text()))
+        return reports
+
+    monkeypatch.chdir(tmp_path)
+    memo = chain("memo", False)
+    assert calls == [24]
+    assert [r["eigensystem"] for r in memo] == ["computed", "reused"]
+    fresh = chain("fresh", True)
+    assert calls == [24, 24, 24]
+    assert [r["eigensystem"] for r in fresh] == ["computed", "computed"]
+    assert [r["metrics"] for r in memo] == [r["metrics"] for r in fresh]
+    for ext in ("csv", "tvcf"):
+        assert ((tmp_path / f"memo.{ext}").read_bytes()
+                == (tmp_path / f"fresh.{ext}").read_bytes())

@@ -380,3 +380,89 @@ def test_graph_rejects_bad_weight_matrices(weights, message):
     for given_weights in (weights, sp.coo_array(np.atleast_2d(weights))):
         with pytest.raises(ValidationError, match=message):
             Graph(given_weights)
+
+
+def _loop_signs(vectors):
+    """The column loop the sign convention was written as: the first entry
+    above 1e-12 in magnitude of each column is made positive."""
+    vectors = vectors.copy()
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            vectors[:, j] = -col
+    return vectors
+
+
+@pytest.mark.parametrize("g", [
+    knn_sensor_graph(200, 8, seed=1), knn_sensor_graph(400, 10, seed=2),
+    ring_graph(16), grid2d_graph(6, 6), build_graph([], 5), build_graph([], 0),
+], ids=["knn200", "knn400", "ring16", "grid6x6", "edgeless5", "empty"])
+def test_sign_convention_matches_the_column_loop(g):
+    """Rings and grids have repeated eigenvalues; the edgeless graph's
+    eigenvectors are unit vectors, the empty graph has none."""
+    raw = np.linalg.eigh(g.laplacian_dense())[1]
+    vectors = eigendecompose(g).vectors
+    assert vectors.tobytes() == _loop_signs(raw).tobytes()  # bitwise, -0.0 too
+
+
+@pytest.fixture
+def counted_eig(monkeypatch):
+    """Empties the process memo and counts the decompositions made."""
+    monkeypatch.setattr(graphs, "_memo", None)
+    calls = []
+
+    def counted(g, cap=graphs.DEFAULT_EIG_CAP):
+        calls.append(g.N)
+        return real(g, cap=cap)
+
+    real = graphs.eigendecompose
+    monkeypatch.setattr(graphs, "eigendecompose", counted)
+    return calls
+
+
+def test_memo_decomposes_equal_graphs_once(counted_eig):
+    base = knn_sensor_graph(60, 5, seed=4)
+    src, dst, w = base.edges()
+    edges = np.column_stack((src, dst, w))
+    first = build_graph(edges, 60).eigensystem()
+    second_graph = build_graph(edges[::-1], 60)  # same edges, other order
+    second = second_graph.eigensystem()
+    assert counted_eig == [60]
+    assert second is first and second_graph.eigensystem_source == "reused"
+    # a graph from a scipy weight matrix with the same weights hits as well
+    assert Graph(base.W).eigensystem() is first
+    assert counted_eig == [60]
+    assert np.array_equal(second.vectors, eigendecompose(base).vectors)
+
+
+def test_memo_misses_on_any_change_of_the_arrays(counted_eig):
+    edges = np.column_stack((np.arange(9), np.arange(1, 10), np.ones(9)))
+    eig = build_graph(edges, 10).eigensystem()
+    changed = edges.copy()
+    changed[4, 2] = np.nextafter(1.0, 2.0)
+    g = build_graph(changed, 10)
+    assert g.eigensystem() is not eig and g.eigensystem_source == "computed"
+    g = build_graph(changed, 11)  # an isolated vertex more
+    assert g.eigensystem().n == 11
+    assert counted_eig == [10, 10, 11]
+
+
+def test_memo_enforces_the_cap_on_a_hit(counted_eig):
+    ring_graph(12).eigensystem()
+    g = ring_graph(12)
+    with pytest.raises(EigendecompositionCapError, match="fast path"):
+        g.eigensystem(cap=11)
+    assert g.eigensystem_source is None
+    assert g.eigensystem(cap=12).n == 12 and counted_eig == [12]
+
+
+def test_shared_eigensystem_is_read_only(counted_eig):
+    eig = ring_graph(8).eigensystem()
+    shared = ring_graph(8).eigensystem()
+    assert shared is eig
+    with pytest.raises(ValueError, match="read-only"):
+        shared.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        shared.values *= 2
+    assert np.array_equal(eig.vectors, eigendecompose(ring_graph(8)).vectors)

@@ -1,9 +1,11 @@
-"""Import boundary: ``import tvgsp`` and ``import tvgsp.cli`` load no scipy
-module. ``scipy.sparse`` is imported on the first sparse product, so
-``graph-gen`` and the CLI stages that work on the eigenbasis alone load no
-scipy at all, and each heavier scipy submodule is imported inside the one
-function that needs it. A deferred import returns the same values in a
-fresh interpreter as in this one.
+"""Import boundary: ``import tvgsp`` loads no dependency (its names resolve
+on first access), so the entry point sets the thread caps before numpy
+loads, and ``import tvgsp.cli`` loads no scipy module. ``scipy.sparse``
+is imported on the first sparse product, so ``graph-gen`` and the CLI
+stages that work on the eigenbasis alone load no scipy at all, and each
+heavier scipy submodule is imported inside the one function that needs it.
+A deferred import returns the same values in a fresh interpreter as in
+this one.
 """
 
 import json
@@ -44,6 +46,47 @@ def _call(case):
 
 def test_package_and_cli_load_no_deferred_submodule(child_env):
     assert _child("", child_env)["scipy"] == []
+
+
+# records the thread-cap variables at the moment numpy is first imported
+_WATCH_NUMPY = """
+import json, os, sys
+import tvgsp._main
+from tvgsp._main import THREAD_VARS, main
+loaded = "numpy" in sys.modules
+caps = {}
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not caps:
+            caps.update((var, os.environ.get(var)) for var in THREAD_VARS)
+
+sys.meta_path.insert(0, Watch())
+code = main(["graph-gen", "--kind", "ring", "--n", "6", "--out", "g.csv",
+             "--report", "r.json", "--threads", "1"])
+print(json.dumps({"loaded": loaded, "caps": caps, "code": code}))
+"""
+
+
+def test_threads_flag_is_set_before_numpy_loads(tmp_path, child_env):
+    """``import tvgsp._main`` loads no numpy, since ``tvgsp`` resolves its
+    names on first access, so ``--threads`` reaches the thread-cap
+    variables before numpy and its BLAS load."""
+    from tvgsp._main import THREAD_VARS
+    env = {k: v for k, v in child_env.items() if k not in THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", _WATCH_NUMPY], cwd=tmp_path,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "loaded": False, "caps": dict.fromkeys(THREAD_VARS, "1"), "code": 0}
+
+
+def test_package_names_resolve_on_first_access():
+    import tvgsp
+    assert set(tvgsp.__all__) <= set(dir(tvgsp))
+    assert tvgsp.ring_graph is ring_graph
+    assert tvgsp.graphs.__name__ == "tvgsp.graphs"
+    assert not hasattr(tvgsp, "no_such_name")
 
 
 @pytest.fixture

@@ -19,16 +19,17 @@ def g():
 def test_run_report_roundtrip():
     report = RunReport(command="transform", params={"inverse": False},
                        timings_ms={"jft": 1.25}, metrics={"norm": 2.0},
-                       outputs=["a.csv"])
+                       outputs=["a.csv"], eigensystem="reused")
     again = RunReport.from_json(report.to_json())
     assert again == report
 
 
 def test_run_report_reads_reports_without_environment():
     payload = json.loads(RunReport(command="x", metrics={"a": 1.0}).to_json())
-    del payload["environment"]
+    del payload["environment"], payload["eigensystem"]
     report = RunReport.from_json(json.dumps(payload))
     assert report.environment == {} and report.metrics == {"a": 1.0}
+    assert report.eigensystem is None
 
 
 def test_run_report_rejects_nonfinite_metric():
