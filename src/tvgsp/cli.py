@@ -7,16 +7,22 @@ run emits a JSON report (stdout or ``--report``) that also records the
 environment it ran in; numerical outputs are CSV or the binary formats of
 :mod:`tvgsp.fileio`. All randomness is seeded via ``--seed`` (default 0).
 
-Exit codes: 0 success, 2 validation error (including bad flags), 3
-numerical failure. Errors print a single ``code: message`` line.
+Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors
+print a single ``code: message`` line: a bad flag is ``invalid_input``,
+and a file that cannot be read or written, the report included, is
+``io_error`` with exit 2.
 
-A command times the files it reads in a ``load`` stage and the files it
-writes (not the report) in a ``write`` stage; its work has stages between.
+A command times the files it reads in a ``load`` stage, the
+eigendecomposition in its own stage and the files it writes (not the
+report) in a ``write`` stage; one private runner keeps these and the
+report, so a ``cmd_<name>`` holds only its own stages, params and metrics.
 """
 
 import argparse
+import contextlib
 import functools
 import sys
+import time
 
 import numpy as np
 
@@ -35,14 +41,6 @@ from .transforms import ijft, jft, joint_gradient, real_if_close
 from .dynamics import heat_evolve, wave_evolve
 from .filtering import (filter_cheby2d, filter_exact, filter_ffc,
                         filter_separable)
-
-
-def _load_graph(args):
-    edges, n = fileio.load_edges_csv(args.graph, args.num_vertices)
-    coords = None
-    if getattr(args, "coords", None):
-        coords = fileio.load_coords_csv(args.coords)
-    return build_graph(edges, n, coords=coords)
 
 
 def _parse_params(pairs):
@@ -64,167 +62,186 @@ def _number_list(text, flag, kind):
                               f" values, got '{text}'") from None
 
 
-def _eigensystem(g, timer):
-    """The graph's eigensystem, timed as its own stage; the timer notes
-    whether it was computed or reused from the process memo."""
-    with timer.stage("eigendecomposition"):
-        eig = g.eigensystem()
-    timer.eigensystem = g.eigensystem_source
-    return eig
+class _Job:
+    """What one command run records for its report besides its own params
+    and metrics: the wall time of each stage, how the eigendecomposition
+    stage obtained the eigensystem, the diagnostics that FFC and solver
+    calls put in ``info``, and the files written."""
+
+    def __init__(self, args):
+        self.args = args
+        self.timings_ms = {}
+        self.eigensystem = None
+        self.info = {}
+        self.outputs = []
+
+    @contextlib.contextmanager
+    def stage(self, name):
+        """Adds the block's wall time to stage ``name``."""
+        start = time.perf_counter()
+        yield
+        self.timings_ms[name] = (self.timings_ms.get(name, 0.0)
+                                 + (time.perf_counter() - start) * 1e3)
+
+    @contextlib.contextmanager
+    def load(self):
+        """The ``load`` stage: yields the graph of ``--graph`` (with
+        ``--coords`` where the command has it); the block reads the
+        command's other inputs."""
+        args = self.args
+        with self.stage("load"):
+            edges, n = fileio.load_edges_csv(args.graph, args.num_vertices)
+            coords = None
+            if getattr(args, "coords", None):
+                coords = fileio.load_coords_csv(args.coords)
+            yield build_graph(edges, n, coords=coords)
+
+    def eig(self, g):
+        """The graph's eigensystem, timed as its own stage; the report
+        notes whether it was computed or reused from the process memo."""
+        with self.stage("eigendecomposition"):
+            eig = g.eigensystem()
+        self.eigensystem = g.eigensystem_source
+        return eig
+
+    def write(self, save, path, data):
+        """``save(path, data)`` in the ``write`` stage; ``path`` becomes one
+        of the report's outputs."""
+        with self.stage("write"):
+            save(path, data)
+        self.outputs.append(path)
+
+
+def _command(body):
+    """``cmd_<name>(args)`` from ``body(job, args)``, which runs the
+    command's stages on a :class:`_Job` and returns its ``params`` and
+    ``metrics``; the job's ``info`` joins the metrics."""
+    @functools.wraps(body)
+    def command(args):
+        job = _Job(args)
+        params, metrics = body(job, args)
+        return reports.RunReport(
+            command=args.command, params=params, timings_ms=job.timings_ms,
+            metrics={**metrics, **job.info}, outputs=job.outputs,
+            eigensystem=job.eigensystem)
+    return command
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (each returns a RunReport)
+# Subcommand implementations (each cmd_<name>(args) returns a RunReport)
 # ---------------------------------------------------------------------------
 
-def cmd_graph_gen(args):
-    timer = reports.StageTimer()
+@_command
+def cmd_graph_gen(job, args):
     params = {}
     for key in ("n", "k", "p", "rows", "cols", "sigma"):
         value = getattr(args, key)
         if value is not None:
             params[key] = value
-    with timer.stage("generate"):
+    with job.stage("generate"):
         g = generate_graph(args.kind, params, rng_seed=args.seed)
         connected = g.is_connected()
-    outputs = [args.out]
-    with timer.stage("write"):
-        fileio.save_edges_csv(args.out, g)
-        if args.coords_out:
-            if g.coords is None:
-                raise ValidationError(
-                    f"generator '{args.kind}' provides no coordinates")
-            fileio.save_coords_csv(args.coords_out, g.coords)
-            outputs.append(args.coords_out)
-    return reports.RunReport(
-        command="graph-gen",
-        params={"kind": args.kind, "seed": args.seed, **params},
-        timings_ms=timer.timings_ms,
-        metrics={"num_vertices": g.N, "num_edges": g.num_edges,
-                 "lambda_max_bound": g.lmax,
-                 "connected": int(connected)},
-        outputs=outputs)
+    if args.coords_out and g.coords is None:
+        raise ValidationError(
+            f"generator '{args.kind}' provides no coordinates")
+    job.write(fileio.save_edges_csv, args.out, g)
+    if args.coords_out:
+        job.write(fileio.save_coords_csv, args.coords_out, g.coords)
+    return ({"kind": args.kind, "seed": args.seed, **params},
+            {"num_vertices": g.N, "num_edges": g.num_edges,
+             "lambda_max_bound": g.lmax, "connected": int(connected)})
 
 
-def cmd_transform(args):
-    timer = reports.StageTimer()
+@_command
+def cmd_transform(job, args):
     if args.inverse and not args.spectrum:
         raise ValidationError("--inverse needs --spectrum")
     if not args.inverse and not args.signal:
         raise ValidationError("forward transform needs --signal")
-    with timer.stage("load"):
-        g = _load_graph(args)
+    with job.load() as g:
         if args.inverse:
             S = fileio.load_spectrum_csv(args.spectrum)
         else:
             X = fileio.load_signal(args.signal)
-    eig = _eigensystem(g, timer)
+    eig = job.eig(g)
     if args.inverse:
-        with timer.stage("ijft"):
+        with job.stage("ijft"):
             X = ijft(S, eig, real=True)
-        with timer.stage("write"):
-            fileio.save_signal(args.out, X)
+        job.write(fileio.save_signal, args.out, X)
         metrics = {"signal_norm": float(np.linalg.norm(X))}
     else:
-        with timer.stage("jft"):
+        with job.stage("jft"):
             S = jft(X, eig)
-        with timer.stage("write"):
-            fileio.save_spectrum_csv(args.out, S)
+        job.write(fileio.save_spectrum_csv, args.out, S)
         norm_x = np.linalg.norm(X)
         metrics = {
             "signal_norm": float(norm_x),
             "parseval_gap": float(abs(np.linalg.norm(S) - norm_x)
                                   / max(norm_x, 1e-300)),
         }
-    return reports.RunReport(
-        command="transform",
-        params={"inverse": bool(args.inverse)},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem, metrics=metrics, outputs=[args.out])
+    return {"inverse": bool(args.inverse)}, metrics
 
 
-def cmd_dynamics(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_dynamics(job, args):
+    with job.load() as g:
         x1 = fileio.load_signal(args.x1).ravel()
-    eig = (_eigensystem(g, timer)
-           if args.kind == "wave" or args.emit_spectrum else None)
-    with timer.stage("evolve"):
+    eig = job.eig(g) if args.kind == "wave" or args.emit_spectrum else None
+    with job.stage("evolve"):
         if args.kind == "heat":
             X = heat_evolve(x1, g, args.s, args.T)
-        elif args.kind == "wave":
-            X = wave_evolve(x1, g, eig, args.s, args.T)
         else:
-            raise ValidationError(f"unknown dynamics kind '{args.kind}'")
+            X = wave_evolve(x1, g, eig, args.s, args.T)
     if args.emit_spectrum:
-        with timer.stage("spectrum"):
+        with job.stage("spectrum"):
             S = jft(X, eig)
-    outputs = [args.out]
-    with timer.stage("write"):
-        fileio.save_signal(args.out, X)
-        if args.emit_spectrum:
-            fileio.save_spectrum_csv(args.emit_spectrum, S)
-            outputs.append(args.emit_spectrum)
-    return reports.RunReport(
-        command="dynamics",
-        params={"kind": args.kind, "s": args.s, "T": args.T},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"initial_norm": float(np.linalg.norm(x1)),
-                 "final_norm": float(np.linalg.norm(X[:, -1]))},
-        outputs=outputs)
+    job.write(fileio.save_signal, args.out, X)
+    if args.emit_spectrum:
+        job.write(fileio.save_spectrum_csv, args.emit_spectrum, S)
+    return ({"kind": args.kind, "s": args.s, "T": args.T},
+            {"initial_norm": float(np.linalg.norm(x1)),
+             "final_norm": float(np.linalg.norm(X[:, -1]))})
 
 
-def cmd_filter(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_filter(job, args):
+    with job.load() as g:
         X = fileio.load_signal(args.signal)
     kernel = named_response(args.kernel, _parse_params(args.param),
                             lmax=g.lmax, T=X.shape[1])
-    eig = _eigensystem(g, timer) if args.method == "exact" else None
-    info = {}
-    with timer.stage("filter"):
+    eig = job.eig(g) if args.method == "exact" else None
+    with job.stage("filter"):
         if args.method == "exact":
             Y = filter_exact(X, kernel, eig)
         elif args.method == "ffc":
-            Y = filter_ffc(X, kernel, g, args.order, info=info)
+            Y = filter_ffc(X, kernel, g, args.order, info=job.info)
         elif args.method == "cheby2d":
             Y = filter_cheby2d(X, kernel, g, args.order,
                                args.order_t if args.order_t is not None
                                else args.order)
-        elif args.method == "separable":
-            Y = filter_separable(X, kernel, None, g, args.order)
         else:
-            raise ValidationError(f"unknown filtering method '{args.method}'")
+            Y = filter_separable(X, kernel, None, g, args.order)
     Y = real_if_close(Y, strict=True)
-    with timer.stage("write"):
-        fileio.save_signal(args.out, Y)
-    return reports.RunReport(
-        command="filter",
-        params={"kernel": args.kernel, "method": args.method,
-                "order": args.order},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"input_norm": float(np.linalg.norm(X)),
-                 "output_norm": float(np.linalg.norm(Y)), **info},
-        outputs=[args.out])
+    job.write(fileio.save_signal, args.out, Y)
+    return ({"kernel": args.kernel, "method": args.method,
+             "order": args.order},
+            {"input_norm": float(np.linalg.norm(X)),
+             "output_norm": float(np.linalg.norm(Y))})
 
 
-def cmd_filter_bench(args):
-    timer = reports.StageTimer()
+@_command
+def cmd_filter_bench(job, args):
     if args.graph:
-        with timer.stage("load"):
-            g = _load_graph(args)
+        with job.load() as g:
+            pass  # the graph is the command's only input file
     else:
-        with timer.stage("fixture_graph"):
+        with job.stage("fixture_graph"):
             g = generate_graph("knn_sensor", {"n": args.n, "k": args.knn},
                                rng_seed=args.seed)
     T = args.t
     rng = default_rng(args.seed + 1)
     X = rng.standard_normal((g.N, T))
-    eig = _eigensystem(g, timer)
+    eig = job.eig(g)
     presets = {
         "lp": ("lowpass_sigmoid",
                {"lambda_cut": g.lmax / 4.0, "omega_cut": np.pi / 2.0}),
@@ -238,132 +255,93 @@ def cmd_filter_bench(args):
             raise ValidationError(f"unknown benchmark kernel '{name}'; "
                                   f"available: {tuple(presets)}")
         kernels[name] = named_response(*presets[name], lmax=g.lmax, T=T)
-    with timer.stage("bench"):
+    with job.stage("bench"):
         rows = reports.filter_error_table(
             X, g, eig, kernels, args.methods.split(","),
             _number_list(args.orders, "--orders", int))
-    with timer.stage("write"):
-        reports.write_filter_error_csv(args.emit, rows)
+    job.write(reports.write_filter_error_csv, args.emit, rows)
     worst = max((r[3] for r in rows), default=0.0)
-    return reports.RunReport(
-        command="filter-bench",
-        params={"n": g.N, "t": T, "kernels": args.kernels,
-                "methods": args.methods, "orders": args.orders,
-                "seed": args.seed},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"max_rel_error": float(worst), "rows": len(rows)},
-        outputs=[args.emit])
+    return ({"n": g.N, "t": T, "kernels": args.kernels,
+             "methods": args.methods, "orders": args.orders,
+             "seed": args.seed},
+            {"max_rel_error": float(worst), "rows": len(rows)})
 
 
-def cmd_frame_build(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_frame_build(job, args):
+    with job.load() as g:
         spec = fileio.load_bank_spec(args.bank)
-    with timer.stage("build"):
+    with job.stage("build"):
         bank = fileio.build_bank(spec, g)
-    eig = _eigensystem(g, timer)
-    with timer.stage("bounds"):
+    eig = job.eig(g)
+    with job.stage("bounds"):
         A, B = frame_bounds(bank, eig)
-    outputs = []
     if args.out:
         spec["computed"] = {"frame_bound_A": A, "frame_bound_B": B,
                             "certified": bank.bounds_certified}
-        with timer.stage("write"):
-            fileio.save_bank_spec(args.out, spec)
-        outputs.append(args.out)
-    return reports.RunReport(
-        command="frame-build",
-        params={"bank": args.bank, "kind": bank.kind, "size": bank.size},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"frame_bound_A": A, "frame_bound_B": B,
-                 "bounds_certified": int(bank.bounds_certified)},
-        outputs=outputs)
+        job.write(fileio.save_bank_spec, args.out, spec)
+    return ({"bank": args.bank, "kind": bank.kind, "size": bank.size},
+            {"frame_bound_A": A, "frame_bound_B": B,
+             "bounds_certified": int(bank.bounds_certified)})
 
 
-def cmd_analyze(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_analyze(job, args):
+    with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         X = fileio.load_signal(args.signal)
-    eig = _eigensystem(g, timer) if args.exact else None
-    info = {}
-    with timer.stage("analyze"):
-        C = frame_analyze(bank, X, g, eig=eig, order=args.order, info=info)
-    with timer.stage("write"):
-        fileio.save_coefficients_binary(args.out, C)
+    eig = job.eig(g) if args.exact else None
+    with job.stage("analyze"):
+        C = frame_analyze(bank, X, g, eig=eig, order=args.order,
+                          info=job.info)
+    job.write(fileio.save_coefficients_binary, args.out, C)
     nx = np.linalg.norm(X)
-    return reports.RunReport(
-        command="analyze",
-        params={"bank": args.bank, "exact": bool(args.exact),
-                "order": args.order},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"coefficient_energy_ratio":
-                 float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300)),
-                 **info},
-        outputs=[args.out])
+    return ({"bank": args.bank, "exact": bool(args.exact),
+             "order": args.order},
+            {"coefficient_energy_ratio":
+             float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300))})
 
 
-def cmd_synthesize(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_synthesize(job, args):
+    with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         C = fileio.load_coefficients_binary(args.coeffs)
-    eig = _eigensystem(g, timer) if (args.exact or args.dual) else None
+    eig = job.eig(g) if (args.exact or args.dual) else None
     if args.dual:
-        with timer.stage("dual"):
+        with job.stage("dual"):
             bank = canonical_dual(bank, eig)
-    info = {}
-    with timer.stage("synthesize"):
-        Y = frame_synthesize(bank, C, g, eig=eig, order=args.order, info=info)
+    with job.stage("synthesize"):
+        Y = frame_synthesize(bank, C, g, eig=eig, order=args.order,
+                             info=job.info)
     Y = real_if_close(Y, strict=True)
-    with timer.stage("write"):
-        fileio.save_signal(args.out, Y)
-    return reports.RunReport(
-        command="synthesize",
-        params={"bank": args.bank, "dual": bool(args.dual),
-                "exact": bool(args.exact), "order": args.order},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"output_norm": float(np.linalg.norm(Y)), **info},
-        outputs=[args.out])
+    job.write(fileio.save_signal, args.out, Y)
+    return ({"bank": args.bank, "dual": bool(args.dual),
+             "exact": bool(args.exact), "order": args.order},
+            {"output_norm": float(np.linalg.norm(Y))})
 
 
-def cmd_denoise(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_denoise(job, args):
+    with job.load() as g:
         Y = fileio.load_signal(args.signal)
-    eig = _eigensystem(g, timer) if args.exact else None
-    info = {}
-    with timer.stage("denoise"):
+    eig = job.eig(g) if args.exact else None
+    with job.stage("denoise"):
         X = denoise_tikhonov(Y, g, args.tau1, args.tau2,
-                             eig=eig, order=args.order, info=info)
-    with timer.stage("write"):
-        fileio.save_signal(args.out, X)
+                             eig=eig, order=args.order, info=job.info)
+    job.write(fileio.save_signal, args.out, X)
     gpart, tpart = joint_gradient(X, g)
     objective = (float(np.linalg.norm(X - Y) ** 2)
                  + args.tau1 * float((gpart ** 2).sum())
                  + args.tau2 * float((tpart ** 2).sum()))
-    return reports.RunReport(
-        command="denoise",
-        params={"tau1": args.tau1, "tau2": args.tau2,
-                "exact": bool(args.exact), "order": args.order},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"objective": objective, "iterations": 0, **info},
-        outputs=[args.out])
+    return ({"tau1": args.tau1, "tau2": args.tau2,
+             "exact": bool(args.exact), "order": args.order},
+            {"objective": objective, "iterations": 0})
 
 
-def cmd_inpaint(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_inpaint(job, args):
+    with job.load() as g:
         Y = fileio.load_signal(args.signal)
         M = fileio.load_mask_csv(args.mask)
     spec = InverseProblemSpec(
@@ -372,62 +350,49 @@ def cmd_inpaint(args):
                                 gamma_graph=args.gamma1,
                                 gamma_time=args.gamma2),
         max_iters=args.max_iters, tol=args.tol)
-    with timer.stage("solve"):
+    with job.stage("solve"):
         result = inpaint(spec, g)
-    with timer.stage("write"):
-        fileio.save_signal(args.out, result.signal)
-    return reports.RunReport(
-        command="inpaint",
-        params={"p": args.p, "q": args.q, "gamma1": args.gamma1,
-                "gamma2": args.gamma2, "max_iters": args.max_iters,
-                "tol": args.tol},
-        timings_ms=timer.timings_ms,
-        metrics={"objective": result.objective,
-                 "iterations": result.iterations,
-                 "converged": int(result.converged),
-                 "objective_gap": result.gap},
-        outputs=[args.out])
+    job.write(fileio.save_signal, args.out, result.signal)
+    return ({"p": args.p, "q": args.q, "gamma1": args.gamma1,
+             "gamma2": args.gamma2, "max_iters": args.max_iters,
+             "tol": args.tol},
+            {"objective": result.objective,
+             "iterations": result.iterations,
+             "converged": int(result.converged),
+             "objective_gap": result.gap})
 
 
-def cmd_sparse_code(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_sparse_code(job, args):
+    with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         X = fileio.load_signal(args.signal)
     spec = SparseCodingSpec(bank=bank, observation=X, gamma=args.gamma,
                             max_iters=args.max_iters, tol=args.tol)
-    eig = _eigensystem(g, timer)
-    with timer.stage("solve"):
+    eig = job.eig(g)
+    with job.stage("solve"):
         result = sparse_code(spec, g, eig)
-    with timer.stage("write"):
-        fileio.save_coefficients_binary(args.out, result.coeffs)
+    job.write(fileio.save_coefficients_binary, args.out, result.coeffs)
     support = int((np.abs(result.coeffs)
                    > 1e-12 * max(np.abs(result.coeffs).max(), 1e-300)).sum())
-    return reports.RunReport(
-        command="sparse-code",
-        params={"bank": args.bank, "gamma": args.gamma,
-                "max_iters": args.max_iters, "tol": args.tol},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem,
-        metrics={"objective": result.objective,
-                 "iterations": result.iterations,
-                 "converged": int(result.converged),
-                 "restarts": result.restarts,
-                 "support_size": support},
-        outputs=[args.out])
+    return ({"bank": args.bank, "gamma": args.gamma,
+             "max_iters": args.max_iters, "tol": args.tol},
+            {"objective": result.objective,
+             "iterations": result.iterations,
+             "converged": int(result.converged),
+             "restarts": result.restarts,
+             "support_size": support})
 
 
-def cmd_localize(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_localize(job, args):
+    with job.load() as g:
         if g.coords is None:
             raise ValidationError("localization needs --coords")
         bank = fileio.load_bank(args.bank, g) if args.bank else None
         C = fileio.load_coefficients_binary(args.coeffs)
         X = fileio.load_signal(args.signal) if args.signal else None
-    with timer.stage("localize"):
+    with job.stage("localize"):
         estimate = localize_source(C, bank, g, args.top_k)
     metrics = {"estimate_x": float(estimate[0]),
                "estimate_y": float(estimate[1])}
@@ -435,35 +400,34 @@ def cmd_localize(args):
         baseline = signal_energy_centroid(X, g)
         metrics["baseline_x"] = float(baseline[0])
         metrics["baseline_y"] = float(baseline[1])
-    return reports.RunReport(
-        command="localize",
-        params={"top_k": args.top_k},
-        timings_ms=timer.timings_ms, metrics=metrics, outputs=[])
+    return {"top_k": args.top_k}, metrics
 
 
-def cmd_compaction(args):
-    timer = reports.StageTimer()
-    with timer.stage("load"):
-        g = _load_graph(args)
+@_command
+def cmd_compaction(job, args):
+    with job.load() as g:
         X = fileio.load_signal(args.signal)
     percentiles = _number_list(args.percentiles, "--percentiles", float)
-    eig = _eigensystem(g, timer)
-    with timer.stage("experiment"):
+    eig = job.eig(g)
+    with job.stage("experiment"):
         curve = reports.compaction_experiment(X, g, eig, percentiles)
-    with timer.stage("write"):
-        reports.write_compaction_csv(args.out, curve)
+    job.write(reports.write_compaction_csv, args.out, curve)
     metrics = {f"{name}_at_p{int(curve.percentiles[-1])}": errs[-1]
                for name, errs in curve.errors.items()}
-    return reports.RunReport(
-        command="compaction",
-        params={"percentiles": args.percentiles},
-        timings_ms=timer.timings_ms,
-        eigensystem=timer.eigensystem, metrics=metrics, outputs=[args.out])
+    return {"percentiles": args.percentiles}, metrics
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Reports an argument error as one ``invalid_input:`` line with exit
+    2; subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"invalid_input: {message}".replace("\n", " ") + "\n")
+
 
 @functools.cache
 def build_parser():
@@ -482,7 +446,7 @@ def build_parser():
     graph_args.add_argument("--graph", required=True)
     graph_args.add_argument("--num-vertices", type=int, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tvgsp",
         description="Time-vertex signal processing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -626,16 +590,16 @@ def run(argv=None):
         # finite fails the finite-metric check of its report
         with np.errstate(all="ignore"):
             report = command(args)
+        report.environment = reports.environment()
+        if args.report:
+            with open(args.report, "w", newline="\n") as fh:
+                fh.write(report.to_json() + "\n")
+        else:
+            print(report.to_json())
     except OSError as exc:
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
-    report.environment = reports.environment()
-    if args.report:
-        with open(args.report, "w", newline="\n") as fh:
-            fh.write(report.to_json() + "\n")
-    else:
-        print(report.to_json())
     return 0

@@ -106,19 +106,29 @@ class ChebyshevApprox:
     fit_errors: np.ndarray  # (T,)
 
 
-def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
-    """Fit ``h(., omega_k)`` for every DFT frequency at once."""
+def _fit_kernels(kernels, T, order, interval, error_probe=101):
+    """``(Z, T, order + 1)`` coefficients of ``h_z(., omega_k)`` and the
+    ``(Z, T)`` probed fit errors. Every kernel is evaluated on the nodes
+    before any on the probe points, so a denominator the kernels share
+    (dual and tight banks, :mod:`tvgsp.frames`) is computed once per set."""
     nodes, Q = _quadrature(order, interval)
     w = omega_grid(T)
-    coeffs = (Q @ _product_eval(kernel, nodes, w)).T    # (T, order + 1)
+    fits = [Q @ _product_eval(k, nodes, w) for k in kernels]  # (order+1, T)
 
     theta, probe = _nodes(error_probe, interval)
     basis = np.cos(np.outer(theta, np.arange(order + 1)))
     basis[:, 0] *= 0.5
-    approx = basis @ coeffs.T                           # (probe, T)
-    fit_errors = np.abs(approx - _product_eval(kernel, probe, w)).max(axis=0)
+    fit_errors = [np.abs(basis @ fit - _product_eval(k, probe, w)).max(axis=0)
+                  for k, fit in zip(kernels, fits)]
+    return np.stack([fit.T for fit in fits]), np.stack(fit_errors)
+
+
+def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
+    """Fit ``h(., omega_k)`` for every DFT frequency at once."""
+    coeffs, fit_errors = _fit_kernels([kernel], T, order, interval,
+                                      error_probe)
     return ChebyshevApprox(order=order, interval=tuple(interval),
-                           coeffs=coeffs, fit_errors=fit_errors)
+                           coeffs=coeffs[0], fit_errors=fit_errors[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +146,8 @@ def _fit_table(kernels, T, order, g):
         w = omega_grid(T)
         return np.stack([2.0 * _product_eval(k, np.zeros(1), w).T
                          for k in kernels]), 0.0
-    fits = [fit_joint_kernel(k, T, order, (0.0, g.lmax)) for k in kernels]
-    return (np.stack([f.coeffs for f in fits]),
-            max(float(f.fit_errors.max()) for f in fits))
+    coeffs, fit_errors = _fit_kernels(kernels, T, order, (0.0, g.lmax))
+    return coeffs, float(fit_errors.max())
 
 
 def _step_operator(g):

@@ -7,7 +7,6 @@ import platform
 import re
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,21 +108,6 @@ def environment():
         "thread_caps": {var: os.environ.get(var) for var in THREAD_VARS},
         "peak_rss_kb": _peak_rss_kb(),
     }
-
-
-class StageTimer:
-    """Collects per-stage wall times for a :class:`RunReport`, and how its
-    eigendecomposition stage obtained the eigensystem."""
-
-    def __init__(self):
-        self.timings_ms = {}
-        self.eigensystem = None
-
-    @contextmanager
-    def stage(self, name):
-        start = time.perf_counter()
-        yield
-        self.timings_ms[name] = (time.perf_counter() - start) * 1e3
 
 
 @dataclass

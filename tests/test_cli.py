@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -350,6 +351,50 @@ def test_unknown_flag_exits_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["transform", "--nonsense"],
+    ["transform", "--graph", "g.csv", "--signal", "x.csv"],
+    ["graph-gen", "--kind", "ring", "--out", "g.csv", "--threads", "x"],
+], ids=["unknown-flag", "missing-flag", "bad-threads"])
+def test_argument_error_is_one_invalid_input_line(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid_input: "), lines
+    assert captured.out == ""
+
+
+def test_every_subcommand_has_its_cmd_function():
+    """``run`` finds ``cmd_<name>`` by the subcommand's name."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    functions = {name for name, value in vars(cli).items()
+                 if name.startswith("cmd_") and callable(value)}
+    assert len(sub.choices) == len(functions)
+    assert {"cmd_" + name.replace("-", "_")
+            for name in sub.choices} == functions
+
+
+def test_unwritable_report_exits_2_with_one_line(tmp_path, capsys):
+    code = invoke("graph-gen", "--kind", "ring", "--n", "6",
+                  "--out", str(tmp_path / "g.csv"),
+                  "--report", str(tmp_path / "nodir" / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith("io_error:"), err
+
+
+def test_graph_gen_without_coordinates_writes_nothing(tmp_path, capsys):
+    code = invoke("graph-gen", "--kind", "erdos_renyi", "--n", "6",
+                  "--p", "0.5", "--out", str(tmp_path / "g.csv"),
+                  "--coords-out", str(tmp_path / "c.csv"))
+    assert code == 2
+    assert "provides no coordinates" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     code = invoke("transform", "--graph", str(tmp_path / "nope.csv"),
                   "--signal", "x.csv", "--out", str(tmp_path / "o.csv"))
@@ -690,7 +735,8 @@ def test_inpaint_without_iterations_exits_2(graph_files, tmp_path, capsys):
 def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
                                               tmp_path):
     """Also: every command that reads files has a ``load`` stage, and one
-    that writes files (``--out``, ``--emit``) a ``write`` stage."""
+    that writes files (``--out``, ``--emit``) a ``write`` stage; each run
+    has exactly its stages and lists exactly the files it wrote."""
     gpath, cpath = graph_files
     rng = default_rng(9)
     fileio.save_signal_csv(tmp_path / "x.csv", rng.standard_normal((24, 8)))
@@ -700,41 +746,56 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
     bank, coeffs = ["--bank", str(bank_file)], str(tmp_path / "c.tvcf")
     evolve = ["--s", "0.05", "--T", "8", "--x1", str(tmp_path / "x1.csv"),
               "--out", out]
+    spectrum, bank_out = str(tmp_path / "s.csv"), str(tmp_path / "b.json")
+    emit = str(tmp_path / "e.csv")
+    # (decomposes, command, exact stage names, outputs, arguments)
     runs = [
-        (True, "analyze", [*bank, "--signal", x, "--exact", "--out", coeffs]),
-        (True, "transform", ["--signal", x, "--out", out]),
-        (True, "dynamics", ["--kind", "wave", *evolve]),
-        (True, "dynamics", ["--kind", "heat", *evolve,
-                            "--emit-spectrum", str(tmp_path / "s.csv")]),
-        (True, "filter", ["--signal", x, "--kernel", "tikhonov",
-                          "--param", "tau1=1", "--param", "tau2=1",
-                          "--method", "exact", "--out", out]),
-        (True, "frame-build", bank),
-        (True, "frame-build", [*bank, "--out", str(tmp_path / "b.json")]),
-        (True, "filter-bench", ["--t", "8", "--kernels", "lp", "--orders",
-                                "5", "--methods", "exact,ffc",
-                                "--emit", str(tmp_path / "e.csv")]),
-        (True, "synthesize", [*bank, "--coeffs", coeffs, "--exact",
-                              "--out", out]),
-        (True, "synthesize", [*bank, "--coeffs", coeffs, "--dual",
-                              "--out", out]),
-        (True, "denoise", ["--signal", x, "--exact", "--out", out]),
-        (True, "compaction", ["--signal", x, "--out", out]),
-        (True, "sparse-code", [*bank, "--signal", x, "--gamma", "0.5",
-                               "--max-iters", "5", "--out", coeffs]),
-        (False, "dynamics", ["--kind", "heat", *evolve]),
-        (False, "filter", ["--signal", x, "--kernel", "tikhonov",
-                           "--param", "tau1=1", "--param", "tau2=1",
-                           "--out", out]),
-        (False, "denoise", ["--signal", x, "--out", out]),
-        (False, "inpaint", ["--signal", x, "--mask", str(tmp_path / "m.csv"),
-                            "--gamma1", "0.2", "--gamma2", "0.5",
-                            "--max-iters", "3", "--out", out]),
-        (False, "localize", ["--coords", str(cpath), *bank,
-                             "--coeffs", coeffs, "--signal", x]),
-        (False, "analyze", [*bank, "--signal", x, "--out", coeffs]),
+        (True, "analyze", "load eigendecomposition analyze write", [coeffs],
+         [*bank, "--signal", x, "--exact", "--out", coeffs]),
+        (True, "transform", "load eigendecomposition jft write", [out],
+         ["--signal", x, "--out", out]),
+        (True, "dynamics", "load eigendecomposition evolve write", [out],
+         ["--kind", "wave", *evolve]),
+        (True, "dynamics", "load eigendecomposition evolve spectrum write",
+         [out, spectrum],
+         ["--kind", "heat", *evolve, "--emit-spectrum", spectrum]),
+        (True, "filter", "load eigendecomposition filter write", [out],
+         ["--signal", x, "--kernel", "tikhonov", "--param", "tau1=1",
+          "--param", "tau2=1", "--method", "exact", "--out", out]),
+        (True, "frame-build", "load build eigendecomposition bounds", [],
+         bank),
+        (True, "frame-build", "load build eigendecomposition bounds write",
+         [bank_out], [*bank, "--out", bank_out]),
+        (True, "filter-bench", "load eigendecomposition bench write", [emit],
+         ["--t", "8", "--kernels", "lp", "--orders", "5",
+          "--methods", "exact,ffc", "--emit", emit]),
+        (True, "synthesize", "load eigendecomposition synthesize write",
+         [out], [*bank, "--coeffs", coeffs, "--exact", "--out", out]),
+        (True, "synthesize", "load eigendecomposition dual synthesize write",
+         [out], [*bank, "--coeffs", coeffs, "--dual", "--out", out]),
+        (True, "denoise", "load eigendecomposition denoise write", [out],
+         ["--signal", x, "--exact", "--out", out]),
+        (True, "compaction", "load eigendecomposition experiment write",
+         [out], ["--signal", x, "--out", out]),
+        (True, "sparse-code", "load eigendecomposition solve write", [coeffs],
+         [*bank, "--signal", x, "--gamma", "0.5", "--max-iters", "5",
+          "--out", coeffs]),
+        (False, "dynamics", "load evolve write", [out],
+         ["--kind", "heat", *evolve]),
+        (False, "filter", "load filter write", [out],
+         ["--signal", x, "--kernel", "tikhonov", "--param", "tau1=1",
+          "--param", "tau2=1", "--out", out]),
+        (False, "denoise", "load denoise write", [out],
+         ["--signal", x, "--out", out]),
+        (False, "inpaint", "load solve write", [out],
+         ["--signal", x, "--mask", str(tmp_path / "m.csv"), "--gamma1", "0.2",
+          "--gamma2", "0.5", "--max-iters", "3", "--out", out]),
+        (False, "localize", "load localize", [],
+         ["--coords", str(cpath), *bank, "--coeffs", coeffs, "--signal", x]),
+        (False, "analyze", "load analyze write", [coeffs],
+         [*bank, "--signal", x, "--out", coeffs]),
     ]
-    for decomposes, command, argv in runs:
+    for decomposes, command, stage_names, outputs, argv in runs:
         report = tmp_path / "r.json"
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "inpaint did not converge")
@@ -748,11 +809,14 @@ def test_eigendecomposition_has_its_own_stage(graph_files, bank_file,
         assert "load" in stages, (command, argv)
         writes = "--out" in argv or "--emit" in argv
         assert ("write" in stages) == writes, (command, argv)
+        assert set(stages) == set(stage_names.split()), (command, argv)
+        assert payload["outputs"] == outputs, (command, argv)
     assert invoke("graph-gen", "--kind", "ring", "--n", "6",
                   "--out", str(tmp_path / "ring.csv"),
                   "--report", str(report)) == 0
-    stages = json.loads(report.read_text())["timings_ms"]
-    assert set(stages) == {"generate", "write"}  # graph-gen reads no file
+    payload = json.loads(report.read_text())
+    assert set(payload["timings_ms"]) == {"generate", "write"}  # reads no file
+    assert payload["outputs"] == [str(tmp_path / "ring.csv")]
 
 
 def _reproducible_report(path):

@@ -363,3 +363,30 @@ def test_dual_kernels_concurrent_grids_never_mix(g, eig, stvwt_bank):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors
+
+
+@pytest.mark.parametrize("normalize", [canonical_dual,
+                                       lambda bank, eig: normalize_tight(bank)],
+                         ids=["dual", "tight"])
+def test_fit_of_normalized_bank_evaluates_each_kernel_four_times(normalize, g,
+                                                                 eig):
+    # the fit evaluates every kernel on the Chebyshev nodes before any on
+    # the probe points, so the shared denominator is computed once per point
+    # set: each base kernel is evaluated for its own atom and for the
+    # denominator on both sets, 4 times instead of 2 (|Z| + 1)
+    counts = [0, 0, 0]
+
+    def counted(z, s):
+        def fn(lam, omega):
+            counts[z] += 1
+            return np.exp(-s * lam) * (1.0 + 0.1 * np.cos(omega)) + 0.05
+        return fn
+
+    bank = FilterBank(kernels=[JointKernel(fn=counted(z, s))
+                               for z, s in enumerate((0.5, 1.0, 2.0))],
+                      lattice=[(0.0, 0.0)] * 3, T=T)
+    normalized = normalize(bank, eig)
+    counts[:] = [0, 0, 0]
+    synthesize(normalized, default_rng(5).standard_normal((3, g.N, T)), g,
+               order=20)
+    assert counts == [4, 4, 4]
