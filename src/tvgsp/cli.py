@@ -16,13 +16,22 @@ A command times the files it reads in a ``load`` stage, the
 eigendecomposition in its own stage and the files it writes (not the
 report) in a ``write`` stage; one private runner keeps these and the
 report, so a ``cmd_<name>`` holds only its own stages, params and metrics.
+
+Outputs, the report included, are written to temporary siblings and
+renamed into place only when the whole run has succeeded: a run that exits
+non-zero leaves no output file behind, and a file that was already at an
+output path keeps its bytes. Python warnings a run raises go to the
+report's ``warnings`` list, not to stderr.
 """
 
 import argparse
 import contextlib
+import errno
 import functools
+import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -60,6 +69,37 @@ def _number_list(text, flag, kind):
     except ValueError:
         raise ValidationError(f"{flag} expects comma-separated {kind.__name__}"
                               f" values, got '{text}'") from None
+
+
+class _Staged:
+    """The files of one run, each written first to a temporary sibling that
+    keeps its extension (``fileio.save_signal`` dispatches on it)."""
+
+    def __init__(self):
+        self.pending = []  # (temporary path, output path)
+
+    def temporary(self, path):
+        """A fresh temporary sibling of ``path`` to write instead."""
+        root, ext = os.path.splitext(path)
+        temp = f"{root}.tmp{os.getpid()}-{len(self.pending)}{ext}"
+        self.pending.append((temp, path))
+        return temp
+
+    def commit(self):
+        """Rename every temporary file into place, in the order written."""
+        for _, path in self.pending:  # the one rename that fails in practice
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+        for temp, path in self.pending:
+            os.replace(temp, path)
+        self.pending.clear()
+
+    def discard(self):
+        """Remove the temporary files not yet renamed."""
+        for temp, _ in self.pending:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        self.pending.clear()
 
 
 class _Job:
@@ -105,10 +145,11 @@ class _Job:
         return eig
 
     def write(self, save, path, data):
-        """``save(path, data)`` in the ``write`` stage; ``path`` becomes one
-        of the report's outputs."""
+        """``save`` writes ``data`` to a temporary sibling of ``path`` in
+        the ``write`` stage (``run`` renames it into place); ``path`` becomes
+        one of the report's outputs."""
         with self.stage("write"):
-            save(path, data)
+            save(self.args.staged.temporary(path), data)
         self.outputs.append(path)
 
 
@@ -220,7 +261,8 @@ def cmd_filter(job, args):
                                args.order_t if args.order_t is not None
                                else args.order)
         else:
-            Y = filter_separable(X, kernel, None, g, args.order)
+            Y = filter_separable(X, kernel, None, g, args.order,
+                                 info=job.info)
     Y = real_if_close(Y, strict=True)
     job.write(fileio.save_signal, args.out, Y)
     return ({"kernel": args.kernel, "method": args.method,
@@ -585,21 +627,32 @@ def run(argv=None):
     # looked up per call rather than bound into the cached parser, so that
     # rebinding a module-level cmd_* function takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    staged = args.staged = _Staged()
     try:
-        # no floating-point warning reaches stderr: a result that is not
-        # finite fails the finite-metric check of its report
-        with np.errstate(all="ignore"):
+        # no floating-point warning reaches stderr (a result that is not
+        # finite fails the finite-metric check of its report), and no other
+        # warning either: the report lists them
+        with np.errstate(all="ignore"), \
+                warnings.catch_warnings(record=True) as caught:
             report = command(args)
+        report.warnings = [str(w.message) for w in caught]
         report.environment = reports.environment()
+        text = report.to_json()
         if args.report:
-            with open(args.report, "w", newline="\n") as fh:
-                fh.write(report.to_json() + "\n")
-        else:
-            print(report.to_json())
+            with open(staged.temporary(args.report), "w",
+                      newline="\n") as fh:
+                fh.write(text + "\n")
+        staged.commit()
+        if not args.report:
+            print(text)
     except OSError as exc:
+        if exc.filename2 is None:  # name the output, not its temporary file
+            exc.filename = dict(staged.pending).get(exc.filename, exc.filename)
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
+    finally:
+        staged.discard()
     return 0

@@ -30,7 +30,8 @@ def heat_evolve(x1, g, s, T):
 
     Defined for every ``s``; a warning is emitted when the iteration
     matrix has spectral radius above 1 (judged with the lambda_max bound)
-    since the evolution then diverges.
+    since the evolution then diverges. Raises :class:`StabilityError`,
+    naming ``s`` and the step, when the iterate stops being finite.
     """
     x1 = _validate_initial(x1, g)
     if T < 1:
@@ -42,9 +43,14 @@ def heat_evolve(x1, g, s, T):
     X = np.empty((g.N, T))
     X[:, 0] = x1
     y = x1
-    for t in range(1, T):
-        y = y - s * (g.L @ y)
-        X[:, t] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, T):
+            y = y - s * (g.L @ y)
+            if not np.isfinite(y).all():
+                raise StabilityError(
+                    f"heat evolution with s={s:g} diverged: the iterate is "
+                    f"not finite at step {t}")
+            X[:, t] = y
     return X
 
 

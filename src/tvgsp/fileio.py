@@ -34,10 +34,8 @@ _COEFF_MAGIC = b"TVCF"
 #: magic -> (dtype, rank, what is stored, what one entry is called)
 _BINARY = {_SIGNAL_MAGIC: ("<f8", 2, "signal", "samples"),
            _COEFF_MAGIC: ("<c16", 3, "coefficient", "coefficients")}
-
-
-def _fmt(x):
-    return repr(float(x))
+#: the header lines of the tables that have one
+_EDGES, _COORDS, _SPECTRUM = "src,dst,weight", "x,y", "l,k,re,im"
 
 
 def _finite(A, path, what):
@@ -46,6 +44,16 @@ def _finite(A, path, what):
     if not np.isfinite(A).all():
         raise ValidationError(f"{path}: {what} contains NaN or Inf entries")
     return A
+
+
+def _write_csv(path, header, rows):
+    """Write ``rows`` of Python ints, floats and strings as the CSV table at
+    ``path``, after the ``header`` line unless it is ``None``. A float is
+    written as ``repr`` writes it; lines end in LF."""
+    with open(path, "w", newline="\n") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _read_table(path, header, dtype, what):
@@ -95,17 +103,13 @@ def _read_table(path, header, dtype, what):
 # ---------------------------------------------------------------------------
 
 def save_edges_csv(path, g):
-    src, dst, w = g.edges()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("src,dst,weight\n")
-        for i, j, wij in zip(src, dst, w):
-            fh.write(f"{int(i)},{int(j)},{_fmt(wij)}\n")
+    _write_csv(path, _EDGES, zip(*(a.tolist() for a in g.edges())))
 
 
 def load_edges_csv(path, num_vertices=None):
     """Read an edge-list CSV as ``(edges, N)``: an (E, 3) float array of
     ``src, dst, weight`` rows and N, ``max id + 1`` unless given."""
-    table = _read_table(path, "src,dst,weight", "i8,i8,f8", "edge")
+    table = _read_table(path, _EDGES, "i8,i8,f8", "edge")
     edges = np.column_stack((table["f0"], table["f1"], table["f2"]))
     if num_vertices is None:
         num_vertices = edges[:, :2].max(initial=-1) + 1
@@ -113,15 +117,12 @@ def load_edges_csv(path, num_vertices=None):
 
 
 def save_coords_csv(path, coords):
-    coords = np.asarray(coords, dtype=float)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,y\n")
-        for row in coords:
-            fh.write(",".join(_fmt(v) for v in row[:2]) + "\n")
+    coords = np.asarray(coords, dtype=float)[:, :2]
+    _write_csv(path, _COORDS, (row.tolist() for row in coords))
 
 
 def load_coords_csv(path):
-    return _read_table(path, "x,y", "f8,f8", "coordinate").view(float)
+    return _read_table(path, _COORDS, "f8,f8", "coordinate").view(float)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +133,7 @@ def save_signal_csv(path, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError("signals are written as N x T matrices")
-    with open(path, "w", newline="\n") as fh:
-        for row in X:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, None, (row.tolist() for row in X))
 
 
 def load_signal_csv(path):
@@ -164,10 +163,8 @@ def load_signal(path):
 
 
 def save_mask_csv(path, M):
-    M = np.asarray(M)
-    with open(path, "w", newline="\n") as fh:
-        for row in M:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    M = np.asarray(M).astype(np.int64)
+    _write_csv(path, None, (row.tolist() for row in M))
 
 
 def load_mask_csv(path):
@@ -180,16 +177,14 @@ def load_mask_csv(path):
 
 def save_spectrum_csv(path, S):
     S = np.asarray(S, dtype=complex)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("l,k,re,im\n")
-        for l in range(S.shape[0]):
-            for k in range(S.shape[1]):
-                fh.write(f"{l + 1},{k + 1},{_fmt(S[l, k].real)},"
-                         f"{_fmt(S[l, k].imag)}\n")
+    _write_csv(path, _SPECTRUM, (
+        (l, k, re, im) for l, row in enumerate(S, 1)
+        for k, re, im in zip(range(1, S.shape[1] + 1), row.real.tolist(),
+                             row.imag.tolist())))
 
 
 def load_spectrum_csv(path):
-    table = _read_table(path, "l,k,re,im", "i8,i8,f8,f8", "spectrum").ravel()
+    table = _read_table(path, _SPECTRUM, "i8,i8,f8,f8", "spectrum").ravel()
     if not table.size:
         raise ValidationError(f"{path}: empty spectrum")
     l, k = table["f0"] - 1, table["f1"] - 1

@@ -292,9 +292,10 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     return real_if_close(_clenshaw(Amats.__getitem__, order_graph, g))
 
 
-def filter_separable(X, h1, h2, g, order):
-    """Separable fast path: Chebyshev graph filtering of the columns and
-    exact DFT-domain multiplication along time.
+def filter_separable(X, h1, h2, g, order, info=None):
+    """:func:`filter_ffc` applied to the product kernel ``h1(lambda)
+    h2(omega)``: the same Fourier-Chebyshev engine, with the same result
+    and error bound (``info`` as there).
 
     ``h1``/``h2`` are the factor callables; alternatively pass a separable
     :class:`JointKernel` as ``h1`` (with ``h2=None``).
@@ -306,4 +307,4 @@ def filter_separable(X, h1, h2, g, order):
             raise ValidationError(f"kernel {h1.name} is not separable")
         h1, h2 = h1.h1, h1.h2
     return _filter(_check_dims(X, g), JointKernel(h1=h1, h2=h2), g, None,
-                   order)
+                   order, info)

@@ -104,9 +104,9 @@ class Graph:
     Parameters
     ----------
     weights : scipy.sparse matrix or array_like
-        Symmetric nonnegative N x N weight matrix with zero diagonal,
-        converted by ``scipy.sparse.csr_array`` to float64 weights.
-        Duplicate entries are summed.
+        Symmetric N x N weight matrix of finite nonnegative weights with
+        zero diagonal, converted by ``scipy.sparse.csr_array`` to float64
+        weights. Duplicate entries are summed.
     coords : ndarray, optional
         N x d vertex coordinates (used by generators and source
         localization).
@@ -119,6 +119,12 @@ class Graph:
             raise ValidationError("weight matrix must be square")
         W.sum_duplicates()
         W.eliminate_zeros()
+        bad = np.flatnonzero(~np.isfinite(W.data))
+        if bad.size:  # before the symmetry test, which NaN fails
+            k = bad[0]
+            i = np.searchsorted(W.indptr, k, side="right") - 1
+            raise ValidationError(f"non-finite weight {W.data[k]} on edge "
+                                  f"({i}, {W.indices[k]})")
         if (W != W.T).nnz:
             raise ValidationError("weight matrix must be symmetric")
         if W.diagonal().any():

@@ -7,11 +7,12 @@ import platform
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ValidationError
+from .fileio import _write_csv
 from .transforms import dft, gft, idft, igft, ijft, jft, validate_signal
 from .filtering import filter_cheby2d, filter_exact, filter_ffc
 
@@ -23,10 +24,12 @@ class RunReport:
     Metrics must be finite; timings are wall-clock milliseconds per stage.
     ``eigensystem`` says how the ``eigendecomposition`` stage obtained the
     eigensystem: ``"computed"``, ``"reused"`` from the process memo (see
-    :mod:`tvgsp.graphs`), or None when the run had no such stage. Timings,
-    ``eigensystem`` and the ``environment`` block (see :func:`environment`)
-    depend on the process; everything else is deterministic under a fixed
-    seed.
+    :mod:`tvgsp.graphs`), or None when the run had no such stage.
+    ``warnings`` holds the messages of the Python warnings the run raised.
+    Timings, ``eigensystem`` and the ``environment`` block (see
+    :func:`environment`) depend on the process; everything else is
+    deterministic under a fixed seed. The JSON form has one key per field;
+    a key missing from it takes the field's default.
     """
 
     command: str
@@ -36,6 +39,7 @@ class RunReport:
     outputs: list = field(default_factory=list)
     environment: dict = field(default_factory=dict)
     eigensystem: str | None = None
+    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         for key, value in self.metrics.items():
@@ -43,20 +47,13 @@ class RunReport:
                 raise ValidationError(f"metric '{key}' is not finite: {value}")
 
     def to_json(self):
-        payload = {"command": self.command, "params": self.params,
-                   "timings_ms": self.timings_ms, "metrics": self.metrics,
-                   "outputs": self.outputs, "environment": self.environment,
-                   "eigensystem": self.eigensystem}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
         payload = json.loads(text)
-        return cls(command=payload["command"], params=payload["params"],
-                   timings_ms=payload["timings_ms"],
-                   metrics=payload["metrics"], outputs=payload["outputs"],
-                   environment=payload.get("environment", {}),
-                   eigensystem=payload.get("eigensystem"))
+        return cls(**{f.name: payload[f.name] for f in fields(cls)
+                      if f.name in payload})
 
 
 def _scipy_version():
@@ -188,15 +185,8 @@ def filter_error_table(X, g, eig, kernels, methods, orders):
 
 
 def write_filter_error_csv(path, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("kernel,method,order,rel_error,wall_ms\n")
-        for kname, method, order, err, wall in rows:
-            fh.write(f"{kname},{method},{order},{repr(float(err))},"
-                     f"{repr(float(wall))}\n")
+    _write_csv(path, "kernel,method,order,rel_error,wall_ms", rows)
 
 
 def write_compaction_csv(path, curve):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("transform,percentile,rel_error\n")
-        for name, p, err in curve.rows():
-            fh.write(f"{name},{repr(float(p))},{repr(float(err))}\n")
+    _write_csv(path, "transform,percentile,rel_error", curve.rows())

@@ -226,6 +226,28 @@ def test_analyze_synthesize_dual_roundtrip(graph_files, bank_file, tmp_path):
     assert np.linalg.norm(Xr - X) <= 1e-8 * np.linalg.norm(X)
 
 
+def test_separable_filter_reports_the_ffc_fit_error(graph_files, tmp_path):
+    """``--method separable`` runs FFC on the product kernel: the same
+    output bytes and the same error bound as ``--method ffc``."""
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(8).standard_normal((24, 8)))
+    fit_errors = {}
+    for method in ("separable", "ffc"):
+        assert invoke("filter", "--graph", str(gpath),
+                      "--signal", str(tmp_path / "x.csv"),
+                      "--kernel", "lowpass_sigmoid",
+                      "--param", "lambda_cut=1.0", "--param", "omega_cut=1.0",
+                      "--method", method, "--order", "12",
+                      "--out", str(tmp_path / f"{method}.csv"),
+                      "--report", str(tmp_path / f"{method}.json")) == 0
+        report = json.loads((tmp_path / f"{method}.json").read_text())
+        fit_errors[method] = report["metrics"]["ffc_fit_error"]
+    assert fit_errors["separable"] == fit_errors["ffc"] > 0
+    assert ((tmp_path / "separable.csv").read_bytes()
+            == (tmp_path / "ffc.csv").read_bytes())
+
+
 def test_ffc_stages_report_fit_error(graph_files, tmp_path):
     gpath, _ = graph_files
     X = default_rng(4).standard_normal((24, 8))
@@ -393,6 +415,70 @@ def test_graph_gen_without_coordinates_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "provides no coordinates" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def ring_files(tmp_path):
+    """An 8-vertex ring and an initial condition of 1e300 on every vertex
+    (``x1_huge.csv``) or a random one (``x1.csv``)."""
+    assert invoke("graph-gen", "--kind", "ring", "--n", "8",
+                  "--out", str(tmp_path / "ring.csv"),
+                  "--report", str(tmp_path / "gen.json")) == 0
+    fileio.save_signal_csv(tmp_path / "x1_huge.csv", np.full((8, 1), 1e300))
+    fileio.save_signal_csv(tmp_path / "x1.csv",
+                           default_rng(2).standard_normal((8, 1)))
+    return tmp_path
+
+
+@pytest.mark.parametrize("x1,extra,code", [
+    ("x1.csv", ["--emit-spectrum", "nodir/S.csv"], "io_error"),
+    ("x1_huge.csv", [], "invalid_input"),  # the norms overflow
+    ("x1.csv", ["--report", "nodir/r.json"], "io_error"),
+], ids=["second-write-fails", "metric-not-finite", "report-not-writable"])
+def test_failed_run_leaves_no_output(ring_files, monkeypatch, capsys, x1,
+                                     extra, code):
+    """A run that exits non-zero writes nothing: no output, no temporary
+    file, and an output that existed keeps its bytes."""
+    monkeypatch.chdir(ring_files)
+    (ring_files / "X.csv").write_bytes(b"old\n")
+    before = sorted(os.listdir(ring_files))
+    capsys.readouterr()
+    assert invoke("dynamics", "--kind", "heat", "--s", "0.1", "--T", "4",
+                  "--graph", "ring.csv", "--x1", x1, "--out", "X.csv",
+                  *extra) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and err.startswith(f"{code}:"), err
+    assert ".tmp" not in err, err
+    assert sorted(os.listdir(ring_files)) == before
+    assert (ring_files / "X.csv").read_bytes() == b"old\n"
+
+
+def test_heat_divergence_exits_3_naming_s_and_step(ring_files, capsys):
+    out = ring_files / "X.csv"
+    assert invoke("dynamics", "--kind", "heat", "--s", "10", "--T", "1000",
+                  "--graph", str(ring_files / "ring.csv"),
+                  "--x1", str(ring_files / "x1.csv"), "--out", str(out)) == 3
+    err = capsys.readouterr().err.strip()
+    assert re.fullmatch(r"unstable_parameters: heat evolution with s=10 "
+                        r"diverged: the iterate is not finite at step \d+",
+                        err), err
+    assert not out.exists()
+
+
+def test_warnings_go_to_the_report_not_stderr(ring_files, child_env):
+    """The heat "may diverge" warning of a run that stays finite."""
+    report = ring_files / "r.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tvgsp._main", "dynamics", "--kind", "heat",
+         "--s", "0.6", "--T", "3", "--graph", str(ring_files / "ring.csv"),
+         "--x1", str(ring_files / "x1.csv"),
+         "--out", str(ring_files / "X.csv"), "--report", str(report)],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    payload = json.loads(report.read_text())
+    assert [w.split(":")[0] for w in payload["warnings"]] == [
+        "heat evolution with s=0.6 may diverge"]
+    assert "warnings" not in payload["metrics"]
 
 
 def test_missing_file_exits_2(tmp_path, capsys):
@@ -717,10 +803,17 @@ def _inpaint(gpath, tmp_path, max_iters):
                   "--report", str(tmp_path / "r.json"))
 
 
-def test_inpaint_below_gap_window_reports_finite_gap(graph_files, tmp_path):
-    with pytest.warns(UserWarning, match="did not converge"):
-        assert _inpaint(graph_files[0], tmp_path, 5) == 0
-    metrics = json.loads((tmp_path / "r.json").read_text())["metrics"]
+def test_inpaint_below_gap_window_reports_finite_gap(graph_files, tmp_path,
+                                                   capsys):
+    """The non-convergence warning goes to the report, not to stderr."""
+    capsys.readouterr()
+    assert _inpaint(graph_files[0], tmp_path, 5) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert len(report["warnings"]) == 1
+    assert "did not converge in 5 iterations" in report["warnings"][0]
+    metrics = report["metrics"]
+    assert "warnings" not in metrics
     assert metrics["iterations"] == 5
     assert metrics["converged"] == 0
     assert 0 <= metrics["objective_gap"] < np.inf

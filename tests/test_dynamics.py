@@ -33,6 +33,14 @@ def test_heat_divergence_warning(p2):
         heat_evolve(np.array([1.0, 0.0]), p2, 1.5, 3)
 
 
+def test_heat_divergence_names_s_and_step(p2):
+    # x_t = (1, 1) / 2 + (-19)^t (1, -1) / 2: 19^t / 2 overflows at t = 242
+    with pytest.warns(UserWarning, match="may diverge"), \
+            pytest.raises(StabilityError,
+                          match=r"s=10 diverged: .* not finite at step 242$"):
+        heat_evolve(np.array([1.0, 0.0]), p2, 10.0, 1000)
+
+
 def test_heat_spectral_identity_random_instances():
     rng = default_rng(7)
     for i in range(10):

@@ -375,6 +375,10 @@ def test_graph_arrays_match_scipy_bit_for_bit(n, data):
     (np.array([[0.0, 1.0], [2.0, 0.0]]), "must be symmetric"),
     (np.array([[1.0, 0.0], [0.0, 0.0]]), "self-loops are not supported"),
     (np.array([[0.0, -1.0], [-1.0, 0.0]]), "must be nonnegative"),
+    (np.array([[0.0, np.inf], [np.inf, 0.0]]),
+     r"non-finite weight inf on edge \(0, 1\)"),
+    (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, np.nan], [0.0, np.nan, 0.0]]),
+     r"non-finite weight nan on edge \(1, 2\)"),
 ])
 def test_graph_rejects_bad_weight_matrices(weights, message):
     for given_weights in (weights, sp.coo_array(np.atleast_2d(weights))):
