@@ -45,7 +45,7 @@ def heat_evolve(x1, g, s, T):
     y = x1
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, T):
-            y = y - s * (g.L @ y)
+            y = y - s * g._matmul("L", y)
             if not np.isfinite(y).all():
                 raise StabilityError(
                     f"heat evolution with s={s:g} diverged: the iterate is "

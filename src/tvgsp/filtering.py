@@ -28,14 +28,18 @@ responses times the joint spectrum of :mod:`tvgsp.transforms`), else the
 Chebyshev engine, which needs no eigendecomposition. The engine fits a
 ``(Z, bins, M + 1)`` coefficient table, applies it with a single
 three-term recurrence whose terms are weighted per kernel (analysis) or
-with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint),
-and multiplies the real ``L`` into complex operands through their float64
-view. When the input is real and the table conjugate-symmetric in omega
-(the operator maps real signals to real signals) it works on the
-``T // 2 + 1`` bins of the half spectrum, else on all ``T``. A recurrence
-costs ``O(|E| M T / 2 + N T log T)`` on the half spectrum, plus
-``O(|Z| N M T / 2)`` for the per-kernel weights, shared by all ``|Z|``
-kernels of a bank.
+with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint).
+Each step multiplies by the graph's cached step operator ``(4 / lmax) L -
+2 I`` through the CSR product of :mod:`tvgsp.graphs`, which runs scipy's
+compiled kernels without loading the ``scipy.sparse`` package; complex
+operands go through their float64 view, so ``L`` is never upcast. The
+operand is made C-contiguous once, at the FFT, so any memory layout of the
+input gives the same result. When the input is real and the table
+conjugate-symmetric in omega (the operator maps real signals to real
+signals) it works on the ``T // 2 + 1`` bins of the half spectrum, else on
+all ``T``. A recurrence costs ``O(|E| M T / 2 + N T log T)`` on the half
+spectrum, plus ``O(|Z| N M T / 2)`` for the per-kernel weights, shared by
+all ``|Z|`` kernels of a bank.
 """
 
 from dataclasses import dataclass
@@ -44,17 +48,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import JointKernel, _product_eval, grid_eval
-from .transforms import (_fft, _ifft, _ijft_stack, _jft_stack, _matvec, _rows,
-                         _spectral_bins, omega_grid, real_if_close,
+from .transforms import (_check_dims, _fft, _ifft, _ijft_stack, _jft_stack,
+                         _rows, _spectral_bins, omega_grid, real_if_close,
                          validate_signal)
-
-
-def _check_dims(X, g):
-    X = validate_signal(X)
-    if X.shape[0] != g.N:
-        raise ValidationError(
-            f"signal has {X.shape[0]} rows but graph has {g.N} vertices")
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -150,28 +146,22 @@ def _fit_table(kernels, T, order, g):
     return coeffs, float(fit_errors.max())
 
 
-def _step_operator(g):
-    """``2 L~ = (4 / lmax) L - 2 I`` where ``L~`` maps ``[0, lmax]`` onto
-    ``[-1, 1]``."""
-    import scipy.sparse as sp  # deferred: exact paths run no recurrence
-    return sp.csr_array(4.0 / g.lmax * g.L - 2.0 * sp.eye_array(g.N))
-
-
 def _recurrence(Vf, table, g):
     """``Y_z = sum_m c_{z,.,m} o T_m(L~) Vf`` for every ``z``.
 
     One three-term recurrence ``T_m(L~) Vf`` serves all kernels; each term
-    is weighted per kernel and bin. ``Vf`` is ``(N, B)``, ``table``
-    ``(Z, B, M + 1)``; the result is ``(Z, N, B)``.
+    is weighted per kernel and bin. ``L~`` maps ``[0, lmax]`` onto
+    ``[-1, 1]``, and each step multiplies by the graph's cached ``2 L~ =
+    (4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, B, M +
+    1)``; the result is ``(Z, N, B)``.
     """
     c = np.moveaxis(table, -1, 0)[:, :, None, :]           # (M+1, Z, 1, B)
     Y = 0.5 * c[0] * Vf
     if len(c) > 1:
-        A = _step_operator(g)
-        prev, cur = Vf, 0.5 * _matvec(A, Vf)
+        prev, cur = Vf, 0.5 * g._matmul("step", Vf)
         Y += c[1] * cur
         for cm in c[2:]:
-            prev, cur = cur, _matvec(A, cur) - prev
+            prev, cur = cur, g._matmul("step", cur) - prev
             Y += cm * cur
     return Y
 
@@ -184,11 +174,10 @@ def _clenshaw(term, order, g):
     """
     if order == 0:
         return 0.5 * term(0)
-    A = _step_operator(g)
     b1, b2 = term(order), 0.0
     for m in range(order - 1, 0, -1):
-        b1, b2 = term(m) + _matvec(A, b1) - b2, b1
-    return 0.5 * (term(0) + _matvec(A, b1)) - b2
+        b1, b2 = term(m) + g._matmul("step", b1) - b2, b1
+    return 0.5 * (term(0) + g._matmul("step", b1)) - b2
 
 
 def _grid(kernels, lambdas, T):

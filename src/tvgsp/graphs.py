@@ -17,15 +17,25 @@ eigensystem instead of decomposing its Laplacian again. Its ``values`` and
 keeps at most one eigensystem (8 N^2 bytes of vectors) alive after its
 graph is gone.
 
-No scipy module is imported at module level, and the generators and the
-component count use numpy alone. ``scipy.sparse`` is imported when a
-sparse product needs ``Graph.W`` or ``Graph.L`` and when
-``Graph(weights)`` converts a weight matrix; ``scipy.sparse.linalg`` is
-imported inside the Lanczos estimate of :func:`estimate_lambda_max`. A
-process that generates graphs or works on the eigenbasis alone loads no
-scipy.
+No scipy package is imported at module level, and the generators and
+the component count use numpy alone. Every sparse product of the package
+(the Chebyshev recurrences, the heat steps, ``inpaint``'s incidence
+operator, :func:`~tvgsp.transforms.joint_laplacian_apply`) is one private
+CSR product on operators a graph builds from its own arrays and caches:
+scipy's compiled kernel module ``scipy.sparse._sparsetools``, loaded from
+its extension file under its own name, which runs no ``scipy`` package
+``__init__``, with the dispatch of ``scipy.sparse.csr_array @`` so that
+results are bit for bit scipy's. Where that module cannot be loaded the
+product goes through ``scipy.sparse`` itself. ``scipy.sparse`` is imported
+by the public ``Graph.W``, ``Graph.L`` and ``Graph(weights)``, and
+``scipy.sparse.linalg`` inside the Lanczos estimate of
+:func:`estimate_lambda_max`. A process that generates graphs or works on
+the eigenbasis alone loads no scipy module, and one on the Chebyshev or
+solver paths loads the kernel module alone.
 """
 
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +65,13 @@ class GraphEigensystem:
         return self.values.shape[0]
 
 
-def _canonical_csr(rows, cols, vals, n):
-    """CSR arrays ``(indptr, indices, data)`` of the n x n matrix with COO
-    entries ``(rows, cols, vals)``: entries sorted by row then column,
-    duplicates summed in input order, zeros dropped, int64 indices."""
-    key = np.asarray(rows, np.int64) * n + np.asarray(cols, np.int64)
+def _canonical_csr(rows, cols, vals, n, n_col=None):
+    """CSR arrays ``(indptr, indices, data)`` of the n x n (or n x n_col)
+    matrix with COO entries ``(rows, cols, vals)``: entries sorted by row
+    then column, duplicates summed in input order, zeros dropped, int64
+    indices."""
+    n_col = n if n_col is None else n_col
+    key = np.asarray(rows, np.int64) * n_col + np.asarray(cols, np.int64)
     order = np.argsort(key, kind="stable")  # equal keys keep input order
     key = key[order]
     first = np.ones(key.size, bool)
@@ -69,7 +81,7 @@ def _canonical_csr(rows, cols, vals, n):
     sums = np.bincount(np.cumsum(first) - 1,
                        weights=np.asarray(vals, float)[order]).astype(float)
     keep = sums != 0
-    row, col = np.divmod(key[first][keep], max(n, 1))
+    row, col = np.divmod(key[first][keep], max(n_col, 1))
     return np.searchsorted(row, np.arange(n + 1)), col, sums[keep]
 
 
@@ -91,6 +103,35 @@ def _row_ids(indptr):
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+#: scipy's compiled sparse kernels, under the name scipy gives them.
+_KERNELS = "scipy.sparse._sparsetools"
+
+
+def _kernels():
+    """The kernel module, or None when it cannot be loaded. It is taken
+    from ``sys.modules`` when already loaded (by scipy, or by an earlier
+    call), else loaded from its extension file and registered under its
+    own name, so a later ``import scipy.sparse`` uses it too."""
+    module = sys.modules.get(_KERNELS)
+    if module is not None:
+        return module
+    try:
+        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+        from importlib.util import (find_spec, module_from_spec,
+                                    spec_from_file_location)
+        base = os.path.join(find_spec("scipy").submodule_search_locations[0],
+                            "sparse", "_sparsetools")
+        path = next(base + suffix for suffix in EXTENSION_SUFFIXES
+                    if os.path.isfile(base + suffix))
+        loader = ExtensionFileLoader(_KERNELS, path)
+        module = module_from_spec(
+            spec_from_file_location(_KERNELS, path, loader=loader))
+        loader.exec_module(module)
+    except Exception:  # whatever failed, scipy.sparse's own product remains
+        return None
+    return sys.modules.setdefault(_KERNELS, module)
+
+
 class Graph:
     """Undirected weighted graph with cached Laplacian.
 
@@ -98,8 +139,9 @@ class Graph:
     matrix and the combinatorial Laplacian as ``scipy.sparse.csr_array``;
     each is built on first use and cached (``W`` shares the graph's
     arrays; threads racing on first use build the same matrix twice).
-    :meth:`laplacian_dense`, :meth:`edges` and :meth:`num_components` work
-    on the arrays, without scipy.
+    :meth:`laplacian_dense`, :meth:`edges`, :meth:`num_components` and the
+    sparse products of the package work on the arrays, without
+    ``scipy.sparse``.
 
     Parameters
     ----------
@@ -157,6 +199,7 @@ class Graph:
         if self.coords is not None and not np.isfinite(self.coords).all():
             raise ValidationError("coords contain NaN or Inf entries")
         self._W = self._L = self._eigensystem = self._edges = None
+        self._ops = {}
         #: "computed" or "reused" (from the memo) once :meth:`eigensystem`
         #: has run, else None
         self.eigensystem_source = None
@@ -177,6 +220,77 @@ class Graph:
             import scipy.sparse as sp  # deferred: first sparse use
             self._L = sp.csr_array(sp.diags(self.degrees) - self.W)
         return self._L
+
+    def _operator(self, op):
+        """CSR arrays ``(indptr, indices, data, n_col)`` of the operator
+        ``op``, built on first use and cached: ``"L"``, the Laplacian;
+        ``"step"``, the Chebyshev step ``(4 / lmax) L - 2 I`` (a graph with
+        edges only); ``"B"``, the incidence operator of
+        :func:`~tvgsp.transforms.graph_incidence`, and ``"BT"``, its
+        transpose. Each is built whole, then stored. As in scipy's sums,
+        the entries that come out zero are not stored: on the step
+        operator's diagonal ``(4 / lmax) d - 2`` that is every vertex of
+        maximum degree."""
+        if op not in self._ops:
+            n = self.N
+            if op in ("B", "BT"):
+                src, dst, w = self.edges()
+                m, root = src.size, np.sqrt(w)
+                edge = np.repeat(np.arange(m), 2)
+                ends = np.column_stack((src, dst)).ravel()
+                vals = np.column_stack((root, -root)).ravel()
+                built = {"B": (*_canonical_csr(edge, ends, vals, m, n), n),
+                         "BT": (*_canonical_csr(ends, edge, vals, n, m), m)}
+            else:
+                # scale * L - shift * I, each entry computed as scipy
+                # computes (4 / lmax) * L - 2 * I
+                scale, shift = (1.0, 0.0) if op == "L" else (4.0 / self.lmax,
+                                                              2.0)
+                ids = np.arange(n)
+                built = {op: (*_canonical_csr(
+                    np.concatenate((_row_ids(self._indptr), ids)),
+                    np.concatenate((self._indices, ids)),
+                    np.concatenate((scale * -self._data,
+                                    scale * self.degrees - shift)), n), n)}
+            self._ops.update(built)
+        return self._ops[op]
+
+    def _matmul(self, op, V):
+        """``A @ V`` for the operator ``A`` named ``op`` (see
+        :meth:`_operator`) and a 1-D or 2-D ``V``, bit for bit
+        ``scipy.sparse.csr_array @``: a float64 ``V`` goes to ``csr_matvec``
+        when it is one column and to ``csr_matvecs`` otherwise, into a
+        zero-filled output; a complex ``V`` is multiplied through its
+        float64 view, so ``A`` is never upcast. The kernels check nothing,
+        so the shape is checked and ``V`` made a C-contiguous float64
+        here; the operator's arrays all have int64 indices."""
+        indptr, indices, data, n_col = self._operator(op)
+        V = np.asarray(V)
+        if V.ndim not in (1, 2) or V.shape[0] != n_col:
+            raise ValueError(f"matmul: dimension mismatch, {n_col} columns "
+                             f"times operand of shape {V.shape}")
+        shape, n_row, cplx = V.shape, indptr.size - 1, np.iscomplexobj(V)
+        if cplx:
+            V = np.ascontiguousarray(V[:, None] if V.ndim == 1 else V,
+                                     np.complex128).view(np.float64)
+        else:
+            V = np.ascontiguousarray(V, np.float64)
+        kernels = _kernels()
+        if kernels is None:
+            import scipy.sparse as sp  # the fallback: scipy's own product
+            Y = sp.csr_array((data, indices, indptr),
+                             shape=(n_row, n_col)) @ V
+        elif V.ndim == 1 or V.shape[1] == 1:
+            Y = np.zeros((n_row,) + V.shape[1:])
+            kernels.csr_matvec(n_row, n_col, indptr, indices, data,
+                               V.ravel(), Y.ravel())
+        else:
+            Y = np.zeros((n_row, V.shape[1]))
+            kernels.csr_matvecs(n_row, n_col, V.shape[1], indptr, indices,
+                                data, V.ravel(), Y.ravel())
+        if cplx:
+            Y = Y.view(np.complex128).reshape((n_row,) + shape[1:])
+        return Y
 
     def laplacian_dense(self):
         """``D - W`` as a new dense array, equal to ``L.toarray()``."""

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .filtering import _check_dims, _filter
+from .filtering import _filter
 from .frames import DEFAULT_ORDER, bank_grid
 from .kernels import tikhonov_response
-from .transforms import (_ijft_stack, _jft_stack, _spectral_bins,
-                         graph_incidence, time_diff, time_diff_adjoint,
-                         validate_signal)
+from .transforms import (_check_dims, _ijft_stack, _jft_stack, _spectral_bins,
+                         time_diff, time_diff_adjoint, validate_signal)
 
 
 @dataclass
@@ -145,14 +144,13 @@ def inpaint(spec, g):
     M = _validate_mask(spec.mask, Y.shape)
     reg = spec.regularizer
     Ym = M * Y
-    B = graph_incidence(g)
     g1, g2 = reg.gamma_graph, reg.gamma_time
 
     def objective(X):
         r = M * X - Ym
         val = float((r * r).sum())
         if g1 > 0:
-            G = B @ X
+            G = g._matmul("B", X)
             val += g1 * float(np.abs(G).sum() if reg.p == 1 else (G * G).sum())
         if g2 > 0:
             D = time_diff(X)
@@ -164,7 +162,7 @@ def inpaint(spec, g):
 
     X = _initial_fill(Y, M)
     Xbar = X.copy()
-    u_graph = np.zeros((B.shape[0], Y.shape[1]))
+    u_graph = np.zeros((g.num_edges, Y.shape[1]))
     u_time = np.zeros_like(Y)
 
     best_obj = objective(X)
@@ -174,14 +172,14 @@ def inpaint(spec, g):
     converged = False
     for iterations in range(1, spec.max_iters + 1):
         if g1 > 0:
-            u_graph = _prox_conjugate(u_graph + sigma * (B @ Xbar),
+            u_graph = _prox_conjugate(u_graph + sigma * g._matmul("B", Xbar),
                                       sigma, g1, reg.p)
         if g2 > 0:
             u_time = _prox_conjugate(u_time + sigma * time_diff(Xbar),
                                      sigma, g2, reg.q)
         V = X.copy()
         if g1 > 0:
-            V -= tau * (B.T @ u_graph)
+            V -= tau * g._matmul("BT", u_graph)
         if g2 > 0:
             V -= tau * time_diff_adjoint(u_time)
         X_new = np.where(M > 0, (V + 2.0 * tau * Ym) / (1.0 + 2.0 * tau), V)

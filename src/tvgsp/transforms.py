@@ -18,8 +18,11 @@ by the real eigenvectors, never upcast to complex, then the FFT over the
 conjugate-symmetric in omega, else all ``T``; the Chebyshev engine shares
 that choice.
 
-``scipy.sparse`` is imported only by the functions that build a sparse
-operator (:func:`time_laplacian`, :func:`graph_incidence`), on first use.
+:func:`joint_laplacian_apply` multiplies by the graph's cached Laplacian
+through the private CSR product of :mod:`tvgsp.graphs`, which loads only
+scipy's compiled kernel module. ``scipy.sparse`` is imported only by the
+functions that return a scipy matrix (:func:`time_laplacian`,
+:func:`graph_incidence`), on first use.
 """
 
 import numpy as np
@@ -43,6 +46,15 @@ def validate_signal(X):
         raise ValidationError(f"signal must be 2-D (N x T), got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValidationError("signal contains NaN or Inf entries")
+    return X
+
+
+def _check_dims(X, g):
+    """:func:`validate_signal`, and one row per vertex of ``g``."""
+    X = validate_signal(X)
+    if X.shape[0] != g.N:
+        raise ValidationError(
+            f"signal has {X.shape[0]} rows but graph has {g.N} vertices")
     return X
 
 
@@ -170,9 +182,9 @@ def ijft(S, eig, real=None):
 
 
 def _matvec(A, V):
-    """Real sparse or dense ``A`` times a C-contiguous complex ``V`` (a
-    dense ``A`` broadcasts over a stack), computed on the float64 view so
-    ``A`` is never upcast to complex."""
+    """Real dense ``A`` times a C-contiguous complex ``V`` (broadcast over a
+    stack), computed on the float64 view so ``A`` is never upcast to
+    complex."""
     return (A @ V.view(np.float64)).view(np.complex128)
 
 
@@ -194,10 +206,12 @@ def _spectral_bins(A, table, axis):
 def _fft(A, half):
     """Unnormalized DFT along the last axis, complex128: the
     ``T // 2 + 1`` bins of the real FFT of ``A.real`` with ``half``, else
-    all ``T`` bins."""
+    all ``T`` bins. The input is made C-contiguous first, so the result is
+    too, whatever the layout of ``A``: the Chebyshev engine's operand."""
     if half:
-        return np.fft.rfft(np.asarray(np.real(A), dtype=np.float64), axis=-1)
-    return np.fft.fft(np.asarray(A, dtype=np.complex128), axis=-1)
+        return np.fft.rfft(np.ascontiguousarray(np.real(A), np.float64),
+                           axis=-1)
+    return np.fft.fft(np.ascontiguousarray(A, np.complex128), axis=-1)
 
 
 def _ifft(S, T, half):
@@ -248,17 +262,8 @@ def graph_incidence(g):
     in the graph's canonical edge order.
     """
     import scipy.sparse as sp  # deferred: first sparse use
-    src, dst, w = g.edges()
-    m = src.shape[0]
-    if m == 0:
-        return sp.csr_array((0, g.N))
-    rows = np.repeat(np.arange(m), 2)
-    cols = np.empty(2 * m, dtype=np.int64)
-    cols[0::2], cols[1::2] = src, dst
-    vals = np.empty(2 * m)
-    root = np.sqrt(w)
-    vals[0::2], vals[1::2] = root, -root
-    return sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(m, g.N)))
+    indptr, indices, data, n = g._operator("B")
+    return sp.csr_array((data, indices, indptr), shape=(indptr.size - 1, n))
 
 
 def joint_laplacian_apply(X, g):
@@ -266,9 +271,9 @@ def joint_laplacian_apply(X, g):
 
     Computed matrix-free; equals ``unvec((L_T kron I + I kron L_G) vec(X))``.
     """
-    X = np.asarray(X)
+    X = _check_dims(X, g)
     time_part = 2.0 * X - np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
-    return g.L @ X + time_part
+    return g._matmul("L", X) + time_part
 
 
 def joint_gradient(X, g):
@@ -279,7 +284,7 @@ def joint_gradient(X, g):
     periodic difference along time. The squared Frobenius norms of the two
     parts sum to the joint Laplacian quadratic form.
     """
-    X = np.asarray(X)
+    X = _check_dims(X, g)
     src, dst, w = g.edges()
     # equal to graph_incidence(g) @ X up to the sign of zero: the sparse
     # product adds onto +0.0 where this difference may give -0.0

@@ -244,3 +244,44 @@ def test_cheby2d_invalid_inputs(fixture_graph, fixture_signal):
         filter_cheby2d(fixture_signal, IDENTITY, build_graph([], 40), 3, 3)
     with pytest.raises(ValidationError):
         filter_cheby2d(fixture_signal, IDENTITY, fixture_graph, -1, 3)
+
+
+def _layout_cases():
+    """The five entry points of the Chebyshev engine, each as a function
+    of the input array and the shape that input has."""
+    from tvgsp import analyze, denoise_tikhonov, synthesize
+    from tvgsp.frames import FilterBank
+    from tvgsp.kernels import mexican_hat_response, tikhonov_response
+    g = knn_sensor_graph(30, 4, seed=7)
+    kernel = tikhonov_response(0.5, 0.3)
+    bank = FilterBank(kernels=[kernel, mexican_hat_response()],
+                      lattice=[(0, 0), (1, 0)], T=12)
+    return {
+        "filter_ffc": (lambda X: filter_ffc(X, kernel, g, 12), (30, 12)),
+        "filter_separable": (lambda X: filter_separable(
+            X, lambda lam: np.exp(-lam), lambda w: np.cos(w / 2) ** 2, g,
+            12), (30, 12)),
+        "analyze": (lambda X: analyze(bank, X, g, order=12), (30, 12)),
+        "synthesize": (lambda C: synthesize(bank, C, g, order=12),
+                       (2, 30, 12)),
+        "denoise_tikhonov": (lambda X: denoise_tikhonov(X, g, 0.5, 0.3,
+                                                        order=12), (30, 12)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("name", ["filter_ffc", "filter_separable", "analyze",
+                                  "synthesize", "denoise_tikhonov"])
+def test_chebyshev_engine_accepts_any_memory_layout(name, dtype):
+    """A transposed view and a Fortran-ordered copy give the bytes of the
+    C-ordered input, real or complex."""
+    fn, shape = _layout_cases()[name]
+    rng = default_rng(11)
+    X = rng.standard_normal(shape[::-1])
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal(shape[::-1])
+    view = X.T                                   # neither C nor F for 3-D
+    ref = fn(np.ascontiguousarray(view))
+    for operand in (view, np.asfortranarray(view)):
+        out = fn(operand)
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()

@@ -369,6 +369,105 @@ def test_graph_arrays_match_scipy_bit_for_bit(n, data):
         assert g.num_edges == W.nnz // 2
 
 
+def _scipy_operators(g):
+    """The operators of ``Graph._operator`` as scipy builds them: the
+    Laplacian, the Chebyshev step ``(4 / lmax) L - 2 I``, the incidence
+    ``B`` and ``B.T`` (a CSC view of ``B``'s arrays)."""
+    ops = {"L": sp.csr_array(sp.diags(g.degrees) - g.W)}
+    if g.lmax:
+        ops["step"] = sp.csr_array(4.0 / g.lmax * ops["L"]
+                                   - 2.0 * sp.eye_array(g.N))
+    src, dst, w = g.edges()
+    m, root = src.size, np.sqrt(w)
+    ops["B"] = sp.csr_array(sp.coo_array(
+        (np.column_stack((root, -root)).ravel(),
+         (np.repeat(np.arange(m), 2), np.column_stack((src, dst)).ravel())),
+        shape=(m, g.N)))
+    ops["BT"] = ops["B"].T
+    return ops
+
+
+def _operands(rng, n, k):
+    """Real 1-D, one-column and k-column operands and complex 1-D and
+    (k + 1)-column ones, with a tenth of their entries -0.0."""
+    real = [rng.standard_normal(n), rng.standard_normal((n, 1)),
+            rng.standard_normal((n, k))]
+    cplx = (rng.standard_normal((n, k + 1))
+            + 1j * rng.standard_normal((n, k + 1)))
+    for V in real + [cplx.real, cplx.imag]:
+        V[rng.random(V.shape) < 0.1] = -0.0
+    return real + [cplx, cplx[:, :1].ravel()]
+
+
+def _assert_products_match_scipy(g, seed=0, k=5):
+    """``g._matmul`` equals scipy's product bit for bit on every operator;
+    a complex operand through the float64 view of a (n, cols) block."""
+    rng = default_rng(seed)
+    for op, A in _scipy_operators(g).items():
+        for V in _operands(rng, A.shape[1], k):
+            if np.iscomplexobj(V):
+                block = V[:, None] if V.ndim == 1 else V
+                ref = (A @ block.view(np.float64)).view(np.complex128)
+                ref = ref.reshape((A.shape[0],) + V.shape[1:])
+            else:
+                ref = A @ V
+            got = g._matmul(op, V)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, op
+            assert got.tobytes() == ref.tobytes(), op
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), k=st.integers(0, 6), seed=st.integers(0, 99),
+       data=st.data())
+def test_csr_product_matches_scipy_bit_for_bit(n, k, seed, data):
+    """On random weighted graphs, edgeless ones included, built by
+    ``build_graph`` and by ``Graph(weights)``: 1-D, one-column and
+    k-column real operands and complex ones through the float64 view, on
+    the square ``L`` and step operator and the rectangular ``B`` and
+    ``B.T``."""
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1])
+    drawn = data.draw(st.lists(st.tuples(pairs, st.floats(0.0, 1e3)),
+                               max_size=60)) if n > 1 else []
+    ij = np.array([p for p, _ in drawn], dtype=np.int64).reshape(-1, 2)
+    w = np.array([x for _, x in drawn], dtype=float)
+    W = sp.coo_array((np.repeat(w, 2), (ij.ravel(), ij[:, ::-1].ravel())),
+                     shape=(n, n))
+    for g in (build_graph(np.column_stack((ij, w)), n), Graph(W)):
+        _assert_products_match_scipy(g, seed, k)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph([], 5), ring_graph(12), grid2d_graph(4, 5),
+    knn_sensor_graph(200, 6, seed=3),
+], ids=["edgeless", "ring12", "grid4x5", "knn200"])
+def test_csr_product_on_fixed_graphs(g):
+    _assert_products_match_scipy(g)
+
+
+def test_ring_step_operator_stores_no_diagonal():
+    """Every vertex of a ring has the maximum degree, so the step
+    operator's diagonal ``(4 / lmax) 2 - 2`` is 0 throughout and, as in
+    scipy's difference, not stored: 24 of the 36 entries of ``L``."""
+    g = ring_graph(12)
+    indptr, indices, data, n = g._operator("step")
+    assert (n, indptr[-1], g._operator("L")[0][-1]) == (12, 24, 36)
+    assert not (indices == graphs._row_ids(indptr)).any()
+    _assert_products_match_scipy(g)
+
+
+@pytest.mark.parametrize("shape", [(7,), (9, 3), (8, 2, 2), ()])
+def test_csr_product_checks_the_operand_shape(shape):
+    """The compiled kernels check nothing; the product refuses an operand
+    that does not have one row per column of the operator (8 for ``L``
+    of the 8-vertex path, 7 for ``B.T``)."""
+    g = path_graph(8)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        g._matmul("L", np.ones(shape))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        g._matmul("BT", np.ones((g.N,) + shape[1:]))
+
+
 @pytest.mark.parametrize("weights,message", [
     (np.ones((2, 3)), "must be square"),
     (np.ones(4), "must be square"),

@@ -1,11 +1,13 @@
 """Import boundary: ``import tvgsp`` loads no dependency (its names resolve
 on first access), so the entry point sets the thread caps before numpy
-loads, and ``import tvgsp.cli`` loads no scipy module. ``scipy.sparse``
-is imported on the first sparse product, so ``graph-gen`` and the CLI
-stages that work on the eigenbasis alone load no scipy at all, and each
-heavier scipy submodule is imported inside the one function that needs it.
-A deferred import returns the same values in a fresh interpreter as in
-this one.
+loads, and ``import tvgsp.cli`` loads no scipy module. Every sparse product
+runs scipy's compiled kernel module ``scipy.sparse._sparsetools``, loaded
+alone from its extension file, so ``graph-gen`` and the CLI stages that
+work on the eigenbasis alone load no scipy module, and the Chebyshev and
+solver stages load that one module and neither ``scipy`` nor the
+``scipy.sparse`` package. Each heavier scipy submodule is imported inside
+the one function that needs it. A deferred import returns the same values
+in a fresh interpreter as in this one.
 """
 
 import json
@@ -22,6 +24,9 @@ from tvgsp import (cli, erdos_renyi_graph, estimate_lambda_max, fileio,
 from tvgsp.rng import default_rng
 
 DEFERRED = ("scipy.sparse", "scipy.special", "scipy.sparse.linalg")
+
+#: The one scipy module a sparse product loads.
+KERNELS = ["scipy.sparse._sparsetools"]
 
 
 def _child(code, env, cwd=None):
@@ -133,47 +138,44 @@ def test_filter_bench_fixture_graph_loads_no_scipy(tmp_path, child_env):
 
 
 # Every stage of the three benchmark pipelines (perfbench's exact_desk,
-# ffc_large and solve_seismic), on small inputs, and the scipy packages it
+# ffc_large and solve_seismic), on small inputs, and the scipy modules it
 # loads in a fresh process: only the Chebyshev stages, the heat recurrence
-# and inpaint's incidence operator need scipy.sparse.
+# and inpaint's incidence operator load one, the compiled sparse kernels.
 CHAIN_STAGES = [
     ("exact_desk", "graph-gen --kind knn_sensor --n 40 --k 5 --out g2.csv "
-     "--coords-out xy2.csv", set()),
+     "--coords-out xy2.csv", []),
     ("exact_desk", "dynamics --kind wave --s 0.2 --T 8 --x1 x1.csv "
-     "--out y.csv --emit-spectrum s2.csv", set()),
-    ("exact_desk", "transform --inverse --spectrum s.csv --out y.csv", set()),
+     "--out y.csv --emit-spectrum s2.csv", []),
+    ("exact_desk", "transform --inverse --spectrum s.csv --out y.csv", []),
     ("exact_desk", "filter --signal x.csv --kernel wave_gauss --method exact "
-     "--out y.csv", set()),
+     "--out y.csv", []),
     ("exact_desk", "analyze --bank bank.json --signal x.csv --exact "
-     "--out c2.tvcf", set()),
+     "--out c2.tvcf", []),
     ("exact_desk", "synthesize --bank bank.json --coeffs c.tvcf --dual "
-     "--exact --out y.csv", set()),
-    ("exact_desk", "denoise --signal x.csv --exact --out y.csv", set()),
-    ("exact_desk", "compaction --signal x.csv --out y.csv", set()),
+     "--exact --out y.csv", []),
+    ("exact_desk", "denoise --signal x.csv --exact --out y.csv", []),
+    ("exact_desk", "compaction --signal x.csv --out y.csv", []),
     ("ffc_large", "dynamics --kind heat --s 0.2 --T 8 --x1 x1.csv "
-     "--out y.csv", {"sparse"}),
+     "--out y.csv", KERNELS),
     ("ffc_large", "filter --signal x.csv --kernel wave_gauss --method ffc "
-     "--order 10 --out y.csv", {"sparse"}),
+     "--order 10 --out y.csv", KERNELS),
     ("ffc_large", "analyze --bank bank.json --signal x.csv --order 10 "
-     "--out c2.tvcf", {"sparse"}),
+     "--out c2.tvcf", KERNELS),
     ("ffc_large", "synthesize --bank bank.json --coeffs c.tvcf --order 10 "
-     "--out y.csv", {"sparse"}),
-    ("ffc_large", "denoise --signal x.csv --order 10 --out y.csv",
-     {"sparse"}),
+     "--out y.csv", KERNELS),
+    ("ffc_large", "denoise --signal x.csv --order 10 --out y.csv", KERNELS),
     ("solve_seismic", "inpaint --signal x.csv --mask m.csv --gamma1 0.2 "
-     "--gamma2 0.5 --max-iters 5 --out y.csv", {"sparse"}),
+     "--gamma2 0.5 --max-iters 5 --out y.csv", KERNELS),
     ("solve_seismic", "sparse-code --bank bank.json --signal x.csv "
-     "--gamma 0.5 --max-iters 5 --out c2.tvcf", set()),
+     "--gamma 0.5 --max-iters 5 --out c2.tvcf", []),
     ("solve_seismic", "localize --coords xy.csv --bank bank.json "
-     "--coeffs c.tvcf --signal x.csv", set()),
+     "--coeffs c.tvcf --signal x.csv", []),
 ]
 
 
-@pytest.mark.parametrize("chain, command, packages", CHAIN_STAGES,
-                         ids=[f"{chain}-{command.split()[0]}"
-                              for chain, command, _ in CHAIN_STAGES])
-def test_benchmark_stage_loads_only_its_scipy_packages(
-        chain, command, packages, stage_files, child_env):
+def _chain_inputs(stage_files):
+    """The inputs the stages of :data:`CHAIN_STAGES` read, besides those of
+    ``stage_files``."""
     rng, g = default_rng(4), ring_graph(12)
     fileio.save_coords_csv(stage_files / "xy.csv", g.coords)
     fileio.save_signal_csv(stage_files / "x1.csv",
@@ -183,22 +185,109 @@ def test_benchmark_stage_loads_only_its_scipy_packages(
         rng.standard_normal((12, 8)), g.eigensystem()))
     fileio.save_coefficients_binary(stage_files / "c.tvcf",
                                     rng.standard_normal((3, 12, 8)) + 0j)
+    return stage_files
+
+
+def _argv(command):
     argv = command.split() + ["--report", "r.json"]
-    if argv[0] != "graph-gen":
-        argv += ["--graph", "g.csv"]
+    return argv if argv[0] == "graph-gen" else argv + ["--graph", "g.csv"]
+
+
+@pytest.mark.parametrize("chain, command, modules", CHAIN_STAGES,
+                         ids=[f"{chain}-{command.split()[0]}"
+                              for chain, command, _ in CHAIN_STAGES])
+def test_benchmark_stage_loads_only_its_scipy_packages(
+        chain, command, modules, stage_files, child_env):
+    """The exact list of scipy modules: neither ``scipy`` itself nor a
+    scipy package's ``__init__`` runs in any stage."""
+    result = _child(f"value = tvgsp.cli.run({_argv(command)!r})", child_env,
+                    _chain_inputs(stage_files))
+    assert result == {"value": 0, "scipy": modules}
+
+
+def test_chebyshev_and_solver_stages_load_only_the_sparse_kernels(
+        stage_files, child_env):
+    """Every stage with a sparse product, the ``cheby2d`` filter included,
+    in one fresh process; its report lists the module it loaded."""
+    commands = [command for _, command, modules in CHAIN_STAGES if modules]
+    commands.append("filter --signal x.csv --kernel wave_gauss --method "
+                    "cheby2d --order 10 --order-t 4 --out y.csv")
+    argvs = [_argv(command) for command in commands]
+    result = _child(f"value = [tvgsp.cli.run(a) for a in {argvs!r}]",
+                    child_env, _chain_inputs(stage_files))
+    assert result == {"value": [0] * len(argvs), "scipy": KERNELS}
+    report = json.loads((stage_files / "r.json").read_text())
+    assert report["environment"]["scipy_modules"] == KERNELS
+
+
+def test_separable_filter_loads_no_scipy_sparse_package(stage_files,
+                                                        child_env):
+    """``--method separable`` takes the one separable named kernel,
+    ``lowpass_sigmoid``, whose ``expit`` loads ``scipy.special`` and so the
+    ``scipy`` package; its sparse products still load only the kernels."""
+    argv = _argv("filter --signal x.csv --kernel lowpass_sigmoid --param "
+                 "lambda_cut=1.0 --param omega_cut=1.0 --method separable "
+                 "--order 10 --out y.csv")
     result = _child(f"value = tvgsp.cli.run({argv!r})", child_env,
                     stage_files)
-    assert result["value"] == 0
-    # public subpackages: not scipy's private helpers or its version module
-    loaded = {m.split(".")[1] for m in result["scipy"] if "." in m}
-    assert {p for p in loaded if not p.startswith("_")} - {"version"} == (
-        packages)
+    assert result["value"] == 0 and "scipy.special" in result["scipy"]
+    assert [m for m in result["scipy"]
+            if m.startswith("scipy.sparse")] == KERNELS
 
 
-def test_chebyshev_stage_loads_scipy_sparse(stage_files, child_env):
-    stages = [["filter", "--kernel", "wave_gauss", "--method", "ffc",
-               "--order", "10", "--out", "y.csv"]]
-    assert "scipy.sparse" in _run_stages(stages, child_env, stage_files)
+# makes the extension loader raise, then runs a Chebyshev stage; scipy's
+# own imports take their loader class from the import system, and
+# importlib.abc (which registers the class) is imported first
+_NO_LOADER = """
+import importlib.abc, importlib.machinery
+
+class Refused:
+    def __init__(self, *args):
+        raise ImportError("loader refused")
+
+importlib.machinery.ExtensionFileLoader = Refused
+value = tvgsp.cli.run({argv!r})
+"""
+
+
+def test_kernel_load_failure_falls_back_to_scipy_sparse(stage_files,
+                                                        child_env):
+    """When the kernel module cannot be loaded on its own, the products go
+    through ``scipy.sparse``: same exit, same output bytes, and the report
+    shows ``scipy.sparse`` among the loaded modules."""
+    argv = ["filter", "--kernel", "wave_gauss", "--method", "ffc",
+            "--order", "10", "--graph", "g.csv", "--signal", "x.csv"]
+    loaded = _child(f"value = tvgsp.cli.run({argv!r} + ['--out', 'a.csv', "
+                    "'--report', 'a.json'])", child_env, stage_files)
+    assert loaded == {"value": 0, "scipy": KERNELS}
+    fallback = _child(_NO_LOADER.format(argv=argv + [
+        "--out", "b.csv", "--report", "b.json"]), child_env, stage_files)
+    assert fallback["value"] == 0 and "scipy.sparse" in fallback["scipy"]
+    assert ((stage_files / "a.csv").read_bytes()
+            == (stage_files / "b.csv").read_bytes())
+    report = json.loads((stage_files / "b.json").read_text())
+    assert "scipy.sparse" in report["environment"]["scipy_modules"]
+
+
+def _kernels_then_scipy():
+    """Loads the kernel module alone, then imports ``scipy.sparse``."""
+    from tvgsp.graphs import _kernels
+    kernels = _kernels()
+    import scipy.sparse
+    from scipy.sparse import _sparsetools
+    g = erdos_renyi_graph(40, 0.2, seed=2)
+    X = default_rng(5).standard_normal((g.N, 6))
+    return [kernels is _sparsetools, scipy.sparse.__name__,
+            (g.L @ X).tolist(), g._matmul("L", X).tolist()]
+
+
+def test_kernels_loaded_first_are_scipys_module(child_env):
+    """A later ``import scipy.sparse`` takes the module the product loaded,
+    and scipy's ``g.L @ X`` stays bitwise the product's."""
+    result = _child(_call("_kernels_then_scipy"), child_env)
+    same, name, scipy_product, product = result["value"]
+    assert same and name == "scipy.sparse"
+    assert scipy_product == product  # floats cross JSON as their repr
 
 
 GRAPH_GEN = [

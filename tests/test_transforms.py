@@ -9,6 +9,7 @@ from tvgsp import (ImaginaryResidueError, ValidationError, build_graph, dft,
 from tvgsp.transforms import (omega_grid, real_if_close, time_diff,
                               time_diff_adjoint)
 from tvgsp.transforms import graph_incidence, validate_signal
+from tvgsp.rng import default_rng
 
 from oracles import (dense_jft, dense_ijft, dense_joint_laplacian,
                      dense_time_laplacian)
@@ -304,3 +305,31 @@ def test_real_if_close_keeps_an_imaginary_part_whose_norm_overflows():
     with pytest.raises(ImaginaryResidueError, match=r"residue 4\.000e\+200"):
         real_if_close(Y, strict=True)
     assert not np.iscomplexobj(real_if_close(np.full((4, 4), 1e200 + 0j)))
+
+
+@pytest.mark.parametrize("fn, X, message", [
+    (variation_norm, np.ones((9, 4)), "9 rows but graph has 8 vertices"),
+    (joint_gradient, np.ones((7, 4)), "7 rows but graph has 8 vertices"),
+    (joint_laplacian_apply, np.ones((7, 4)),
+     "7 rows but graph has 8 vertices"),
+    (joint_laplacian_apply, np.ones(8), "must be 2-D"),
+    (variation_norm, np.full((8, 4), np.nan), "NaN or Inf"),
+], ids=["variation_norm-9-rows", "joint_gradient-7-rows",
+        "joint_laplacian_apply-7-rows", "joint_laplacian_apply-1-D",
+        "variation_norm-nan"])
+def test_joint_calculus_validates_its_signal(ring8, fn, X, message):
+    """A signal that is not 2-D, not finite or without one row per vertex
+    is a ValidationError, as for the filters."""
+    with pytest.raises(ValidationError, match=message):
+        fn(X, ring8)
+
+
+def test_joint_laplacian_of_a_complex_signal_is_scipys(sensor30):
+    """The complex signal goes through the float64 view of the real
+    Laplacian, bit for bit scipy's complex product."""
+    rng = default_rng(2)
+    X = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    time_part = 2.0 * X - np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
+    expected = sensor30.L @ X + time_part
+    assert joint_laplacian_apply(X, sensor30).tobytes() == expected.tobytes()
