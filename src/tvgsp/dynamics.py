@@ -12,17 +12,16 @@ import numpy as np
 
 from .errors import SingularKernelError, StabilityError, ValidationError
 from .kernels import JointKernel, stable_geometric_sum
-from .transforms import omega_grid
+from .transforms import _checked, omega_grid
 
 
-def _validate_initial(x1, g):
-    x1 = np.asarray(x1, dtype=float).ravel()
-    if x1.shape[0] != g.N:
-        raise ValidationError(
-            f"initial condition has {x1.shape[0]} entries, graph has {g.N}")
-    if not np.isfinite(x1).all():
-        raise ValidationError("initial condition contains NaN or Inf")
-    return x1
+def _initial(x1, g, T, eig=None):
+    """The initial condition, flattened and checked against ``g`` (and
+    ``eig``), after the horizon ``T`` is checked to be positive."""
+    if T < 1:
+        raise ValidationError("horizon T must be positive")
+    return _checked(np.asarray(x1, dtype=float).ravel(), "initial condition",
+                    1, g=g, eig=eig)
 
 
 def heat_evolve(x1, g, s, T):
@@ -33,9 +32,7 @@ def heat_evolve(x1, g, s, T):
     since the evolution then diverges. Raises :class:`StabilityError`,
     naming ``s`` and the step, when the iterate stops being finite.
     """
-    x1 = _validate_initial(x1, g)
-    if T < 1:
-        raise ValidationError("horizon T must be positive")
+    x1 = _initial(x1, g, T)
     if s * g.lmax > 2.0:
         warnings.warn(
             f"heat evolution with s={s:g} may diverge: |1 - s lambda| "
@@ -61,7 +58,7 @@ def heat_joint_spectrum(x1, g, eig, s, T):
     e^{-j omega}`` applied to ``Z(l, k) = gft(x_0)(l) / sqrt(T)``; matches
     ``jft(heat_evolve(...))``.
     """
-    x1 = _validate_initial(x1, g)
+    x1 = _initial(x1, g, T, eig)
     xt1 = eig.vectors.T @ x1
     a = ((1.0 - s * eig.values)[:, None]
          * np.exp(-1j * omega_grid(T, centered=False))[None, :])
@@ -124,6 +121,8 @@ def wave_kernel(lam, omega, s, T):
 
 def wave_response(s, lmax, T):
     """The wave propagator spectrum as a filterable joint kernel."""
+    if lmax <= 0:
+        raise ValidationError("wave propagator requires a positive lmax")
     if s >= 4.0 / lmax:
         raise StabilityError(
             f"wave speed s={s:g} violates s < 4/lambda_max = {4.0 / lmax:g}")
@@ -138,9 +137,7 @@ def wave_evolve(x1, g, eig, s, T):
     Column ``t`` is ``U diag(cos(t tau)) U^T x_0``; column 0 reproduces the
     initial condition.
     """
-    x1 = _validate_initial(x1, g)
-    if T < 1:
-        raise ValidationError("horizon T must be positive")
+    x1 = _initial(x1, g, T, eig)
     tau = wave_tau(eig.values, s)
     xt1 = eig.vectors.T @ x1
     phases = np.cos(np.outer(tau, np.arange(T)))
@@ -150,7 +147,7 @@ def wave_evolve(x1, g, eig, s, T):
 def wave_joint_spectrum(x1, g, eig, s, T):
     """Closed-form joint spectrum of :func:`wave_evolve`:
     ``K_s(lambda_l, omega_k) Z(l, k)``."""
-    x1 = _validate_initial(x1, g)
+    x1 = _initial(x1, g, T, eig)
     xt1 = eig.vectors.T @ x1
     K = wave_kernel(eig.values[:, None],
                     omega_grid(T, centered=False)[None, :], s, T)

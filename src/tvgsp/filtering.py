@@ -48,9 +48,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import JointKernel, _product_eval, grid_eval
-from .transforms import (_check_dims, _fft, _ifft, _ijft_stack, _jft_stack,
-                         _rows, _spectral_bins, omega_grid, real_if_close,
-                         validate_signal)
+from .transforms import (_checked, _fft, _ifft, _ijft_stack, _jft_stack,
+                         _spectral_bins, omega_grid, real_if_close)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +234,7 @@ def _filter(X, kernel, g, eig, order, info=None):
 def filter_exact(X, kernel, eig):
     """Reference joint filter: pointwise multiplication in the joint
     spectral domain."""
-    return _filter(_rows(validate_signal(X), eig, "signal"), kernel, None,
-                   eig, None)
+    return _filter(_checked(X, "signal", eig=eig), kernel, None, eig, None)
 
 
 def filter_ffc(X, kernel, g, order, info=None):
@@ -246,7 +244,7 @@ def filter_ffc(X, kernel, g, order, info=None):
     probed error of the per-frequency fits; ``||Y - Y_exact||_F <=
     ffc_fit_error * ||X||_F``.
     """
-    return _filter(_check_dims(X, g), kernel, g, None, order, info)
+    return _filter(_checked(X, "signal", g=g), kernel, g, None, order, info)
 
 
 def filter_cheby2d(X, kernel, g, order_graph, order_time):
@@ -256,7 +254,7 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     ``omega(lambda_T) = arccos(1 - lambda_T / 2)``; responses must be even
     in ``omega`` to be representable (all named responses are).
     """
-    X = _check_dims(X, g)
+    X = _checked(X, "signal", g=g)
     if g.lmax == 0:
         raise ValidationError("cheby2d requires a graph with at least one edge")
     if order_graph < 0 or order_time < 0:
@@ -295,5 +293,5 @@ def filter_separable(X, h1, h2, g, order, info=None):
         if not h1.separable:
             raise ValidationError(f"kernel {h1.name} is not separable")
         h1, h2 = h1.h1, h1.h2
-    return _filter(_check_dims(X, g), JointKernel(h1=h1, h2=h2), g, None,
-                   order, info)
+    return _filter(_checked(X, "signal", g=g), JointKernel(h1=h1, h2=h2), g,
+                   None, order, info)

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import NotAFrameError, ValidationError
 from .kernels import JointKernel
 from .filtering import _analysis, _filter, _grid, _record, _synthesis
-from .transforms import omega_grid, real_if_close, validate_signal
+from .transforms import _checked, omega_grid, real_if_close
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
 DEFAULT_ORDER = 50
@@ -25,9 +25,8 @@ class FilterBank:
     """Indexed family of joint kernels over a scale/shift lattice.
 
     ``lattice[z]`` records the ``(z_lambda, z_omega)`` pair that produced
-    ``kernels[z]``. ``time_lattice``/``vertex_lattice`` are ``None`` for
-    full sampling; frame bounds are only certified by Theorem-style grid
-    minima when both lattices are full.
+    ``kernels[z]``. ``time_lattice`` is ``None`` for full sampling; frame
+    bounds are only certified by Theorem-style grid minima when it is.
     """
 
     kernels: list
@@ -35,7 +34,6 @@ class FilterBank:
     kind: str = "custom"
     mother: JointKernel = None
     T: int = 0
-    vertex_lattice: np.ndarray = None
     time_lattice: np.ndarray = None
     meta: dict = field(default_factory=dict)
 
@@ -45,14 +43,11 @@ class FilterBank:
 
     @property
     def subsampled(self):
-        return self.time_lattice is not None or self.vertex_lattice is not None
+        return self.time_lattice is not None
 
     @property
     def bounds_certified(self):
         return not self.subsampled
-
-    def frame_bounds(self, eig):
-        return frame_bounds(self, eig)
 
 
 def bank_response_energy(bank, lambdas):
@@ -77,7 +72,8 @@ def localize(kernel, m, tau, g, T, eig=None, order=DEFAULT_ORDER):
         raise ValidationError(f"time index {tau} out of range [0, {T})")
     delta = np.zeros((g.N, T))
     delta[m, tau] = 1.0
-    return _filter(delta, kernel, g, eig, order)
+    return _filter(_checked(delta, "Kronecker delta", eig=eig), kernel, g,
+                   eig, order)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +248,7 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     receives ``ffc_fit_error``, which bounds every atom:
     ``||C_z - C_z,exact||_F <= ffc_fit_error * ||X||_F``.
     """
-    X = validate_signal(X)
-    if X.shape != (g.N, bank.T):
-        raise ValidationError(
-            f"signal shape {X.shape} does not match (N={g.N}, T={bank.T})")
+    X = _checked(X, "signal", g=g, eig=eig, bank=bank)
     if bank.kind == "stvft":
         return _analyze_stvft(bank, X, g, eig, order, info)
     if bank.subsampled:
@@ -277,11 +270,7 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
     if bank.subsampled:
         raise ValidationError(
             "synthesis from subsampled lattices is not supported")
-    C = np.asarray(C)
-    if C.shape != (bank.size, g.N, bank.T):
-        raise ValidationError(
-            f"coefficients shape {C.shape} does not match "
-            f"({bank.size}, {g.N}, {bank.T})")
+    C = _checked(C, "coefficient stack", 3, g=g, eig=eig, bank=bank)
     Y, fit_error = _synthesis(C, bank.kernels, g, eig, order)
     _record(info, fit_error)
     return real_if_close(Y)
@@ -313,7 +302,7 @@ def _normalized(bank, scale, tag):
         kernels=[JointKernel(fn=make(kz), name=f"{tag}({kz.name})")
                  for kz in kernels],
         lattice=list(bank.lattice), kind="custom", mother=None, T=bank.T,
-        vertex_lattice=bank.vertex_lattice, time_lattice=bank.time_lattice,
+        time_lattice=bank.time_lattice,
         meta={f"{tag}_of": bank.kind})
 
 

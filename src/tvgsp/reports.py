@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fileio import _write_csv
-from .transforms import dft, gft, idft, igft, ijft, jft, validate_signal
+from .transforms import _checked, dft, gft, idft, igft, ijft, jft
 from .filtering import filter_cheby2d, filter_exact, filter_ffc
 
 
@@ -130,7 +130,7 @@ def compaction_experiment(X, g, eig, percentiles):
     keeps ties at the percentile, so conjugate-symmetric pairs survive or
     die together and reconstructions of real signals stay real.
     """
-    X = validate_signal(X)
+    X = _checked(X, "signal", g=g, eig=eig)
     percentiles = [float(p) for p in percentiles]
     if any(not 0 <= p < 100 for p in percentiles):
         raise ValidationError("percentiles must lie in [0, 100)")

@@ -19,8 +19,8 @@ from .errors import NotAFrameError, ValidationError
 from .filtering import _filter
 from .frames import DEFAULT_ORDER, bank_grid
 from .kernels import tikhonov_response
-from .transforms import (_check_dims, _ijft_stack, _jft_stack, _spectral_bins,
-                         time_diff, time_diff_adjoint, validate_signal)
+from .transforms import (_checked, _ijft_stack, _jft_stack, _spectral_bins,
+                         time_diff, time_diff_adjoint)
 
 
 @dataclass
@@ -37,10 +37,6 @@ class Regularizer:
             raise ValidationError("regularizer orders must be 1 or 2")
         if self.gamma_graph < 0 or self.gamma_time < 0:
             raise ValidationError("regularizer weights must be nonnegative")
-
-    @classmethod
-    def tikhonov(cls, tau1, tau2):
-        return cls(p=2, q=2, gamma_graph=tau1, gamma_time=tau2)
 
 
 @dataclass
@@ -93,8 +89,8 @@ def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER,
     is supplied and Chebyshev filtering of the given order otherwise (a
     dict ``info`` then receives ``ffc_fit_error``, see :func:`filter_ffc`).
     """
-    return _filter(_check_dims(Y, g), tikhonov_response(tau1, tau2), g, eig,
-                   order, info)
+    return _filter(_checked(Y, "signal", g=g, eig=eig),
+                   tikhonov_response(tau1, tau2), g, eig, order, info)
 
 
 def _validate_mask(mask, shape):
@@ -137,10 +133,7 @@ def inpaint(spec, g):
     if spec.max_iters < 1:
         raise ValidationError(
             f"inpaint needs max_iters >= 1, got {spec.max_iters}")
-    Y = validate_signal(spec.observation)
-    if Y.shape[0] != g.N:
-        raise ValidationError(
-            f"observation has {Y.shape[0]} rows, graph has {g.N} vertices")
+    Y = _checked(spec.observation, "observation", g=g)
     M = _validate_mask(spec.mask, Y.shape)
     reg = spec.regularizer
     Ym = M * Y
@@ -237,11 +230,8 @@ def sparse_code(spec, g, eig=None):
     bank = spec.bank
     if bank.subsampled:
         raise ValidationError("sparse coding requires full bank lattices")
-    X = validate_signal(spec.observation)
+    X = _checked(spec.observation, "observation", g=g, eig=eig, bank=bank)
     T = bank.T
-    if X.shape != (g.N, T):
-        raise ValidationError(
-            f"observation shape {X.shape} != (N={g.N}, T={T})")
     if eig is None:
         eig = g.eigensystem()
     H = bank_grid(bank, eig)
@@ -306,13 +296,7 @@ def localize_source(C, bank, g, top_k):
     full vertex lattice."""
     if g.coords is None:
         raise ValidationError("graph has no vertex coordinates")
-    C = np.asarray(C)
-    if C.ndim != 3 or C.shape[1] != g.N:
-        raise ValidationError(
-            f"coefficients shape {C.shape} does not cover all {g.N} vertices")
-    if bank is not None and C.shape[0] != bank.size:
-        raise ValidationError(
-            f"coefficients have {C.shape[0]} atoms, bank has {bank.size}")
+    C = _checked(C, "coefficient stack", 3, g=g, bank=bank)
     if not 1 <= top_k <= g.N:
         raise ValidationError(f"top_k must lie in [1, {g.N}]")
     energy = (np.abs(C) ** 2).sum(axis=(0, 2))
@@ -329,10 +313,7 @@ def signal_energy_centroid(X, g):
     signal energies as weights."""
     if g.coords is None:
         raise ValidationError("graph has no vertex coordinates")
-    X = validate_signal(X)
-    if X.shape[0] != g.N:
-        raise ValidationError(
-            f"signal has {X.shape[0]} rows, graph has {g.N} vertices")
+    X = _checked(X, "signal", g=g)
     energy = (X * X).sum(axis=1)
     if energy.sum() == 0:
         energy = np.ones_like(energy)

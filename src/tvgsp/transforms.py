@@ -11,6 +11,15 @@ signal at step ``t``. Conventions used throughout the package:
   holds exactly;
 * the time axis is periodic everywhere (circulant difference operators).
 
+Every public function that takes a time-vertex array (here and in
+:mod:`tvgsp.filtering`, :mod:`tvgsp.frames`, :mod:`tvgsp.solvers`,
+:mod:`tvgsp.dynamics` and :mod:`tvgsp.reports`) checks it with one private
+checker, ``_checked``: the number of axes, the sizes against the graph,
+the eigensystem or the filter bank, and finiteness. Each
+:class:`~tvgsp.errors.ValidationError` it raises names the input
+(``signal``, ``spectrum``, ``coefficient stack``, ``observation``, ``initial
+condition``); :func:`validate_signal` is its public form for a signal.
+
 Every exact path (:func:`jft`/:func:`ijft`, filtering, frames, sparse
 coding) runs one private transform pair on ``(..., N, T)`` stacks: the GFT
 by the real eigenvectors, never upcast to complex, then the FFT over the
@@ -39,23 +48,49 @@ IMAG_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 
+_AXES = {1: "N", 2: "N x T", 3: "|Z| x N x T"}
+
+
+def _checked(A, name, ndim=2, g=None, eig=None, bank=None):
+    """``A`` as an ndarray, checked against the contract of every
+    time-vertex input; each :class:`ValidationError` names ``name``.
+
+    ``A`` must have ``ndim`` axes, one row per vertex of the graph ``g``
+    and of the eigensystem ``eig`` (axis ``-2``, or the only axis of a 1-D
+    array) and only finite entries. Against a ``bank``, a signal has
+    ``bank.T`` time samples; a ``(|Z|, N, T)`` coefficient stack has one
+    atom per kernel and one time sample per point of the time lattice.
+    """
+    A = np.asarray(A)
+    if A.ndim != ndim:
+        raise ValidationError(
+            f"{name} must be {ndim}-D ({_AXES[ndim]}), got shape {A.shape}")
+    rows, unit = A.shape[-min(ndim, 2)], "rows" if ndim > 1 else "entries"
+    if g is not None and rows != g.N:
+        raise ValidationError(
+            f"{name} has {rows} {unit} but graph has {g.N} vertices")
+    if eig is not None and rows != eig.n:
+        raise ValidationError(
+            f"{name} has {rows} {unit} but eigensystem has {eig.n}")
+    if bank is not None:
+        T = bank.T
+        if ndim == 3:
+            if A.shape[0] != bank.size:
+                raise ValidationError(
+                    f"{name} has {A.shape[0]} atoms but bank has {bank.size}")
+            if bank.time_lattice is not None:
+                T = len(bank.time_lattice)
+        if A.shape[-1] != T:
+            raise ValidationError(
+                f"{name} has {A.shape[-1]} time samples but bank has {T}")
+    if not np.isfinite(A).all():
+        raise ValidationError(f"{name} contains NaN or Inf entries")
+    return A
+
+
 def validate_signal(X):
     """Coerce to a 2-D ndarray and reject non-finite entries."""
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValidationError(f"signal must be 2-D (N x T), got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("signal contains NaN or Inf entries")
-    return X
-
-
-def _check_dims(X, g):
-    """:func:`validate_signal`, and one row per vertex of ``g``."""
-    X = validate_signal(X)
-    if X.shape[0] != g.N:
-        raise ValidationError(
-            f"signal has {X.shape[0]} rows but graph has {g.N} vertices")
-    return X
+    return _checked(X, "signal")
 
 
 def vec(X):
@@ -104,31 +139,24 @@ def time_laplacian_eigenvalues(T):
 
 def dft(X):
     """Unitary DFT along the time axis (rows)."""
-    X = validate_signal(X)
+    X = _checked(X, "signal")
     return np.fft.fft(X, axis=1) / np.sqrt(X.shape[1])
 
 
 def idft(S):
     """Inverse of :func:`dft`."""
-    S = np.asarray(S)
+    S = _checked(S, "spectrum")
     return np.fft.ifft(S, axis=1) * np.sqrt(S.shape[1])
-
-
-def _rows(A, eig, what):
-    if A.shape[0] != eig.n:
-        raise ValidationError(
-            f"{what} has {A.shape[0]} rows but eigensystem has {eig.n}")
-    return A
 
 
 def gft(X, eig):
     """Graph Fourier transform: project columns on the Laplacian eigenbasis."""
-    return eig.vectors.T @ _rows(np.asarray(X), eig, "signal")
+    return eig.vectors.T @ _checked(X, "signal", eig=eig)
 
 
 def igft(S, eig):
     """Inverse of :func:`gft`."""
-    return eig.vectors @ _rows(np.asarray(S), eig, "spectrum")
+    return eig.vectors @ _checked(S, "spectrum", eig=eig)
 
 
 def jft(X, eig):
@@ -137,7 +165,7 @@ def jft(X, eig):
     The two transforms commute, so the composition order is immaterial;
     Parseval holds since both factors are unitary.
     """
-    return _jft_stack(_rows(validate_signal(X), eig, "signal"), eig, False)
+    return _jft_stack(_checked(X, "signal", eig=eig), eig, False)
 
 
 def real_if_close(Y, tol=IMAG_TOL, strict=False):
@@ -172,9 +200,7 @@ def ijft(S, eig, real=None):
     raises on non-negligible residue; ``real=False`` always returns the
     complex result.
     """
-    S = _rows(np.asarray(S), eig, "spectrum")
-    if not np.isfinite(S).all():
-        raise ValidationError("spectrum contains NaN or Inf entries")
+    S = _checked(S, "spectrum", eig=eig)
     Y = _ijft_stack(S, eig, S.shape[-1], False)
     if real is False:
         return Y
@@ -271,7 +297,7 @@ def joint_laplacian_apply(X, g):
 
     Computed matrix-free; equals ``unvec((L_T kron I + I kron L_G) vec(X))``.
     """
-    X = _check_dims(X, g)
+    X = _checked(X, "signal", g=g)
     time_part = 2.0 * X - np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
     return g._matmul("L", X) + time_part
 
@@ -284,7 +310,7 @@ def joint_gradient(X, g):
     periodic difference along time. The squared Frobenius norms of the two
     parts sum to the joint Laplacian quadratic form.
     """
-    X = _check_dims(X, g)
+    X = _checked(X, "signal", g=g)
     src, dst, w = g.edges()
     # equal to graph_incidence(g) @ X up to the sign of zero: the sparse
     # product adds onto +0.0 where this difference may give -0.0
@@ -303,6 +329,6 @@ def variation_norm(X, g, p=2, q=2, w_graph=1.0, w_time=1.0):
     if w_graph < 0 or w_time < 0:
         raise ValidationError("variation norm weights must be nonnegative")
     gpart, tpart = joint_gradient(X, g)
-    g_term = np.abs(gpart).sum() if p == 1 else (gpart ** 2).sum()
-    t_term = np.abs(tpart).sum() if q == 1 else (tpart ** 2).sum()
+    g_term = (np.abs(gpart) ** p).sum()
+    t_term = (np.abs(tpart) ** q).sum()
     return float(w_graph * g_term + w_time * t_term)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from tvgsp import (SingularKernelError, StabilityError, damped_wave_kernel,
+from tvgsp import (SingularKernelError, StabilityError, ValidationError,
+                   damped_wave_kernel,
                    gft, heat_evolve, heat_joint_spectrum, jft,
                    knn_sensor_graph, wave_evolve, wave_joint_spectrum,
                    wave_kernel, wave_response, wave_tau)
@@ -231,3 +232,21 @@ def test_wave_resonant_instance_spectral_identity():
     closed = wave_joint_spectrum(x1, g, eig, 1.0, T)
     oracle = jft(wave_evolve(x1, g, eig, 1.0, T), eig)
     assert np.linalg.norm(closed - oracle) <= 1e-8 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("fn", [heat_evolve, heat_joint_spectrum, wave_evolve,
+                                wave_joint_spectrum])
+@pytest.mark.parametrize("T", [0, -1])
+def test_every_evolution_rejects_a_horizon_below_one(ring8, fn, T):
+    """The evolutions and their closed-form spectra share one horizon
+    check (the spectra used to return an (N, 0) array for ``T = 0``)."""
+    eig = ring8.eigensystem()
+    args = (0.1, T) if fn is heat_evolve else (eig, 0.1, T)
+    with pytest.raises(ValidationError, match="horizon T must be positive"):
+        fn(np.ones(8), ring8, *args)
+
+
+@pytest.mark.parametrize("lmax", [0.0, -1.0])
+def test_wave_response_rejects_a_nonpositive_lmax(lmax):
+    with pytest.raises(ValidationError, match="positive lmax"):
+        wave_response(0.5, lmax, 8)

@@ -390,3 +390,17 @@ def test_fit_of_normalized_bank_evaluates_each_kernel_four_times(normalize, g,
     synthesize(normalized, default_rng(5).standard_normal((3, g.N, T)), g,
                order=20)
     assert counts == [4, 4, 4]
+
+
+def test_a_bank_is_subsampled_by_its_time_lattice_alone():
+    """``FilterBank`` has no vertex lattice (no constructor set one and
+    analysis ignored it) and no ``frame_bounds`` method (the module
+    function is the one form)."""
+    one = JointKernel(fn=lambda lam, omega: 1.0)
+    with pytest.raises(TypeError):
+        FilterBank(kernels=[one], lattice=[(0.0, 0.0)], T=4,
+                   vertex_lattice=np.arange(2))
+    assert not hasattr(FilterBank, "frame_bounds")
+    bank = FilterBank(kernels=[one], lattice=[(0.0, 0.0)], T=4,
+                      time_lattice=np.arange(0, 4, 2))
+    assert bank.subsampled and not bank.bounds_certified

@@ -257,3 +257,11 @@ def test_sparse_code_gamma_validation(g, bank):
         sparse_code(SparseCodingSpec(bank=bank,
                                      observation=np.ones((g.N, 12)),
                                      gamma=-1.0), g)
+
+
+def test_regularizer_has_one_constructor():
+    """``Regularizer(p=2, q=2, ...)`` is the Tikhonov prior; the alias
+    classmethod is gone."""
+    assert not hasattr(Regularizer, "tikhonov")
+    reg = Regularizer(p=2, q=2, gamma_graph=0.5, gamma_time=0.3)
+    assert (reg.p, reg.q, reg.gamma_graph, reg.gamma_time) == (2, 2, 0.5, 0.3)

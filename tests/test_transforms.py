@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -333,3 +335,21 @@ def test_joint_laplacian_of_a_complex_signal_is_scipys(sensor30):
     time_part = 2.0 * X - np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
     expected = sensor30.L @ X + time_part
     assert joint_laplacian_apply(X, sensor30).tobytes() == expected.tobytes()
+
+
+def test_variation_norm_of_a_complex_signal_sums_squared_moduli(ring8):
+    """``p = q = 2`` sums ``|x|^2``: no complex square, so no imaginary
+    part for ``float()`` to drop; on a real signal it is bit for bit the
+    sum of squares."""
+    rng = default_rng(4)
+    X = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
+    gpart, tpart = joint_gradient(X, ring8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = variation_norm(X, ring8, w_graph=0.5)
+    expected = (0.5 * (np.abs(gpart) ** 2).sum()
+                + (np.abs(tpart) ** 2).sum())
+    assert value == pytest.approx(expected, rel=1e-14)
+    gpart, tpart = joint_gradient(X.real, ring8)
+    assert (variation_norm(X.real, ring8, p=2, q=1)
+            == float((gpart ** 2).sum() + np.abs(tpart).sum()))
