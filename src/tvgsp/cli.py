@@ -429,8 +429,6 @@ def cmd_sparse_code(job, args):
 @_command
 def cmd_localize(job, args):
     with job.load() as g:
-        if g.coords is None:
-            raise ValidationError("localization needs --coords")
         bank = fileio.load_bank(args.bank, g) if args.bank else None
         C = fileio.load_coefficients_binary(args.coeffs)
         X = fileio.load_signal(args.signal) if args.signal else None

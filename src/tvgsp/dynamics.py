@@ -11,15 +11,14 @@ import warnings
 import numpy as np
 
 from .errors import SingularKernelError, StabilityError, ValidationError
-from .kernels import JointKernel, stable_geometric_sum
+from .kernels import JointKernel, _check_horizon, stable_geometric_sum
 from .transforms import _checked, omega_grid
 
 
 def _initial(x1, g, T, eig=None):
     """The initial condition, flattened and checked against ``g`` (and
     ``eig``), after the horizon ``T`` is checked to be positive."""
-    if T < 1:
-        raise ValidationError("horizon T must be positive")
+    _check_horizon(T)
     return _checked(np.asarray(x1, dtype=float).ravel(), "initial condition",
                     1, g=g, eig=eig)
 
@@ -121,6 +120,7 @@ def wave_kernel(lam, omega, s, T):
 
 def wave_response(s, lmax, T):
     """The wave propagator spectrum as a filterable joint kernel."""
+    _check_horizon(T)
     if lmax <= 0:
         raise ValidationError("wave propagator requires a positive lmax")
     if s >= 4.0 / lmax:
@@ -179,6 +179,7 @@ def damped_wave_kernel(lam, omega, beta, T):
 
 def damped_wave_response(beta, T):
     """Damped-wave mother as a joint kernel (the seismic dictionary mother)."""
+    _check_horizon(T)
     return JointKernel(
         fn=lambda lam, omega: damped_wave_kernel(lam, omega, beta, T),
         name="damped_wave", params={"beta": beta, "T": T})

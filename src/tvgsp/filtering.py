@@ -26,9 +26,11 @@ Every joint filter of the package runs through one private analysis/adjoint
 pair for a list of kernels: exact with an eigensystem (the stacked grid
 responses times the joint spectrum of :mod:`tvgsp.transforms`), else the
 Chebyshev engine, which needs no eigendecomposition. The engine fits a
-``(Z, bins, M + 1)`` coefficient table, applies it with a single
-three-term recurrence whose terms are weighted per kernel (analysis) or
-with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint).
+``(Z, M + 1, T)`` coefficient table, frequency last like the exact grid
+``(Z, N, T)``, and applies it with a single three-term recurrence whose
+terms are weighted per kernel (analysis) or with a single Clenshaw sum over
+``sum_z conj(c_z) o C_z`` (the adjoint). The fit (``_fit_table``) is the
+one place that records ``ffc_fit_error`` in a caller's ``info`` dict.
 Each step multiplies by the graph's cached step operator ``(4 / lmax) L -
 2 I`` through the CSR product of :mod:`tvgsp.graphs`, which runs scipy's
 compiled kernels without loading the ``scipy.sparse`` package; complex
@@ -63,27 +65,30 @@ def _nodes(num_points, interval):
     return theta, 0.5 * (b - a) * np.cos(theta) + 0.5 * (b + a)
 
 
-def _quadrature(order, interval, num_points=None):
-    """Nodes and the cosine-quadrature matrix mapping node values to
-    Chebyshev coefficients (constant term halved at application time)."""
+_PROBE_POINTS = 101  # where the engine measures each fit error
+
+
+def _quadrature(order, interval):
+    """``2 (order + 1)`` nodes and the cosine-quadrature matrix mapping node
+    values to Chebyshev coefficients (constant term halved when applied)."""
     a, b = interval
     if not b > a:
         raise ValidationError("Chebyshev interval must have positive length")
     if order < 0:
         raise ValidationError("Chebyshev order must be nonnegative")
-    P = num_points or 2 * (order + 1)
+    P = 2 * (order + 1)
     theta, nodes = _nodes(P, interval)
     return nodes, (2.0 / P) * np.cos(np.outer(np.arange(order + 1), theta))
 
 
-def fit_chebyshev(fn, order, interval, num_points=None):
+def fit_chebyshev(fn, order, interval):
     """Chebyshev coefficients of ``fn`` on ``interval`` by cosine quadrature.
 
-    Uses ``2 (order + 1)`` probe points by default; coefficients follow the
+    Uses ``2 (order + 1)`` quadrature points; coefficients follow the
     convention in which the constant term is halved at application time, so
     polynomials of degree <= order are reproduced exactly.
     """
-    nodes, Q = _quadrature(order, interval, num_points)
+    nodes, Q = _quadrature(order, interval)
     return Q @ np.asarray(fn(nodes))
 
 
@@ -101,8 +106,8 @@ class ChebyshevApprox:
     fit_errors: np.ndarray  # (T,)
 
 
-def _fit_kernels(kernels, T, order, interval, error_probe=101):
-    """``(Z, T, order + 1)`` coefficients of ``h_z(., omega_k)`` and the
+def _fit_kernels(kernels, T, order, interval):
+    """``(Z, order + 1, T)`` coefficients of ``h_z(., omega_k)`` and the
     ``(Z, T)`` probed fit errors. Every kernel is evaluated on the nodes
     before any on the probe points, so a denominator the kernels share
     (dual and tight banks, :mod:`tvgsp.frames`) is computed once per set."""
@@ -110,51 +115,54 @@ def _fit_kernels(kernels, T, order, interval, error_probe=101):
     w = omega_grid(T)
     fits = [Q @ _product_eval(k, nodes, w) for k in kernels]  # (order+1, T)
 
-    theta, probe = _nodes(error_probe, interval)
+    theta, probe = _nodes(_PROBE_POINTS, interval)
     basis = np.cos(np.outer(theta, np.arange(order + 1)))
     basis[:, 0] *= 0.5
     fit_errors = [np.abs(basis @ fit - _product_eval(k, probe, w)).max(axis=0)
                   for k, fit in zip(kernels, fits)]
-    return np.stack([fit.T for fit in fits]), np.stack(fit_errors)
+    return np.stack(fits), np.stack(fit_errors)
 
 
-def fit_joint_kernel(kernel, T, order, interval, error_probe=101):
+def fit_joint_kernel(kernel, T, order, interval):
     """Fit ``h(., omega_k)`` for every DFT frequency at once."""
-    coeffs, fit_errors = _fit_kernels([kernel], T, order, interval,
-                                      error_probe)
+    coeffs, fit_errors = _fit_kernels([kernel], T, order, interval)
     return ChebyshevApprox(order=order, interval=tuple(interval),
-                           coeffs=coeffs[0], fit_errors=fit_errors[0])
+                           coeffs=coeffs[0].T, fit_errors=fit_errors[0])
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev engine and the one dispatch between it and the exact grid table
 # ---------------------------------------------------------------------------
 
-def _fit_table(kernels, T, order, g):
-    """``(Z, T, M + 1)`` table of ``h_z(., omega_k)`` on ``[0, lmax]`` and
-    the largest probed fit error over ``z`` and ``k``.
+def _fit_table(kernels, T, order, g, info, scale=1.0):
+    """``(Z, M + 1, T)`` table of ``h_z(., omega_k)`` on ``[0, lmax]``. A
+    dict ``info`` receives ``ffc_fit_error``, ``scale`` times the largest
+    probed fit error over ``z`` and ``k``.
 
     An edgeless graph has the single eigenvalue 0; its table is the exact
-    order-0 response ``h_z(0, omega_k)``.
-    """
+    order-0 response ``h_z(0, omega_k)``, with fit error 0."""
     if g.lmax == 0:
         w = omega_grid(T)
-        return np.stack([2.0 * _product_eval(k, np.zeros(1), w).T
-                         for k in kernels]), 0.0
-    coeffs, fit_errors = _fit_kernels(kernels, T, order, (0.0, g.lmax))
-    return coeffs, float(fit_errors.max())
+        table = np.stack([2.0 * _product_eval(k, np.zeros(1), w)
+                          for k in kernels])
+        fit_error = 0.0
+    else:
+        table, fit_errors = _fit_kernels(kernels, T, order, (0.0, g.lmax))
+        fit_error = float(fit_errors.max())
+    if info is not None:
+        info["ffc_fit_error"] = fit_error * scale
+    return table
 
 
 def _recurrence(Vf, table, g):
-    """``Y_z = sum_m c_{z,.,m} o T_m(L~) Vf`` for every ``z``.
+    """``Y_z = sum_m c_{z,m,.} o T_m(L~) Vf`` for every ``z``.
 
     One three-term recurrence ``T_m(L~) Vf`` serves all kernels; each term
     is weighted per kernel and bin. ``L~`` maps ``[0, lmax]`` onto
     ``[-1, 1]``, and each step multiplies by the graph's cached ``2 L~ =
-    (4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, B, M +
-    1)``; the result is ``(Z, N, B)``.
-    """
-    c = np.moveaxis(table, -1, 0)[:, :, None, :]           # (M+1, Z, 1, B)
+    (4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, M + 1, B)``
+    and the result ``(Z, N, B)``."""
+    c = np.moveaxis(table, 1, 0)[:, :, None, :]            # (M+1, Z, 1, B)
     Y = 0.5 * c[0] * Vf
     if len(c) > 1:
         prev, cur = Vf, 0.5 * g._matmul("step", Vf)
@@ -184,47 +192,37 @@ def _grid(kernels, lambdas, T):
     return np.stack([grid_eval(kernel, lambdas, T) for kernel in kernels])
 
 
-def _analysis(X, kernels, g, eig, order):
-    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` and the fit error: with
-    ``eig`` the grid table times the joint spectrum (error ``None``), else
-    one engine recurrence for all kernels (error ``max_{z,k} fit_err``)."""
+def _analysis(X, kernels, g, eig, order, info, scale=1.0):
+    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X``: with ``eig`` the grid
+    table times the joint spectrum, else one engine recurrence for all
+    kernels (``info`` and ``scale`` as in :func:`_fit_table`)."""
     T = X.shape[-1]
     if eig is not None:
-        half, H = _spectral_bins(X, _grid(kernels, eig.values, T), axis=-1)
-        return _ijft_stack(H * _jft_stack(X, eig, half), eig, T, half), None
-    table, fit_error = _fit_table(kernels, T, order, g)
-    half, table = _spectral_bins(X, table, axis=1)
-    return _ifft(_recurrence(_fft(X, half), table, g), T, half), fit_error
+        half, H = _spectral_bins(X, _grid(kernels, eig.values, T))
+        return _ijft_stack(H * _jft_stack(X, eig, half), eig, T, half)
+    half, H = _spectral_bins(X, _fit_table(kernels, T, order, g, info, scale))
+    return _ifft(_recurrence(_fft(X, half), H, g), T, half)
 
 
-def _synthesis(C, kernels, g, eig, order):
-    """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of :func:`_analysis`)
-    and the fit error; without ``eig`` one Clenshaw sum over
-    ``B_m = sum_z conj(c_{z,.,m}) o F C_z``."""
+def _synthesis(C, kernels, g, eig, order, info):
+    """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of :func:`_analysis`);
+    without ``eig`` one Clenshaw sum over ``B_m = sum_z conj(c_{z,m,.}) o
+    F C_z``."""
     T = C.shape[-1]
     if eig is not None:
-        half, H = _spectral_bins(C, _grid(kernels, eig.values, T), axis=-1)
+        half, H = _spectral_bins(C, _grid(kernels, eig.values, T))
         S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
-        return _ijft_stack(S, eig, T, half), None
-    table, fit_error = _fit_table(kernels, T, order, g)
-    half, table = _spectral_bins(C, table, axis=1)
+        return _ijft_stack(S, eig, T, half)
+    half, H = _spectral_bins(C, _fit_table(kernels, T, order, g, info))
     Cf = _fft(C, half)
-    cc = np.conj(np.moveaxis(table, -1, 0))[:, :, None, :]  # (M+1, Z, 1, B)
+    cc = np.conj(np.moveaxis(H, 1, 0))[:, :, None, :]       # (M+1, Z, 1, B)
     Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1, g)
-    return _ifft(Yf, T, half), fit_error
-
-
-def _record(info, fit_error, scale=1.0):
-    """Report ``scale * fit_error``; an exact path (``None``) reports none."""
-    if info is not None and fit_error is not None:
-        info["ffc_fit_error"] = fit_error * scale
+    return _ifft(Yf, T, half)
 
 
 def _filter(X, kernel, g, eig, order, info=None):
     """``h(L_G, L_T) X``, real when the imaginary part is negligible."""
-    Y, fit_error = _analysis(X, [kernel], g, eig, order)
-    _record(info, fit_error)
-    return real_if_close(Y[0])
+    return real_if_close(_analysis(X, [kernel], g, eig, order, info)[0])
 
 
 # ---------------------------------------------------------------------------

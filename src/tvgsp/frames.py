@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .kernels import JointKernel
-from .filtering import _analysis, _filter, _grid, _record, _synthesis
+from .kernels import JointKernel, _check_horizon
+from .filtering import _analysis, _filter, _grid, _synthesis
 from .transforms import _checked, omega_grid, real_if_close
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
@@ -176,6 +176,7 @@ def make_stvwt(mother, scales_lambda, scales_omega, g, T,
     scaling-function ``dc_kernel`` or ``check_admissibility=False``
     (the damped-wave mother is used this way). Lattices are full.
     """
+    _check_horizon(T)
     scales_lambda = [float(z) for z in scales_lambda]
     scales_omega = [float(z) for z in scales_omega]
     if not scales_lambda or not scales_omega:
@@ -228,9 +229,9 @@ def _analyze_stvft(bank, X, g, eig, order, info):
              for zl in bank.meta["z_lambda"]]
     windows = [np.broadcast_to(mother.h2(w_grid - zw), T).astype(complex)
                for zw in bank.meta["z_omega"]]
-    Yg, fit_error = _analysis(X, graph, g, eig, order)
     # an atom's error is its graph factor's times |h_T(omega - z_omega)|
-    _record(info, fit_error, max(np.abs(hw).max() for hw in windows))
+    Yg = _analysis(X, graph, g, eig, order, info,
+                   max(np.abs(hw).max() for hw in windows))
     return np.stack([np.fft.ifft(Fg * hw, axis=-1)[:, tsel]
                      for Fg in np.fft.fft(Yg, axis=-1) for hw in windows])
 
@@ -254,9 +255,8 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     if bank.subsampled:
         raise ValidationError(
             "subsampled analysis is only supported for STVFT banks")
-    C, fit_error = _analysis(X, bank.kernels, g, eig, order)
-    _record(info, fit_error)
-    return C.astype(complex, copy=False)
+    return _analysis(X, bank.kernels, g, eig, order,
+                     info).astype(complex, copy=False)
 
 
 def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
@@ -271,9 +271,7 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
         raise ValidationError(
             "synthesis from subsampled lattices is not supported")
     C = _checked(C, "coefficient stack", 3, g=g, eig=eig, bank=bank)
-    Y, fit_error = _synthesis(C, bank.kernels, g, eig, order)
-    _record(info, fit_error)
-    return real_if_close(Y)
+    return real_if_close(_synthesis(C, bank.kernels, g, eig, order, info))
 
 
 def _normalized(bank, scale, tag):

@@ -16,6 +16,12 @@ def _same(value):
     return value
 
 
+def _check_horizon(T):
+    """The check of every time horizon ``T``: at least one sample."""
+    if T < 1:
+        raise ValidationError("horizon T must be positive")
+
+
 class JointKernel:
     """Evaluable joint frequency response.
 
@@ -166,6 +172,7 @@ def heat_response(s, T):
     """Joint transfer function of the discrete heat evolution over ``T``
     steps, normalized to unit DC gain. Non-separable lowpass.
     """
+    _check_horizon(T)
 
     def fn(lam, omega):
         a = (1.0 - s * lam) * np.exp(-1j * omega)

@@ -239,7 +239,7 @@ def sparse_code(spec, g, eig=None):
     if bound_B <= 0:
         raise NotAFrameError("bank has zero response everywhere")
     step = 1.0 / (2.0 * bound_B)
-    half, H = _spectral_bins(X, H, axis=-1)
+    half, H = _spectral_bins(X, H)
     Hc = np.conj(H)
     # Parseval weights: a half-spectrum bin other than DC and (even T)
     # Nyquist also stands for its conjugate mirror

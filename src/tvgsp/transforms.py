@@ -55,16 +55,19 @@ def _checked(A, name, ndim=2, g=None, eig=None, bank=None):
     """``A`` as an ndarray, checked against the contract of every
     time-vertex input; each :class:`ValidationError` names ``name``.
 
-    ``A`` must have ``ndim`` axes, one row per vertex of the graph ``g``
-    and of the eigensystem ``eig`` (axis ``-2``, or the only axis of a 1-D
-    array) and only finite entries. Against a ``bank``, a signal has
-    ``bank.T`` time samples; a ``(|Z|, N, T)`` coefficient stack has one
-    atom per kernel and one time sample per point of the time lattice.
+    ``A`` must have ``ndim`` axes, at least one time sample (the last axis
+    of a 2-D or 3-D array), one row per vertex of the graph ``g`` and of the
+    eigensystem ``eig`` (axis ``-2``, or the only axis of a 1-D array) and
+    only finite entries. Against a ``bank``, a signal has ``bank.T`` time
+    samples; a ``(|Z|, N, T)`` coefficient stack has one atom per kernel
+    and one time sample per point of the time lattice.
     """
     A = np.asarray(A)
     if A.ndim != ndim:
         raise ValidationError(
             f"{name} must be {ndim}-D ({_AXES[ndim]}), got shape {A.shape}")
+    if ndim > 1 and A.shape[-1] == 0:
+        raise ValidationError(f"{name} has no time samples")
     rows, unit = A.shape[-min(ndim, 2)], "rows" if ndim > 1 else "entries"
     if g is not None and rows != g.N:
         raise ValidationError(
@@ -214,19 +217,19 @@ def _matvec(A, V):
     return (A @ V.view(np.float64)).view(np.complex128)
 
 
-def _spectral_bins(A, table, axis):
+def _spectral_bins(A, table):
     """``(half, table)``: ``half`` when ``A`` is real and ``table`` is
-    conjugate-symmetric along ``axis`` to :data:`SYMMETRY_TOL` (the output
-    is then real and the ``T // 2 + 1`` bins of ``rfft`` carry it all),
-    and ``table`` cut to the bins used."""
+    conjugate-symmetric in omega, its last axis, to :data:`SYMMETRY_TOL`
+    (the output is then real and the ``T // 2 + 1`` bins of ``rfft`` carry
+    it all), and ``table`` cut to the bins used: a contiguous copy, since
+    solvers multiply by it every iteration."""
     if np.iscomplexobj(A) and A.imag.any():
         return False, table
-    mirror = np.conj(np.roll(np.flip(table, axis), 1, axis=axis))
+    mirror = np.conj(np.roll(np.flip(table, -1), 1, axis=-1))
     if not (np.abs(table - mirror).max(initial=0.0)
             <= SYMMETRY_TOL * np.abs(table).max(initial=0.0)):
         return False, table
-    return True, np.take(table, np.arange(table.shape[axis] // 2 + 1),
-                         axis=axis)
+    return True, table[..., :table.shape[-1] // 2 + 1].copy()
 
 
 def _fft(A, half):

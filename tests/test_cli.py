@@ -987,6 +987,38 @@ def test_non_finite_coefficients_exit_2_naming_the_file(command, tmp_path,
     assert not (tmp_path / "y.csv").exists()
 
 
+_TIKHONOV = ["--kernel", "tikhonov", "--param", "tau1=0.5",
+             "--param", "tau2=0.3"]
+
+
+@pytest.mark.parametrize("command", [
+    ["filter", "--graph", "g.csv", "--signal", "x.bin", *_TIKHONOV,
+     "--method", "ffc", "--out", "y.bin"],
+    ["filter", "--graph", "g.csv", "--signal", "x.bin", *_TIKHONOV,
+     "--method", "exact", "--out", "y.bin"],
+    ["transform", "--graph", "g.csv", "--signal", "x.bin", "--out", "S.csv"],
+    ["denoise", "--graph", "g.csv", "--signal", "x.bin", "--out", "y.bin"],
+    ["compaction", "--graph", "g.csv", "--signal", "x.bin",
+     "--out", "curve.csv"],
+    ["filter-bench", "--n", "24", "--knn", "4", "--t", "0", "--kernels", "lp",
+     "--emit", "bench.csv"],
+], ids=["filter-ffc", "filter-exact", "transform", "denoise", "compaction",
+        "filter-bench"])
+def test_empty_time_axis_exits_2_with_one_line(command, tmp_path,
+                                               monkeypatch, capsys):
+    """A signal with no time samples (a TVSG file with T = 0) is an
+    input error, not a numpy traceback."""
+    monkeypatch.chdir(tmp_path)
+    fileio.save_edges_csv("g.csv", ring_graph(6))
+    fileio.save_signal_binary("x.bin", np.zeros((6, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = invoke(*command)
+    err = _assert_invalid_input(code, capsys)
+    assert "signal has no time samples" in err
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "x.bin"]
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: malformed TVSG/TVCF bytes and bank specs never escape the contract
 # ---------------------------------------------------------------------------

@@ -121,6 +121,7 @@ CASES = [
     ("nan", lambda A: _with_entry(A, np.nan), EIG, (None, "graph", "eig")),
     ("inf", lambda A: _with_entry(A, np.inf), EIG, (None, "graph", "eig")),
     ("other-eig", lambda A: A, OTHER_EIG, ("eig",)),
+    ("empty-time-axis", lambda A: A[..., :0], EIG, (None, "graph", "eig")),
 ]
 
 TABLE = [pytest.param(call, name, case(valid), eig, id=f"{entry}-{label}")

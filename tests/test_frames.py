@@ -404,3 +404,10 @@ def test_a_bank_is_subsampled_by_its_time_lattice_alone():
     bank = FilterBank(kernels=[one], lattice=[(0.0, 0.0)], T=4,
                       time_lattice=np.arange(0, 4, 2))
     assert bank.subsampled and not bank.bounds_certified
+
+
+def test_analysis_of_a_subsampled_non_stvft_bank_is_rejected(g, signal,
+                                                             stvwt_bank):
+    stvwt_bank.time_lattice = np.arange(0, T, 2)
+    with pytest.raises(ValidationError, match="only supported for STVFT"):
+        analyze(stvwt_bank, signal, g)

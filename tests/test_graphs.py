@@ -569,3 +569,10 @@ def test_shared_eigensystem_is_read_only(counted_eig):
     with pytest.raises(ValueError, match="read-only"):
         shared.values *= 2
     assert np.array_equal(eig.vectors, eigendecompose(ring_graph(8)).vectors)
+
+
+def test_lambda_max_refined_on_a_small_graph_is_dense(p3):
+    """Up to 32 vertices the refinement takes the dense spectrum: the path
+    P3 has eigenvalues 0, 1, 3 and degree bound 4."""
+    assert estimate_lambda_max(p3, refine=True) == pytest.approx(3.03,
+                                                                rel=1e-12)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from tvgsp import (JointKernel, ValidationError, grid_eval, named_response,
-                   mexican_hat_response)
+from tvgsp import (JointKernel, ValidationError, damped_wave_response,
+                   grid_eval, heat_response, make_stvwt, named_response,
+                   mexican_hat_response, ring_graph, wave_response)
 from tvgsp.transforms import omega_grid
 
 
@@ -125,6 +126,8 @@ def test_named_response_context_fills_missing_values():
     ("damped_wave", {"beta": 0.5}, {}, "misses"),
     ("mexican_hat", {"sigma": 1.0}, {}, "unknown parameters"),
     ("tikhonov", [1.0, 2.0], {}, "mapping"),
+    ("wave_gauss", {"lmax": 0.0}, {}, "positive lmax"),
+    ("tikhonov", {"tau1": -1.0, "tau2": 1.0}, {}, "nonnegative"),
 ])
 def test_named_response_rejects_bad_values(name, params, kwargs, match):
     with pytest.raises(ValidationError, match=match):
@@ -151,3 +154,20 @@ def test_spectral_operations_keep_separability(op):
     lam = np.linspace(0, 4, 9)[:, None]
     w = omega_grid(8)[None, :]
     assert np.array_equal(a(lam, w), b(lam, w))
+
+
+@pytest.mark.parametrize("factory", [
+    lambda T: heat_response(0.1, T),
+    lambda T: damped_wave_response(0.5, T),
+    lambda T: wave_response(0.5, 4.0, T),
+    lambda T: make_stvwt(mexican_hat_response(), [1.0], [1.0],
+                         ring_graph(4), T),
+], ids=["heat_response", "damped_wave_response", "wave_response",
+        "make_stvwt"])
+@pytest.mark.parametrize("T", [0, -3])
+def test_kernel_factories_reject_a_horizon_below_one(factory, T):
+    """The factories that take ``T`` share the evolutions' horizon check
+    (``heat_response(s, 0)`` used to evaluate to NaN, ``wave_response`` to
+    zeros, and ``make_stvwt`` built a bank that analysis then failed on)."""
+    with pytest.raises(ValidationError, match="horizon T must be positive"):
+        factory(T)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from tvgsp import (InverseProblemSpec, Regularizer, SparseCodingSpec,
+from tvgsp import (FilterBank, InverseProblemSpec, JointKernel,
+                   NotAFrameError, Regularizer, SparseCodingSpec,
                    ValidationError, analyze, build_graph, damped_wave_response,
-                   denoise_tikhonov, inpaint, knn_sensor_graph,
-                   localize_source, make_stvwt, normalize_tight, ring_graph,
-                   signal_energy_centroid, sparse_code, synthesize)
+                   denoise_tikhonov, inpaint, itersine_graph_design,
+                   knn_sensor_graph, localize_source, make_stvft, make_stvwt,
+                   normalize_tight, ring_graph, signal_energy_centroid,
+                   sparse_code, synthesize, time_window)
 from tvgsp.rng import default_rng
 
 from oracles import (masked_quadratic_objective, masked_quadratic_solve,
@@ -265,3 +267,41 @@ def test_regularizer_has_one_constructor():
     assert not hasattr(Regularizer, "tikhonov")
     reg = Regularizer(p=2, q=2, gamma_graph=0.5, gamma_time=0.3)
     assert (reg.p, reg.q, reg.gamma_graph, reg.gamma_time) == (2, 2, 0.5, 0.3)
+
+
+def _subsampled(bank):
+    bank.time_lattice = np.arange(0, bank.T, 2)
+    return bank
+
+
+def _all_zero(bank):
+    zero = JointKernel(fn=lambda lam, omega: 0.0)
+    return FilterBank(kernels=[zero, zero], lattice=[(0.0, 0.0)] * 2,
+                      T=bank.T)
+
+
+@pytest.mark.parametrize("make_bank, error, match", [
+    (_subsampled, ValidationError, "full bank lattices"),
+    (_all_zero, NotAFrameError, "zero response everywhere"),
+], ids=["subsampled", "all-zero"])
+def test_sparse_code_rejects_a_bank_it_cannot_use(g, bank, make_bank, error,
+                                                  match):
+    spec = SparseCodingSpec(bank=make_bank(bank),
+                            observation=np.ones((g.N, 12)), gamma=0.1)
+    with pytest.raises(error, match=match):
+        sparse_code(spec, g)
+
+
+def test_localize_source_checks_a_stack_against_the_time_lattice(g):
+    """A subsampled STVFT bank's coefficients have one time sample per
+    lattice point; a full-length stack is rejected."""
+    h_G, shifts = itersine_graph_design(g.lmax, 3)
+    stvft = make_stvft(h_G, time_window("hann", 4), shifts, 2, g, 12)
+    C = analyze(stvft, default_rng(4).standard_normal((g.N, 12)), g,
+                g.eigensystem())
+    assert C.shape == (stvft.size, g.N, 6)
+    assert localize_source(C, stvft, g, 2).shape == (2,)
+    with pytest.raises(ValidationError,
+                       match="coefficient stack has 12 time samples but "
+                             "bank has 6"):
+        localize_source(np.ones((stvft.size, g.N, 12)), stvft, g, 2)
