@@ -28,13 +28,16 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VOLATILE = ("timings_ms", "environment", "warnings")
 
 
-def _run(src, argv, stderr):
-    """One stage in a fresh interpreter on the program in ``src``."""
+def _run(src, argv, work):
+    """One stage in a fresh interpreter on the program in ``src``, started
+    in ``work`` so that only ``PYTHONPATH`` decides which package loads."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    stderr = os.path.join(work, "stage.stderr")
     with open(stderr, "wb") as err:
         code = subprocess.run(
             [sys.executable, "-m", "tvgsp._main", *argv, "--threads", "1"],
-            env=env, stdout=subprocess.DEVNULL, stderr=err).returncode
+            cwd=work, env=env, stdout=subprocess.DEVNULL,
+            stderr=err).returncode
     if code != 0:
         with open(stderr, errors="replace") as fh:
             raise RuntimeError(f"{argv[0]} exited with {code}: "
@@ -47,11 +50,10 @@ def _pass(wl, seed, src, work):
     inputs, out = os.path.join(work, "inputs"), os.path.join(work, "out")
     os.makedirs(inputs)
     os.makedirs(out)
-    stderr = os.path.join(work, "stage.stderr")
-    _run(src, wl.graph_gen_argv(seed, inputs), stderr)
+    _run(src, wl.graph_gen_argv(seed, inputs), work)
     derived = wl.prepare(seed, inputs)
     for argv in wl.stages(seed, inputs, out, derived):
-        _run(src, argv, stderr)
+        _run(src, argv, work)
     return out
 
 
@@ -104,8 +106,6 @@ def main(argv=None):
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3])
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="workload names (default: all)")
     args = parser.parse_args(argv)
     srcs = [os.path.abspath(s) for s in (args.parent_src, args.change_src)]
     for src in srcs:
@@ -113,15 +113,9 @@ def main(argv=None):
             parser.error(f"no tvgsp package under {src}")
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     from workloads import WORKLOADS
-    names = args.workloads or list(WORKLOADS)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        parser.error(f"unknown workloads {unknown}; available: "
-                     f"{list(WORKLOADS)}")
     scratch = tempfile.mkdtemp(prefix="compare_outputs-")
     try:
-        compared, differ = compare(*srcs, args.seeds,
-                                   {n: WORKLOADS[n] for n in names}, scratch)
+        compared, differ = compare(*srcs, args.seeds, WORKLOADS, scratch)
     except RuntimeError as exc:
         print(f"compare_outputs: stage failed: {exc}", file=sys.stderr)
         return 1
