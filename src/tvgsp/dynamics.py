@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .errors import SingularKernelError, StabilityError, ValidationError
-from .kernels import JointKernel, _check_horizon, stable_geometric_sum
+from .kernels import JointKernel, _check_horizon, _number, stable_geometric_sum
 from .transforms import _checked, omega_grid
 
 
@@ -32,7 +32,7 @@ def heat_evolve(x1, g, s, T):
     naming ``s`` and the step, when the iterate stops being finite.
     """
     x1 = _initial(x1, g, T)
-    if s * g.lmax > 2.0:
+    if _number("heat step s", s) * g.lmax > 2.0:
         warnings.warn(
             f"heat evolution with s={s:g} may diverge: |1 - s lambda| "
             f"reaches {abs(1 - s * g.lmax):g} (> 1)", stacklevel=2)
@@ -71,7 +71,7 @@ def wave_tau(lam, s):
     arccos domain (the stability region of the discrete wave equation).
     """
     lam = np.asarray(lam, dtype=float)
-    arg = 1.0 - s * lam / 2.0
+    arg = 1.0 - _number("wave speed s", s) * lam / 2.0
     if np.any(arg < -1.0 - 1e-12) or np.any(arg > 1.0 + 1e-12):
         raise StabilityError(
             f"wave kernel needs s * lambda in [0, 4]; got s={s:g} with "

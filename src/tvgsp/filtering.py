@@ -16,40 +16,42 @@ Three interchangeable implementations of ``Y = h(L_G, L_T) X``:
     ``||Y - Y_exact||_F <= ffc_fit_error * ||X||_F`` (the DFT is unitary).
 
 ``filter_cheby2d``
-    Baseline: a 2-D Chebyshev expansion in ``(L_G, L_T)`` applied with a
-    time-axis recursion and a graph-axis Clenshaw summation. The temporal
+    Baseline: a 2-D Chebyshev expansion in ``(L_G, L_T)`` applied with the
+    engine's recurrence in time and its Clenshaw sum in the graph. The temporal
     axis is approximated through the symbol ``lambda_T = 2 (1 - cos omega)``,
     whose inverse map has square-root singularities; responses with sharp
     temporal structure converge markedly slower than under FFC.
 
 Every joint filter of the package runs through one private analysis/adjoint
-pair for a list of kernels: exact with an eigensystem (the stacked grid
-responses times the joint spectrum of :mod:`tvgsp.transforms`), else the
-Chebyshev engine, which needs no eigendecomposition. The engine fits a
-``(Z, M + 1, T)`` coefficient table, frequency last like the exact grid
-``(Z, N, T)``, and applies it with a single three-term recurrence whose
-terms are weighted per kernel (analysis) or with a single Clenshaw sum over
-``sum_z conj(c_z) o C_z`` (the adjoint). The fit (``_fit_table``) is the
-one place that records ``ffc_fit_error`` in a caller's ``info`` dict.
-Each step multiplies by the graph's cached step operator ``(4 / lmax) L -
-2 I`` through the CSR product of :mod:`tvgsp.graphs`, which runs scipy's
-compiled kernels without loading the ``scipy.sparse`` package; complex
-operands go through their float64 view, so ``L`` is never upcast. The
-operand is made C-contiguous once, at the FFT, so any memory layout of the
-input gives the same result. When the input is real and the table
-conjugate-symmetric in omega (the operator maps real signals to real
-signals) it works on the ``T // 2 + 1`` bins of the half spectrum, else on
-all ``T``. A recurrence costs ``O(|E| M T / 2 + N T log T)`` on the half
-spectrum, plus ``O(|Z| N M T / 2)`` for the per-kernel weights, shared by
-all ``|Z|`` kernels of a bank.
+pair for a stack function, ``(lambdas, omegas)`` -> the ``(Z, L, W)``
+responses of a kernel list or bank (see :func:`tvgsp.kernels._stack`): exact
+with an eigensystem (the stack on the joint grid times the joint spectrum of
+:mod:`tvgsp.transforms`), else the Chebyshev engine, which needs no
+eigendecomposition. The engine fits a ``(Z, M + 1, T)`` coefficient table,
+frequency last like the exact grid ``(Z, N, T)``, and applies it with a
+single three-term recurrence whose terms are weighted per kernel (analysis)
+or with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint).
+The fit (``_fit_table``) is the one place that records ``ffc_fit_error`` in
+a caller's ``info`` dict. Each step multiplies by the graph's cached step
+operator ``(4 / lmax) L - 2 I`` through the CSR product of
+:mod:`tvgsp.graphs`, which runs scipy's compiled kernels without loading the
+``scipy.sparse`` package; complex operands go through their float64 view,
+so ``L`` is never upcast. The operand is made C-contiguous once, at the
+FFT, so any memory layout of the input gives the same result. When the
+input is real and the table conjugate-symmetric in omega (the operator maps
+real signals to real signals) it works on the ``T // 2 + 1`` bins of the
+half spectrum, else on all ``T``. A recurrence costs ``O(|E| M T / 2 + N T
+log T)`` on the half spectrum, plus ``O(|Z| N M T / 2)`` for the per-kernel
+weights, shared by all ``|Z|`` kernels of a bank.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ValidationError
-from .kernels import JointKernel, _product_eval, grid_eval
+from .kernels import JointKernel, _stack
 from .transforms import (_checked, _fft, _ifft, _ijft_stack, _jft_stack,
                          _spectral_bins, omega_grid, real_if_close)
 
@@ -106,26 +108,22 @@ class ChebyshevApprox:
     fit_errors: np.ndarray  # (T,)
 
 
-def _fit_kernels(kernels, T, order, interval):
-    """``(Z, order + 1, T)`` coefficients of ``h_z(., omega_k)`` and the
-    ``(Z, T)`` probed fit errors. Every kernel is evaluated on the nodes
-    before any on the probe points, so a denominator the kernels share
-    (dual and tight banks, :mod:`tvgsp.frames`) is computed once per set."""
+def _fit_kernels(stack, T, order, interval):
+    """``(Z, order + 1, T)`` coefficients of a stack function's ``h_z(.,
+    omega_k)`` and their ``(Z, T)`` probed fit errors, from one stack on
+    the nodes and one on the probe points."""
     nodes, Q = _quadrature(order, interval)
     w = omega_grid(T)
-    fits = [Q @ _product_eval(k, nodes, w) for k in kernels]  # (order+1, T)
-
+    fits = Q @ stack(nodes, w)
     theta, probe = _nodes(_PROBE_POINTS, interval)
     basis = np.cos(np.outer(theta, np.arange(order + 1)))
     basis[:, 0] *= 0.5
-    fit_errors = [np.abs(basis @ fit - _product_eval(k, probe, w)).max(axis=0)
-                  for k, fit in zip(kernels, fits)]
-    return np.stack(fits), np.stack(fit_errors)
+    return fits, np.abs(basis @ fits - stack(probe, w)).max(axis=1)
 
 
 def fit_joint_kernel(kernel, T, order, interval):
     """Fit ``h(., omega_k)`` for every DFT frequency at once."""
-    coeffs, fit_errors = _fit_kernels([kernel], T, order, interval)
+    coeffs, fit_errors = _fit_kernels(_stack([kernel]), T, order, interval)
     return ChebyshevApprox(order=order, interval=tuple(interval),
                            coeffs=coeffs[0].T, fit_errors=fit_errors[0])
 
@@ -134,95 +132,92 @@ def fit_joint_kernel(kernel, T, order, interval):
 # Chebyshev engine and the one dispatch between it and the exact grid table
 # ---------------------------------------------------------------------------
 
-def _fit_table(kernels, T, order, g, info, scale=1.0):
-    """``(Z, M + 1, T)`` table of ``h_z(., omega_k)`` on ``[0, lmax]``. A
-    dict ``info`` receives ``ffc_fit_error``, ``scale`` times the largest
-    probed fit error over ``z`` and ``k``.
+def _fit_table(stack, T, order, g, info, scale=1.0):
+    """``(Z, M + 1, T)`` table of the stack's ``h_z(., omega_k)`` on ``[0,
+    lmax]``. A dict ``info`` receives ``ffc_fit_error``, ``scale`` times
+    the largest probed fit error over ``z`` and ``k``.
 
     An edgeless graph has the single eigenvalue 0; its table is the exact
     order-0 response ``h_z(0, omega_k)``, with fit error 0."""
     if g.lmax == 0:
-        w = omega_grid(T)
-        table = np.stack([2.0 * _product_eval(k, np.zeros(1), w)
-                          for k in kernels])
+        table = 2.0 * stack(np.zeros(1), omega_grid(T))
         fit_error = 0.0
     else:
-        table, fit_errors = _fit_kernels(kernels, T, order, (0.0, g.lmax))
+        table, fit_errors = _fit_kernels(stack, T, order, (0.0, g.lmax))
         fit_error = float(fit_errors.max())
     if info is not None:
         info["ffc_fit_error"] = fit_error * scale
     return table
 
 
-def _recurrence(Vf, table, g):
-    """``Y_z = sum_m c_{z,m,.} o T_m(L~) Vf`` for every ``z``.
+def _recurrence(Vf, table, step):
+    """``Y_z = sum_m c_{z,m,.} o T_m(L~) Vf`` (``c_{z,0}`` halved) for all z.
 
     One three-term recurrence ``T_m(L~) Vf`` serves all kernels; each term
-    is weighted per kernel and bin. ``L~`` maps ``[0, lmax]`` onto
-    ``[-1, 1]``, and each step multiplies by the graph's cached ``2 L~ =
-    (4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, M + 1, B)``
-    and the result ``(Z, N, B)``."""
+    is weighted per kernel and bin. ``step(V)`` is ``2 L~ V``; on a graph
+    ``L~`` maps ``[0, lmax]`` onto ``[-1, 1]`` and the step is the cached
+    ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, M + 1,
+    B)`` and the result ``(Z, N, B)``."""
     c = np.moveaxis(table, 1, 0)[:, :, None, :]            # (M+1, Z, 1, B)
     Y = 0.5 * c[0] * Vf
     if len(c) > 1:
-        prev, cur = Vf, 0.5 * g._matmul("step", Vf)
+        prev, cur = Vf, 0.5 * step(Vf)
         Y += c[1] * cur
         for cm in c[2:]:
-            prev, cur = cur, g._matmul("step", cur) - prev
+            prev, cur = cur, step(cur) - prev
             Y += cm * cur
     return Y
 
 
-def _clenshaw(term, order, g):
+def _clenshaw(term, order, step):
     """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence.
 
     The coefficients are complex matrices ``B_m = term(m)`` of shape
-    ``(N, cols)``, so one backward recurrence sums them all.
-    """
+    ``(N, cols)``, so one backward recurrence sums them all; ``step`` is
+    as in :func:`_recurrence`."""
     if order == 0:
         return 0.5 * term(0)
     b1, b2 = term(order), 0.0
     for m in range(order - 1, 0, -1):
-        b1, b2 = term(m) + g._matmul("step", b1) - b2, b1
-    return 0.5 * (term(0) + g._matmul("step", b1)) - b2
+        b1, b2 = term(m) + step(b1) - b2, b1
+    return 0.5 * (term(0) + step(b1)) - b2
 
 
-def _grid(kernels, lambdas, T):
-    """``(Z, N, T)`` stack of the kernels' joint-grid responses."""
-    return np.stack([grid_eval(kernel, lambdas, T) for kernel in kernels])
-
-
-def _analysis(X, kernels, g, eig, order, info, scale=1.0):
-    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X``: with ``eig`` the grid
-    table times the joint spectrum, else one engine recurrence for all
-    kernels (``info`` and ``scale`` as in :func:`_fit_table`)."""
+def _analysis(X, stack, g, eig, order, info, scale=1.0):
+    """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` for the responses of a
+    stack function: with ``eig`` the grid table times the joint spectrum,
+    else one engine recurrence for all kernels (``info`` and ``scale`` as
+    in :func:`_fit_table`)."""
     T = X.shape[-1]
     if eig is not None:
-        half, H = _spectral_bins(X, _grid(kernels, eig.values, T))
+        half, H = _spectral_bins(X, stack(eig.values, omega_grid(T)))
         return _ijft_stack(H * _jft_stack(X, eig, half), eig, T, half)
-    half, H = _spectral_bins(X, _fit_table(kernels, T, order, g, info, scale))
-    return _ifft(_recurrence(_fft(X, half), H, g), T, half)
+    half, H = _spectral_bins(X, _fit_table(stack, T, order, g, info, scale))
+    return _ifft(_recurrence(_fft(X, half), H, partial(g._matmul, "step")),
+                 T, half)
 
 
-def _synthesis(C, kernels, g, eig, order, info):
+def _synthesis(C, stack, g, eig, order, info):
     """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of :func:`_analysis`);
     without ``eig`` one Clenshaw sum over ``B_m = sum_z conj(c_{z,m,.}) o
     F C_z``."""
     T = C.shape[-1]
     if eig is not None:
-        half, H = _spectral_bins(C, _grid(kernels, eig.values, T))
+        half, H = _spectral_bins(C, stack(eig.values, omega_grid(T)))
         S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
         return _ijft_stack(S, eig, T, half)
-    half, H = _spectral_bins(C, _fit_table(kernels, T, order, g, info))
+    half, H = _spectral_bins(C, _fit_table(stack, T, order, g, info))
     Cf = _fft(C, half)
     cc = np.conj(np.moveaxis(H, 1, 0))[:, :, None, :]       # (M+1, Z, 1, B)
-    Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1, g)
+    Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1,
+                   partial(g._matmul, "step"))
     return _ifft(Yf, T, half)
 
 
 def _filter(X, kernel, g, eig, order, info=None):
     """``h(L_G, L_T) X``, real when the imaginary part is negligible."""
-    return real_if_close(_analysis(X, [kernel], g, eig, order, info)[0])
+    return real_if_close(_analysis(X, _stack([kernel]), g, eig, order,
+                                   info)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +255,15 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     lam_nodes, QG = _quadrature(order_graph, (0.0, g.lmax))
     mu_nodes, QT = _quadrature(order_time, (0.0, 4.0))
     omega_nodes = np.arccos(1.0 - mu_nodes / 2.0)
-    A = QG @ _product_eval(kernel, lam_nodes, omega_nodes) @ QT.T
-    A[:, 0] *= 0.5      # the graph-axis constant is halved by _clenshaw
+    A = QG @ _stack([kernel])(lam_nodes, omega_nodes)[0] @ QT.T
 
-    def time_shifted(V):
-        # right-multiplication by (L_T - 2 I) / 2
-        return -0.5 * (np.roll(V, 1, axis=1) + np.roll(V, -1, axis=1))
+    def time_step(V):
+        # right-multiplication by L_T - 2 I, twice the time axis's L~
+        return -(np.roll(V, 1, axis=-1) + np.roll(V, -1, axis=-1))
 
-    W = [X.astype(complex)]
-    if order_time >= 1:
-        W.append(time_shifted(W[0]))
-    for _ in range(2, order_time + 1):
-        W.append(2.0 * time_shifted(W[-1]) - W[-2])
-    Wstack = np.stack(W)                                # (MT + 1, N, T)
-    Amats = np.tensordot(A, Wstack, axes=(1, 0))        # (MG + 1, N, T)
-    return real_if_close(_clenshaw(Amats.__getitem__, order_graph, g))
+    Amats = _recurrence(X, A[:, :, None], time_step)   # (MG + 1, N, T)
+    return real_if_close(_clenshaw(Amats.__getitem__, order_graph,
+                                   partial(g._matmul, "step")))
 
 
 def filter_separable(X, h1, h2, g, order, info=None):

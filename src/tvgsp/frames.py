@@ -4,16 +4,19 @@ A :class:`FilterBank` is a finite family of joint kernels ``{h_z}`` over a
 scale/shift lattice. Analysis coefficients are obtained by joint filtering
 (``C_z = h_z(L_G, L_T) X``), synthesis is the adjoint, and the canonical
 dual bank inverts a frame in a single synthesis pass. Coefficients are
-stored as a complex ``(|Z|, N_lattice, T_lattice)`` array.
+stored as a complex ``(|Z|, N_lattice, T_lattice)`` array. The filters and
+the grid read a bank's responses as one stack function; a dual or tight
+bank's stack divides its base bank's stack once by ``scale(sum_z |h_z|^2)``.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .kernels import JointKernel, _check_horizon
-from .filtering import _analysis, _filter, _grid, _synthesis
+from .kernels import JointKernel, _check_horizon, _stack
+from .filtering import _analysis, _filter, _synthesis
 from .transforms import _checked, omega_grid, real_if_close
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
@@ -49,10 +52,15 @@ class FilterBank:
     def bounds_certified(self):
         return not self.subsampled
 
+    def _responses(self, lambdas, omegas):
+        """The stack of :func:`tvgsp.kernels._stack` of the bank."""
+        return _stack(self.kernels)(lambdas, omegas)
+
 
 def bank_response_energy(bank, lambdas):
     """``sum_z |h_z(lambda_l, omega_k)|^2`` on the joint grid."""
-    return (np.abs(_grid(bank.kernels, lambdas, bank.T)) ** 2).sum(axis=0)
+    H = bank._responses(lambdas, omega_grid(bank.T))
+    return (np.abs(H) ** 2).sum(axis=0)
 
 
 def frame_bounds(bank, eig):
@@ -208,7 +216,7 @@ def make_stvwt(mother, scales_lambda, scales_omega, g, T,
 
 def bank_grid(bank, eig):
     """Stacked joint-grid responses of all bank kernels: ``(|Z|, N, T)``."""
-    return _grid(bank.kernels, eig.values, bank.T)
+    return bank._responses(eig.values, omega_grid(bank.T))
 
 
 def _analyze_stvft(bank, X, g, eig, order, info):
@@ -230,7 +238,7 @@ def _analyze_stvft(bank, X, g, eig, order, info):
     windows = [np.broadcast_to(mother.h2(w_grid - zw), T).astype(complex)
                for zw in bank.meta["z_omega"]]
     # an atom's error is its graph factor's times |h_T(omega - z_omega)|
-    Yg = _analysis(X, graph, g, eig, order, info,
+    Yg = _analysis(X, _stack(graph), g, eig, order, info,
                    max(np.abs(hw).max() for hw in windows))
     return np.stack([np.fft.ifft(Fg * hw, axis=-1)[:, tsel]
                      for Fg in np.fft.fft(Yg, axis=-1) for hw in windows])
@@ -255,7 +263,7 @@ def analyze(bank, X, g, eig=None, order=DEFAULT_ORDER, info=None):
     if bank.subsampled:
         raise ValidationError(
             "subsampled analysis is only supported for STVFT banks")
-    return _analysis(X, bank.kernels, g, eig, order,
+    return _analysis(X, bank._responses, g, eig, order,
                      info).astype(complex, copy=False)
 
 
@@ -271,37 +279,31 @@ def synthesize(bank, C, g, eig=None, order=DEFAULT_ORDER, info=None):
         raise ValidationError(
             "synthesis from subsampled lattices is not supported")
     C = _checked(C, "coefficient stack", 3, g=g, eig=eig, bank=bank)
-    return real_if_close(_synthesis(C, bank.kernels, g, eig, order, info))
+    return real_if_close(_synthesis(C, bank._responses, g, eig, order, info))
 
 
-def _normalized(bank, scale, tag):
-    """Bank of ``h_z / scale(sum_z' |h_z'|^2)``, evaluated pointwise. The
-    denominator of the last evaluation points is kept (as one tuple, so
-    concurrent callers never mix grids): a grid costs |Z| energies once."""
-    kernels = list(bank.kernels)
-    last = (None, None, None)   # (lam, omega, denominator)
+class _Normalized(FilterBank):
+    """Bank of ``h_z / scale(sum_z' |h_z'|^2)`` over a base bank. Its stack
+    divides the base bank's stack once; each atom, called alone, evaluates
+    every base kernel, so no evaluation depends on another."""
 
-    def denominator(lam, omega):
-        nonlocal last
-        entry = last
-        if not (np.array_equal(entry[0], lam)
-                and np.array_equal(entry[1], omega)):
-            total = 0.0
-            for kernel in kernels:
-                total = total + np.abs(np.asarray(kernel(lam, omega))) ** 2
-            entry = last = (np.copy(lam), np.copy(omega), scale(total))
-        return entry[2]
+    def __init__(self, bank, scale, tag):
+        super().__init__(
+            kernels=[JointKernel(fn=partial(self._atom, z),
+                                 name=f"{tag}({kz.name})")
+                     for z, kz in enumerate(bank.kernels)],
+            lattice=list(bank.lattice), T=bank.T,
+            time_lattice=bank.time_lattice, meta={f"{tag}_of": bank.kind})
+        self._base, self._scale = bank, scale
 
-    def make(kz):
-        return lambda lam, omega: (np.asarray(kz(lam, omega))
-                                   / denominator(lam, omega))
+    def _atom(self, z, lam, omega):
+        H = [np.asarray(kernel(lam, omega), dtype=complex)
+             for kernel in self._base.kernels]
+        return H[z] / self._scale(sum(np.abs(h) ** 2 for h in H))
 
-    return FilterBank(
-        kernels=[JointKernel(fn=make(kz), name=f"{tag}({kz.name})")
-                 for kz in kernels],
-        lattice=list(bank.lattice), kind="custom", mother=None, T=bank.T,
-        time_lattice=bank.time_lattice,
-        meta={f"{tag}_of": bank.kind})
+    def _responses(self, lambdas, omegas):
+        H = self._base._responses(lambdas, omegas)
+        return H / self._scale((np.abs(H) ** 2).sum(axis=0))
 
 
 def canonical_dual(bank, eig, tol=1e-12):
@@ -318,11 +320,11 @@ def canonical_dual(bank, eig, tol=1e-12):
         raise NotAFrameError(
             f"lower frame bound {A:.3e} vanishes at grid point "
             f"(l={l}, k={k}) (0-based); the bank is not a frame")
-    return _normalized(bank, lambda energy: energy, "dual")
+    return _Normalized(bank, lambda energy: energy, "dual")
 
 
 def normalize_tight(bank):
     """Scale kernels by ``1 / sqrt(sum_z |h_z|^2)`` pointwise, producing a
     tight bank with frame bounds A = B = 1. The bank's summed energy must
     be positive wherever kernels are evaluated."""
-    return _normalized(bank, np.sqrt, "tight")
+    return _Normalized(bank, np.sqrt, "tight")

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigendecompositionCapError, ValidationError
+from .kernels import _number
 from .rng import default_rng
 
 #: Largest vertex count accepted by the dense eigendecomposition path.
@@ -570,7 +571,7 @@ def knn_sensor_graph(n, k, seed=0, sigma=None):
     dist, idx = np.sqrt(d2[:, 1:]), idx[:, 1:]  # drop self-match
     if sigma is None:
         sigma = float(dist[:, -1].mean())
-    if sigma <= 0:
+    if _number("sigma", sigma) <= 0:
         raise ValidationError("sigma must be positive")
     # one edge per pair; where both ends pick each other the later row wins
     src = np.repeat(np.arange(n), k)

@@ -12,10 +12,6 @@ from .errors import ValidationError
 from .transforms import omega_grid
 
 
-def _same(value):
-    return value
-
-
 def _check_horizon(T):
     """The check of every time horizon ``T``: at least one sample."""
     if T < 1:
@@ -50,22 +46,18 @@ class JointKernel:
         sep = "separable" if self.separable else "non-separable"
         return f"JointKernel({self.name}, {sep}, params={self.params})"
 
-    def _mapped(self, name, lam_map=_same, omega_map=_same, out=_same):
-        """Kernel ``out(h(lam_map(lambda), omega_map(omega)))``; a separable
+    def _mapped(self, name, lam_map, omega_map):
+        """Kernel ``h(lam_map(lambda), omega_map(omega))``; a separable
         kernel maps each factor and stays separable."""
         if self.separable:
             h1, h2 = self.h1, self.h2
-            return JointKernel(h1=lambda lam: out(h1(lam_map(lam))),
-                               h2=lambda omega: out(h2(omega_map(omega))),
+            return JointKernel(h1=lambda lam: h1(lam_map(lam)),
+                               h2=lambda omega: h2(omega_map(omega)),
                                name=name, params=self.params)
         fn = self.fn
         return JointKernel(
-            fn=lambda lam, omega: out(fn(lam_map(lam), omega_map(omega))),
+            fn=lambda lam, omega: fn(lam_map(lam), omega_map(omega)),
             name=name, params=self.params)
-
-    def conj(self):
-        """Kernel with complex-conjugated response (used by synthesis)."""
-        return self._mapped(f"conj({self.name})", out=np.conj)
 
     def shifted(self, z_lambda, z_omega):
         """Spectral shift ``h(lambda - z_lambda, omega - z_omega)``."""
@@ -80,14 +72,18 @@ class JointKernel:
                             lambda omega: z_omega * omega)
 
 
-def _product_eval(kernel, lambdas, omegas):
-    """Complex ``(len(lambdas), len(omegas))`` responses on the product
-    grid, with constant or partial responses broadcast."""
-    lam = np.asarray(lambdas, dtype=float).reshape(-1, 1)
-    w = np.asarray(omegas, dtype=float).reshape(1, -1)
-    out = np.empty((lam.shape[0], w.shape[1]), dtype=complex)
-    out[...] = kernel(lam, w)
-    return out
+def _stack(kernels):
+    """The kernels' responses as one function: ``(lambdas, omegas)`` -> the
+    complex ``(Z, len(lambdas), len(omegas))`` stack on the product grid,
+    with constant or partial responses broadcast."""
+    def stack(lambdas, omegas):
+        lam = np.asarray(lambdas, dtype=float).reshape(-1, 1)
+        w = np.asarray(omegas, dtype=float).reshape(1, -1)
+        out = np.empty((len(kernels), lam.size, w.size), dtype=complex)
+        for z, kernel in enumerate(kernels):
+            out[z] = kernel(lam, w)
+        return out
+    return stack
 
 
 def grid_eval(kernel, lambdas, T):
@@ -96,7 +92,7 @@ def grid_eval(kernel, lambdas, T):
     ``lambdas`` are the graph eigenvalues; the temporal axis uses the DFT
     grid wrapped to ``(-pi, pi]``.
     """
-    return _product_eval(kernel, lambdas, omega_grid(T))
+    return _stack([kernel])(lambdas, omega_grid(T))[0]
 
 
 def stable_geometric_sum(a, length):
@@ -159,7 +155,7 @@ def tikhonov_response(tau1, tau2):
     ``lambda_T(omega) = 2 (1 - cos omega)``; minimizes the squared-error
     objective with quadratic graph and time variation penalties.
     """
-    if tau1 < 0 or tau2 < 0:
+    if min(_number("tau1", tau1), _number("tau2", tau2)) < 0:
         raise ValidationError("tikhonov weights must be nonnegative")
 
     def fn(lam, omega):

@@ -21,9 +21,10 @@ from .filtering import filter_cheby2d, filter_exact, filter_ffc
 class RunReport:
     """Machine-readable record of one CLI run.
 
-    Metrics must be finite; timings are wall-clock milliseconds per stage.
-    ``eigensystem`` says how the ``eigendecomposition`` stage obtained the
-    eigensystem: ``"computed"``, ``"reused"`` from the process memo (see
+    Metrics and float parameters must be finite (a bare NaN is not JSON);
+    timings are wall-clock milliseconds per stage. ``eigensystem`` says how
+    the ``eigendecomposition`` stage obtained the eigensystem:
+    ``"computed"``, ``"reused"`` from the process memo (see
     :mod:`tvgsp.graphs`), or None when the run had no such stage.
     ``warnings`` holds the messages of the Python warnings the run raised.
     Timings, ``eigensystem`` and the ``environment`` block (see
@@ -42,9 +43,12 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):
-        for key, value in self.metrics.items():
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ValidationError(f"metric '{key}' is not finite: {value}")
+        for kind, values in (("metric", self.metrics),
+                             ("parameter", self.params)):
+            for key, value in values.items():
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise ValidationError(
+                        f"{kind} '{key}' is not finite: {value}")
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -160,6 +164,9 @@ def filter_error_table(X, g, eig, kernels, methods, orders):
     against the exact spectral filter. ``cheby2d`` uses equal graph and
     time orders.
     """
+    for method in methods:
+        if method not in ("exact", "ffc", "cheby2d"):
+            raise ValidationError(f"unknown filtering method '{method}'")
     rows = []
     for kname, kernel in kernels.items():
         t0 = time.perf_counter()
@@ -174,10 +181,8 @@ def filter_error_table(X, g, eig, kernels, methods, orders):
                 t0 = time.perf_counter()
                 if method == "ffc":
                     Y = filter_ffc(X, kernel, g, order)
-                elif method == "cheby2d":
-                    Y = filter_cheby2d(X, kernel, g, order, order)
                 else:
-                    raise ValidationError(f"unknown filtering method '{method}'")
+                    Y = filter_cheby2d(X, kernel, g, order, order)
                 wall_ms = (time.perf_counter() - t0) * 1e3
                 err = np.linalg.norm(Y - reference) / ref_norm
                 rows.append((kname, method, order, float(err), wall_ms))

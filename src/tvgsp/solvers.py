@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NotAFrameError, ValidationError
 from .filtering import _filter
 from .frames import DEFAULT_ORDER, bank_grid
-from .kernels import tikhonov_response
+from .kernels import _number, tikhonov_response
 from .transforms import (_checked, _ijft_stack, _jft_stack, _spectral_bins,
                          time_diff, time_diff_adjoint)
 
@@ -35,7 +35,8 @@ class Regularizer:
     def __post_init__(self):
         if self.p not in (1, 2) or self.q not in (1, 2):
             raise ValidationError("regularizer orders must be 1 or 2")
-        if self.gamma_graph < 0 or self.gamma_time < 0:
+        if (_number("gamma_graph", self.gamma_graph) < 0
+                or _number("gamma_time", self.gamma_time) < 0):
             raise ValidationError("regularizer weights must be nonnegative")
 
 
@@ -133,6 +134,7 @@ def inpaint(spec, g):
     if spec.max_iters < 1:
         raise ValidationError(
             f"inpaint needs max_iters >= 1, got {spec.max_iters}")
+    _number("inpaint tol", spec.tol)
     Y = _checked(spec.observation, "observation", g=g)
     M = _validate_mask(spec.mask, Y.shape)
     reg = spec.regularizer
@@ -225,8 +227,12 @@ def sparse_code(spec, g, eig=None):
     exact ``synthesize``/``analyze``; ``coeffs`` are complex ``(|Z|, N,
     T)``.
     """
-    if spec.gamma < 0:
+    if _number("sparse coding weight gamma", spec.gamma) < 0:
         raise ValidationError("sparse coding weight gamma must be nonnegative")
+    if spec.max_iters < 1:
+        raise ValidationError(
+            f"sparse coding needs max_iters >= 1, got {spec.max_iters}")
+    _number("sparse coding tol", spec.tol)
     bank = spec.bank
     if bank.subsampled:
         raise ValidationError("sparse coding requires full bank lattices")

@@ -1019,6 +1019,54 @@ def test_empty_time_axis_exits_2_with_one_line(command, tmp_path,
     assert sorted(os.listdir(tmp_path)) == ["g.csv", "x.bin"]
 
 
+_INPAINT = ["inpaint", "--graph", "g.csv", "--signal", "x.csv", "--mask",
+            "m.csv", "--gamma1", "0.2", "--gamma2", "0.5", "--out", "y.csv"]
+_SPARSE_CODE = ["sparse-code", "--graph", "g.csv", "--bank", "bank.json",
+                "--signal", "x.csv", "--gamma", "0.5", "--out", "c.tvcf"]
+_DENOISE = ["denoise", "--graph", "g.csv", "--signal", "x.csv",
+            "--out", "y.csv"]
+_DYNAMICS = ["dynamics", "--graph", "g.csv", "--x1", "x1.csv", "--T", "8",
+             "--out", "X.csv"]
+
+
+@pytest.mark.parametrize("command,name", [
+    (_INPAINT + ["--gamma1", "nan"], "gamma_graph"),
+    (_INPAINT + ["--gamma2", "nan"], "gamma_time"),
+    (_INPAINT + ["--tol", "nan"], "inpaint tol"),
+    (_SPARSE_CODE + ["--gamma", "nan"], "sparse coding weight gamma"),
+    (_SPARSE_CODE + ["--tol", "nan"], "sparse coding tol"),
+    (_DENOISE + ["--tau1", "nan"], "tau1"),
+    (_DENOISE + ["--tau2", "nan"], "tau2"),
+    (_DYNAMICS + ["--kind", "wave", "--s", "nan"], "wave speed s"),
+    (_DYNAMICS + ["--kind", "heat", "--s", "nan"], "heat step s"),
+    (["graph-gen", "--kind", "knn_sensor", "--n", "10", "--k", "3",
+      "--sigma", "nan", "--out", "g2.csv"], "sigma"),
+], ids=["inpaint-gamma1", "inpaint-gamma2", "inpaint-tol", "sparse-code-gamma",
+        "sparse-code-tol", "denoise-tau1", "denoise-tau2", "dynamics-wave-s",
+        "dynamics-heat-s", "graph-gen-sigma"])
+def test_a_nan_parameter_exits_2_naming_it(command, name, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    fileio.save_edges_csv("g.csv", ring_graph(6))
+    fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
+    fileio.save_signal_csv("x1.csv", np.eye(6, 1))
+    fileio.save_mask_csv("m.csv", np.ones((6, 8)))
+    fileio.save_bank_spec("bank.json", FUZZ_BANK)
+    inputs = sorted(os.listdir(tmp_path))
+    err = _assert_invalid_input(invoke(*command), capsys)
+    assert f"{name}=nan is not a finite number" in err
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+def test_filter_bench_checks_every_method_before_any_work(tmp_path, capsys):
+    code = invoke("filter-bench", "--n", "24", "--knn", "4", "--t", "8",
+                  "--kernels", "lp", "--orders", "", "--methods", "bogus",
+                  "--emit", str(tmp_path / "bench.csv"))
+    err = _assert_invalid_input(code, capsys)
+    assert "unknown filtering method 'bogus'" in err
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: malformed TVSG/TVCF bytes and bank specs never escape the contract
 # ---------------------------------------------------------------------------

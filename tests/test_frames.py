@@ -9,9 +9,9 @@ from tvgsp import (JointKernel, NotAFrameError, ValidationError, analyze,
                    filter_exact, frame_bounds, heat_response, itersine,
                    itersine_graph_design, jft, knn_sensor_graph, localize,
                    make_stvft, make_stvwt, mexican_hat_response,
-                   normalize_tight, synthesize, time_window,
-                   time_window_kernel)
-from tvgsp.frames import FilterBank
+                   normalize_tight, synthesize, tikhonov_response,
+                   time_window, time_window_kernel)
+from tvgsp.frames import FilterBank, bank_grid
 from tvgsp.kernels import grid_eval
 from tvgsp.rng import default_rng
 
@@ -331,8 +331,8 @@ def test_bank_energy_shape(g, eig, stvwt_bank):
 
 
 def test_dual_kernels_concurrent_grids_never_mix(g, eig, stvwt_bank):
-    # a dual bank keeps the denominator of the last evaluation points;
-    # threads evaluating it on different grids must each get their own
+    # each dual atom is a pure function: threads evaluating the atoms on
+    # different grids must each get their own responses
     dual = canonical_dual(stvwt_bank, eig)
     omega = np.linspace(-np.pi, np.pi, 7)[None, :]
     grids = [np.linspace(0.0, g.lmax * (i + 1) / 4, 6)[:, None]
@@ -368,12 +368,10 @@ def test_dual_kernels_concurrent_grids_never_mix(g, eig, stvwt_bank):
 @pytest.mark.parametrize("normalize", [canonical_dual,
                                        lambda bank, eig: normalize_tight(bank)],
                          ids=["dual", "tight"])
-def test_fit_of_normalized_bank_evaluates_each_kernel_four_times(normalize, g,
-                                                                 eig):
-    # the fit evaluates every kernel on the Chebyshev nodes before any on
-    # the probe points, so the shared denominator is computed once per point
-    # set: each base kernel is evaluated for its own atom and for the
-    # denominator on both sets, 4 times instead of 2 (|Z| + 1)
+def test_fit_of_normalized_bank_evaluates_each_kernel_twice(normalize, g, eig):
+    # the fit evaluates the bank's stack once on the Chebyshev nodes and
+    # once on the probe points, and a normalized bank's stack divides its
+    # base bank's stack: each base kernel is evaluated once per point set
     counts = [0, 0, 0]
 
     def counted(z, s):
@@ -389,7 +387,30 @@ def test_fit_of_normalized_bank_evaluates_each_kernel_four_times(normalize, g,
     counts[:] = [0, 0, 0]
     synthesize(normalized, default_rng(5).standard_normal((3, g.N, T)), g,
                order=20)
-    assert counts == [4, 4, 4]
+    assert counts == [2, 2, 2]
+
+
+def test_a_bank_stack_is_its_stacked_grid_responses(g, eig, stvwt_bank):
+    assert np.array_equal(bank_grid(stvwt_bank, eig),
+                          np.stack([grid_eval(k, eig.values, T)
+                                    for k in stvwt_bank.kernels]))
+
+
+@pytest.mark.parametrize("normalize", [
+    canonical_dual, lambda bank, eig: normalize_tight(bank),
+    lambda bank, eig: normalize_tight(canonical_dual(bank, eig))],
+    ids=["dual", "tight", "tight-of-dual"])
+@pytest.mark.parametrize("complex_bank", [True, False],
+                         ids=["damped-wave", "mexican-hat"])
+def test_a_normalized_bank_stack_is_its_per_atom_evaluation(
+        normalize, complex_bank, g, eig, stvwt_bank):
+    bank = stvwt_bank if complex_bank else make_stvwt(
+        mexican_hat_response(), [0.5, 1.0], [1.0], g, T,
+        dc_kernel=tikhonov_response(1.0, 1.0))
+    normalized = normalize(bank, eig)
+    assert np.array_equal(bank_grid(normalized, eig),
+                          np.stack([grid_eval(k, eig.values, T)
+                                    for k in normalized.kernels]))
 
 
 def test_a_bank_is_subsampled_by_its_time_lattice_alone():

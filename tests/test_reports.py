@@ -37,6 +37,12 @@ def test_run_report_rejects_nonfinite_metric():
         RunReport(command="x", metrics={"bad": float("nan")})
 
 
+def test_run_report_rejects_a_nonfinite_parameter():
+    # a bare NaN is not valid JSON
+    with pytest.raises(ValidationError, match="parameter 'gamma1' is not"):
+        RunReport(command="x", params={"gamma1": float("nan")})
+
+
 def test_compaction_p0_lossless(g):
     eig = g.eigensystem()
     X = default_rng(1).standard_normal((g.N, 8))

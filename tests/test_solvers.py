@@ -292,6 +292,19 @@ def test_sparse_code_rejects_a_bank_it_cannot_use(g, bank, make_bank, error,
         sparse_code(spec, g)
 
 
+@pytest.mark.parametrize("controls, match", [
+    ({"gamma": float("inf")}, "gamma=inf is not a finite number"),
+    ({"gamma": -1.0}, "must be nonnegative"),
+    ({"max_iters": 0}, "max_iters >= 1, got 0"),
+    ({"tol": float("nan")}, "tol=nan is not a finite number"),
+], ids=["gamma-inf", "gamma-negative", "no-iterations", "tol-nan"])
+def test_sparse_code_rejects_bad_controls(g, bank, controls, match):
+    spec = SparseCodingSpec(bank=bank, observation=np.ones((g.N, 12)),
+                            **{"gamma": 0.1, **controls})
+    with pytest.raises(ValidationError, match=match):
+        sparse_code(spec, g)
+
+
 def test_localize_source_checks_a_stack_against_the_time_lattice(g):
     """A subsampled STVFT bank's coefficients have one time sample per
     lattice point; a full-length stack is rejected."""
