@@ -38,9 +38,9 @@ import numpy as np
 from . import fileio, reports
 from .errors import NumericalError, TvgspError, ValidationError
 from .frames import analyze as frame_analyze
-from .frames import canonical_dual, frame_bounds
+from .frames import DEFAULT_ORDER, canonical_dual, frame_bounds
 from .frames import synthesize as frame_synthesize
-from .graphs import build_graph, generate_graph
+from .graphs import _KINDS, build_graph, generate_graph
 from .kernels import named_response
 from .rng import default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
@@ -174,11 +174,9 @@ def _command(body):
 
 @_command
 def cmd_graph_gen(job, args):
-    params = {}
-    for key in ("n", "k", "p", "rows", "cols", "sigma"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    names = {key for _, keys in _KINDS.values() for key in keys} - {"seed"}
+    params = {key: value for key, value in vars(args).items()
+              if key in names and value is not None}
     with job.stage("generate"):
         g = generate_graph(args.kind, params, rng_seed=args.seed)
         connected = g.is_connected()
@@ -493,9 +491,7 @@ def build_parser():
 
     p = sub.add_parser("graph-gen", parents=[common],
                        help="generate a synthetic graph")
-    p.add_argument("--kind", required=True,
-                   choices=["path", "ring", "grid2d", "knn_sensor",
-                            "erdos_renyi"])
+    p.add_argument("--kind", required=True, choices=list(_KINDS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float)
@@ -555,7 +551,7 @@ def build_parser():
     p.add_argument("--bank", required=True)
     p.add_argument("--signal", required=True)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=50)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synthesize", parents=[common, graph_args],
@@ -565,7 +561,7 @@ def build_parser():
     p.add_argument("--dual", action="store_true",
                    help="synthesize with the canonical dual bank")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=50)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("denoise", parents=[common, graph_args],
@@ -574,7 +570,7 @@ def build_parser():
     p.add_argument("--tau1", type=float, default=0.71)
     p.add_argument("--tau2", type=float, default=1.78)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=50)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("inpaint", parents=[common, graph_args],

@@ -27,11 +27,10 @@ its extension file under its own name, which runs no ``scipy`` package
 ``__init__``, with the dispatch of ``scipy.sparse.csr_array @`` so that
 results are bit for bit scipy's. Where that module cannot be loaded the
 product goes through ``scipy.sparse`` itself. ``scipy.sparse`` is imported
-by the public ``Graph.W``, ``Graph.L`` and ``Graph(weights)``, and
-``scipy.sparse.linalg`` inside the Lanczos estimate of
-:func:`estimate_lambda_max`. A process that generates graphs or works on
-the eigenbasis alone loads no scipy module, and one on the Chebyshev or
-solver paths loads the kernel module alone.
+by the public ``Graph.W`` and ``Graph.L``, and by ``Graph(weights)`` to read
+its input. A process that generates graphs or works on the eigenbasis alone
+loads no scipy module, and one on the Chebyshev or solver paths loads the
+kernel module alone.
 """
 
 import os
@@ -104,6 +103,23 @@ def _row_ids(indptr):
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
+def _check_entries(i, j, w, n):
+    """The weight contract of every graph on the entries ``(i, j, w)`` of its
+    n x n weight matrix: ids in ``[0, n)``, no self-loop, finite nonnegative
+    weights. The error names the first bad id, else the first bad weight."""
+    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
+    if bad.size:
+        k = bad[0]
+        if i[k] == j[k] and 0 <= i[k] < n:
+            raise ValidationError(f"self-loop at vertex {i[k]} rejected")
+        raise ValidationError(f"vertex id out of range: ({i[k]}, {j[k]}) with N={n}")
+    bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # < 0, NaN, inf
+    if bad.size:
+        k = bad[0]
+        kind = "negative" if np.isfinite(w[k]) else "non-finite"
+        raise ValidationError(f"{kind} weight {w[k]} on edge ({i[k]}, {j[k]})")
+
+
 #: scipy's compiled sparse kernels, under the name scipy gives them.
 _KERNELS = "scipy.sparse._sparsetools"
 
@@ -147,9 +163,9 @@ class Graph:
     Parameters
     ----------
     weights : scipy.sparse matrix or array_like
-        Symmetric N x N weight matrix of finite nonnegative weights with
-        zero diagonal, converted by ``scipy.sparse.csr_array`` to float64
-        weights. Duplicate entries are summed.
+        Symmetric N x N weight matrix, read by ``scipy.sparse.coo_array``
+        as float64 weights. Duplicate entries are summed, then held to the
+        weight contract of :func:`build_graph`.
     coords : ndarray, optional
         N x d vertex coordinates (used by generators and source
         localization).
@@ -157,25 +173,16 @@ class Graph:
 
     def __init__(self, weights, coords=None):
         import scipy.sparse as sp  # deferred: build_graph does not need it
-        W = sp.csr_array(weights, dtype=float, copy=True)
+        W = sp.coo_array(weights, dtype=float)
         if W.ndim != 2 or W.shape[0] != W.shape[1]:
             raise ValidationError("weight matrix must be square")
-        W.sum_duplicates()
-        W.eliminate_zeros()
-        bad = np.flatnonzero(~np.isfinite(W.data))
-        if bad.size:  # before the symmetry test, which NaN fails
-            k = bad[0]
-            i = np.searchsorted(W.indptr, k, side="right") - 1
-            raise ValidationError(f"non-finite weight {W.data[k]} on edge "
-                                  f"({i}, {W.indices[k]})")
-        if (W != W.T).nnz:
+        n = W.shape[0]
+        csr = _canonical_csr(W.row, W.col, W.data, n)
+        _check_entries(_row_ids(csr[0]), csr[1], csr[2], n)
+        transposed = _canonical_csr(W.col, W.row, W.data, n)
+        if not all(map(np.array_equal, csr, transposed)):
             raise ValidationError("weight matrix must be symmetric")
-        if W.diagonal().any():
-            raise ValidationError("self-loops are not supported")
-        if W.nnz and W.data.min() < 0:
-            raise ValidationError("edge weights must be nonnegative")
-        self._setup((W.indptr.astype(np.int64), W.indices.astype(np.int64),
-                     W.data), coords)
+        self._setup(csr, coords)
 
     @classmethod
     def _from_csr(cls, csr, coords=None):
@@ -373,18 +380,7 @@ def build_graph(edge_list, num_vertices, coords=None):
         raise ValidationError("num_vertices must be nonnegative")
     edges = np.asarray(edge_list, dtype=float).reshape(len(edge_list), 3)
     (i, j), w = edges[:, :2].astype(np.int64).T, edges[:, 2]
-    bad = np.flatnonzero((i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j))
-    if bad.size:
-        k = bad[0]
-        if i[k] == j[k] and 0 <= i[k] < n:
-            raise ValidationError(f"self-loop at vertex {i[k]} rejected")
-        raise ValidationError(f"vertex id out of range: ({i[k]}, {j[k]}) with N={n}")
-    bad = np.flatnonzero(~((w >= 0) & (w < np.inf)))  # < 0, NaN, inf
-    if bad.size:
-        k = bad[0]
-        kind = "negative" if np.isfinite(w[k]) else "non-finite"
-        raise ValidationError(
-            f"{kind} weight {w[k]} on edge ({i[k]}, {j[k]})")
+    _check_entries(i, j, w, n)
     # both directions with the same weights, summed in list order: the
     # matrix is symmetric, without self-loops or negative weights
     ij = np.column_stack((i, j))
@@ -392,27 +388,10 @@ def build_graph(edge_list, num_vertices, coords=None):
                                           np.repeat(w, 2), n), coords=coords)
 
 
-def estimate_lambda_max(g, refine=False):
-    """Upper bound on the largest Laplacian eigenvalue.
-
-    The default bound is ``2 * max(degree)``, which is cheap and always
-    valid. With ``refine=True`` the dominant eigenvalue is computed by a
-    seeded Lanczos iteration (dense for tiny graphs) and inflated by 1% to
-    stay an upper bound; the degree bound caps the result.
-    """
-    if g.num_edges == 0:
-        return 0.0
-    bound = 2.0 * g.degrees.max()
-    if not refine:
-        return float(bound)
-    if g.N <= 32:
-        est = float(np.linalg.eigvalsh(g.laplacian_dense())[-1])
-    else:
-        from scipy.sparse.linalg import eigsh  # deferred
-        v0 = default_rng(0).standard_normal(g.N)
-        est = float(eigsh(g.L, k=1, which="LA", v0=v0,
-                          return_eigenvectors=False)[0])
-    return float(min(bound, 1.01 * est))
+def estimate_lambda_max(g):
+    """Upper bound ``2 * max(degree)`` on the largest Laplacian eigenvalue:
+    cheap and always valid, 0 for a graph without edges."""
+    return float(2.0 * g.degrees.max()) if g.num_edges else 0.0
 
 
 def eigendecompose(g, cap=DEFAULT_EIG_CAP):
@@ -596,25 +575,30 @@ def erdos_renyi_graph(n, p, seed=0):
     return build_graph(edges, n)
 
 
+#: kind -> (generator, parameter names); the one table of graph kinds. ``p``
+#: and ``sigma`` are floats, the others ints; a value of None counts as unset.
+_KINDS = {
+    "path": (path_graph, ("n",)),
+    "ring": (ring_graph, ("n",)),
+    "grid2d": (grid2d_graph, ("rows", "cols")),
+    "knn_sensor": (knn_sensor_graph, ("n", "k", "sigma", "seed")),
+    "erdos_renyi": (erdos_renyi_graph, ("n", "p", "seed")),
+}
+
+
 def generate_graph(kind, params=None, rng_seed=0):
-    """Dispatch to a named generator. ``params`` is a dict of keyword
-    arguments specific to ``kind``.
-    """
-    params = dict(params or {})
-    try:
-        if kind == "path":
-            return path_graph(int(params.pop("n")))
-        if kind == "ring":
-            return ring_graph(int(params.pop("n")))
-        if kind == "grid2d":
-            return grid2d_graph(int(params.pop("rows")), int(params.pop("cols")))
-        if kind == "knn_sensor":
-            return knn_sensor_graph(
-                int(params.pop("n")), int(params.pop("k")),
-                seed=rng_seed, sigma=params.pop("sigma", None))
-        if kind == "erdos_renyi":
-            return erdos_renyi_graph(
-                int(params.pop("n")), float(params.pop("p")), seed=rng_seed)
-    except KeyError as exc:
-        raise ValidationError(f"generator '{kind}' misses parameter {exc}") from None
-    raise ValidationError(f"unknown graph kind '{kind}'")
+    """The graph of the generator of ``kind`` (see :data:`_KINDS`) with the
+    arguments ``params`` (``sigma`` optional); ``seed`` is ``rng_seed``."""
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown graph kind '{kind}'")
+    generator, names = _KINDS[kind]
+    params = {key: value for key, value in (params or {}).items()
+              if value is not None} | {"seed": rng_seed}
+    for key in params:
+        if key not in names and key != "seed":
+            raise ValidationError(f"{kind} graph takes no parameter '{key}'")
+    for key in names:
+        if key not in params and key != "sigma":
+            raise ValidationError(f"{kind} graph misses parameter '{key}'")
+    return generator(**{key: (float if key in ("p", "sigma") else int)(value)
+                        for key, value in params.items() if key in names})

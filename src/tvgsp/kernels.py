@@ -8,7 +8,7 @@ that fast separable filtering and windowed transforms can exploit them.
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .transforms import omega_grid
 
 
@@ -75,13 +75,17 @@ class JointKernel:
 def _stack(kernels):
     """The kernels' responses as one function: ``(lambdas, omegas)`` -> the
     complex ``(Z, len(lambdas), len(omegas))`` stack on the product grid,
-    with constant or partial responses broadcast."""
+    with constant or partial responses broadcast. A response that is not
+    finite is a :class:`NumericalError` naming its kernel."""
     def stack(lambdas, omegas):
         lam = np.asarray(lambdas, dtype=float).reshape(-1, 1)
         w = np.asarray(omegas, dtype=float).reshape(1, -1)
         out = np.empty((len(kernels), lam.size, w.size), dtype=complex)
         for z, kernel in enumerate(kernels):
             out[z] = kernel(lam, w)
+            if not np.isfinite(out[z]).all():
+                raise NumericalError(
+                    f"kernel '{kernel.name}' has a response that is not finite")
         return out
     return stack
 

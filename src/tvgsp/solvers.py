@@ -134,7 +134,8 @@ def inpaint(spec, g):
     if spec.max_iters < 1:
         raise ValidationError(
             f"inpaint needs max_iters >= 1, got {spec.max_iters}")
-    _number("inpaint tol", spec.tol)
+    if _number("inpaint tol", spec.tol) < 0:
+        raise ValidationError("inpaint tol must be nonnegative")
     Y = _checked(spec.observation, "observation", g=g)
     M = _validate_mask(spec.mask, Y.shape)
     reg = spec.regularizer
@@ -232,7 +233,8 @@ def sparse_code(spec, g, eig=None):
     if spec.max_iters < 1:
         raise ValidationError(
             f"sparse coding needs max_iters >= 1, got {spec.max_iters}")
-    _number("sparse coding tol", spec.tol)
+    if _number("sparse coding tol", spec.tol) < 0:
+        raise ValidationError("sparse coding tol must be nonnegative")
     bank = spec.bank
     if bank.subsampled:
         raise ValidationError("sparse coding requires full bank lattices")

@@ -1058,6 +1058,41 @@ def test_a_nan_parameter_exits_2_naming_it(command, name, tmp_path,
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
+_HEAT = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--kernel",
+         "heat", "--param", "s=1e300", "--out", "y.csv"]
+
+
+@pytest.mark.parametrize("command,code,line", [
+    (_INPAINT + ["--tol", "-1"], 2,
+     "invalid_input: inpaint tol must be nonnegative"),
+    (_SPARSE_CODE + ["--tol", "-1"], 2,
+     "invalid_input: sparse coding tol must be nonnegative"),
+    (_HEAT + ["--method", "ffc"], 3,
+     "numerical_failure: kernel 'heat' has a response that is not finite"),
+    (_HEAT + ["--method", "exact"], 3,
+     "numerical_failure: kernel 'heat' has a response that is not finite"),
+    (["graph-gen", "--kind", "ring", "--n", "6", "--k", "3",
+      "--out", "g2.csv"], 2, "invalid_input: ring graph takes no parameter 'k'"),
+], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
+        "heat-exact", "graph-gen-parameter-of-another-kind"])
+def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+    """A negative tolerance, a kernel whose response overflows and a
+    generator parameter of another graph kind each end the run with one
+    line that names them, and no file is written."""
+    monkeypatch.chdir(tmp_path)
+    fileio.save_edges_csv("g.csv", ring_graph(6))
+    fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
+    fileio.save_mask_csv("m.csv", np.ones((6, 8)))
+    fileio.save_bank_spec("bank.json", FUZZ_BANK)
+    inputs = sorted(os.listdir(tmp_path))
+    assert invoke(*command) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
 def test_filter_bench_checks_every_method_before_any_work(tmp_path, capsys):
     code = invoke("filter-bench", "--n", "24", "--knn", "4", "--t", "8",
                   "--kernels", "lp", "--orders", "", "--methods", "bogus",
