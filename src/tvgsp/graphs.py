@@ -576,7 +576,8 @@ def erdos_renyi_graph(n, p, seed=0):
 
 
 #: kind -> (generator, parameter names); the one table of graph kinds. ``p``
-#: and ``sigma`` are floats, the others ints; a value of None counts as unset.
+#: and ``sigma`` are finite floats, the others positive ints (``seed`` an int
+#: as given, never rounded through a float); a value of None counts as unset.
 _KINDS = {
     "path": (path_graph, ("n",)),
     "ring": (ring_graph, ("n",)),
@@ -600,5 +601,7 @@ def generate_graph(kind, params=None, rng_seed=0):
     for key in names:
         if key not in params and key != "sigma":
             raise ValidationError(f"{kind} graph misses parameter '{key}'")
-    return generator(**{key: (float if key in ("p", "sigma") else int)(value)
-                        for key, value in params.items() if key in names})
+    return generator(**{
+        key: int(value) if key == "seed" else _number(
+            key, value, integer=key not in ("p", "sigma"))
+        for key, value in params.items() if key in names})

@@ -3,15 +3,16 @@
 * :func:`denoise_tikhonov` applies the closed-form joint Tikhonov filter
   (exact minimizer of the quadratic smoothing objective).
 * :func:`inpaint` solves masked recovery with a mixed graph/time
-  variation prior by a Chambolle-Pock primal-dual scheme (two proximable
-  terms plus the linear difference operators; no smoothing of the l1).
+  variation prior by Chambolle-Pock with diagonal steps read off the
+  difference operators (no lambda-max bound, no smoothing of the l1).
 * :func:`sparse_code` fits sparse synthesis coefficients over a frame by
-  FISTA with complex soft thresholding and adaptive restart, one joint
-  transform pair per iteration (half spectrum for real problems).
+  FISTA with soft thresholding and adaptive restart, one joint transform
+  pair per iteration (half spectrum, real iterates for real problems).
 """
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from .errors import NotAFrameError, ValidationError
 from .filtering import _filter
 from .frames import DEFAULT_ORDER, bank_grid
 from .kernels import _number, tikhonov_response
-from .transforms import (_checked, _ijft_stack, _jft_stack, _spectral_bins,
-                         time_diff, time_diff_adjoint)
+from .transforms import (_checked, _fft, _ifft, _jft_stack, _matvec,
+                         _spectral_bins, time_diff, time_diff_adjoint)
 
 
 @dataclass
@@ -115,10 +116,15 @@ def _initial_fill(Y, M):
     return np.where(M > 0, Y, fill[:, None])
 
 
-def _prox_conjugate(u, sigma, gamma, p):
+def _dual_step(u, v, sigma, gamma, p):
+    """The prox of ``sigma F*`` at ``u + sigma v``, for ``F = gamma |.|^p``,
+    computed in place on ``v``."""
+    v *= sigma
+    v += u
     if p == 1:
-        return np.clip(u, -gamma, gamma)
-    return u / (1.0 + sigma / (2.0 * gamma))
+        return np.clip(v, -gamma, gamma, out=v)
+    v /= 1.0 + sigma / (2.0 * gamma)
+    return v
 
 
 def inpaint(spec, g):
@@ -130,6 +136,12 @@ def inpaint(spec, g):
     relative objective improvement over a 10-iteration window falls below
     ``spec.tol``, else at ``spec.max_iters`` with a warning. ``gap`` is
     that improvement over the last ``min(10, iterations)`` iterations.
+
+    The steps are diagonal, read off the active blocks of ``K = [B; D_T]``
+    (Pock & Chambolle 2011, alpha = 1): ``1 / (sum_e sqrt(w_e) + 2)`` at a
+    vertex (1 for an empty column), ``1 / (2 sqrt(w_e))`` on an edge, 1/2
+    on a time row. ``K X`` is carried over: it serves the objective and
+    the next extrapolation ``2 K X_new - K X``.
     """
     if spec.max_iters < 1:
         raise ValidationError(
@@ -138,54 +150,53 @@ def inpaint(spec, g):
         raise ValidationError("inpaint tol must be nonnegative")
     Y = _checked(spec.observation, "observation", g=g)
     M = _validate_mask(spec.mask, Y.shape)
-    reg = spec.regularizer
-    Ym = M * Y
-    g1, g2 = reg.gamma_graph, reg.gamma_time
+    reg, Ym = spec.regularizer, M * Y
+    # (K_i, K_i^T, sigma_i, gamma_i, order_i) of each active block
+    blocks, column = [], np.zeros(g.N)
+    if reg.gamma_graph > 0:
+        src, dst, w = g.edges()
+        root = np.sqrt(w)
+        column += np.bincount(np.r_[src, dst], np.r_[root, root], g.N)
+        blocks.append((partial(g._matmul, "B"), partial(g._matmul, "BT"),
+                       (0.5 / root)[:, None], reg.gamma_graph, reg.p))
+    if reg.gamma_time > 0 and Y.shape[1] > 1:
+        column += 2.0
+        blocks.append((time_diff, time_diff_adjoint, 0.5, reg.gamma_time,
+                       reg.q))
+    tau = 1.0 / np.where(column > 0, column, 1.0)[:, None]
+    # the data prox X = argmin ||M o X - Ym||^2 + ||X - V||^2 / (2 tau)
+    scale = 1.0 / (1.0 + 2.0 * tau * M)
+    shift = 2.0 * tau * Ym * scale
 
-    def objective(X):
+    def objective(X, KX):
         r = M * X - Ym
-        val = float((r * r).sum())
-        if g1 > 0:
-            G = g._matmul("B", X)
-            val += g1 * float(np.abs(G).sum() if reg.p == 1 else (G * G).sum())
-        if g2 > 0:
-            D = time_diff(X)
-            val += g2 * float(np.abs(D).sum() if reg.q == 1 else (D * D).sum())
+        val = float(np.vdot(r, r))
+        for (_, _, _, gamma, order), G in zip(blocks, KX):
+            val += gamma * float(np.abs(G).sum() if order == 1
+                                 else np.vdot(G, G))
         return val
 
-    norm_K = np.sqrt(g.lmax + 4.0)
-    sigma = tau = 0.95 / max(norm_K, 1e-12)
-
     X = _initial_fill(Y, M)
-    Xbar = X.copy()
-    u_graph = np.zeros((g.num_edges, Y.shape[1]))
-    u_time = np.zeros_like(Y)
-
-    best_obj = objective(X)
-    best_X = X.copy()
+    KX = [K(X) for K, *_ in blocks]
+    KXbar, duals = [G.copy() for G in KX], [np.zeros_like(G) for G in KX]
+    best_obj, best_X = objective(X, KX), X
     history = [best_obj]
     window = 10
     converged = False
     for iterations in range(1, spec.max_iters + 1):
-        if g1 > 0:
-            u_graph = _prox_conjugate(u_graph + sigma * g._matmul("B", Xbar),
-                                      sigma, g1, reg.p)
-        if g2 > 0:
-            u_time = _prox_conjugate(u_time + sigma * time_diff(Xbar),
-                                     sigma, g2, reg.q)
-        V = X.copy()
-        if g1 > 0:
-            V -= tau * g._matmul("BT", u_graph)
-        if g2 > 0:
-            V -= tau * time_diff_adjoint(u_time)
-        X_new = np.where(M > 0, (V + 2.0 * tau * Ym) / (1.0 + 2.0 * tau), V)
-        Xbar = 2.0 * X_new - X
-        X = X_new
-
-        obj = objective(X)
+        step = 0.0   # updates run in place on arrays no longer needed
+        for i, (_, KT, sigma, gamma, order) in enumerate(blocks):
+            duals[i] = _dual_step(duals[i], KXbar[i], sigma, gamma, order)
+            step = step + KT(duals[i])
+        X = scale * (X - tau * step) + shift
+        for i, (K, *_) in enumerate(blocks):
+            G = K(X)
+            KXbar[i] = np.subtract(G, KX[i], out=KX[i])
+            KXbar[i] += G
+            KX[i] = G
+        obj = objective(X, KX)
         if obj < best_obj:
-            best_obj = obj
-            best_X = X.copy()
+            best_obj, best_X = obj, X
         history.append(best_obj)
         gap = ((history[-min(window, iterations) - 1] - best_obj)
                / max(best_obj, 1e-30))
@@ -201,10 +212,18 @@ def inpaint(spec, g):
                          gap=float(gap), objective_trace=history)
 
 
-def _soft_threshold(C, thr):
-    mag = np.abs(C)
-    scale = np.maximum(1.0 - thr / np.maximum(mag, 1e-300), 0.0)
-    return C * scale
+def _soft_threshold(U, thr, shrunk):
+    """Shrink ``U``, real or complex, toward 0 by ``thr`` in magnitude, in
+    place, through the real work array ``shrunk``; returns the l1 norm."""
+    np.abs(U, out=shrunk)
+    if np.iscomplexobj(U):
+        U /= np.maximum(shrunk, 1e-300)   # the phase, times shrunk below
+    np.maximum(np.subtract(shrunk, thr, out=shrunk), 0.0, out=shrunk)
+    if np.iscomplexobj(U):
+        U *= shrunk
+    else:
+        np.copysign(shrunk, U, out=U)
+    return float(shrunk.sum())
 
 
 def sparse_code(spec, g, eig=None):
@@ -248,48 +267,54 @@ def sparse_code(spec, g, eig=None):
         raise NotAFrameError("bank has zero response everywhere")
     step = 1.0 / (2.0 * bound_B)
     half, H = _spectral_bins(X, H)
-    Hc = np.conj(H)
+    # responses with the gradient step's and the forward map's factors in
+    H_grad = H * (2.0 * np.sqrt(T) * step)
+    H_fwd = np.conj(H) / np.sqrt(T)
     # Parseval weights: a half-spectrum bin other than DC and (even T)
     # Nyquist also stands for its conjugate mirror
     weights = np.ones(H.shape[-1])
     if half:
         weights[1:(T + 1) // 2] = 2.0
     X_hat = _jft_stack(X, eig, half)
+    Q, thr = eig.vectors, step * spec.gamma
 
-    def residual_spectrum(C):
-        # jft(synthesize(C) - X)
-        return (Hc * _jft_stack(C, eig, half)).sum(axis=0) - X_hat
-
-    def objective(R_hat, C):
+    def objective(R_hat, l1):
         return float((np.abs(R_hat) ** 2).sum(axis=0) @ weights
-                     + spec.gamma * np.abs(C).sum())
+                     + spec.gamma * l1)
 
-    C = np.zeros((bank.size, g.N, T), dtype=float if half else complex)
-    R = -X_hat
-    Z, R_Z = C, R
-    t = 1.0
-    obj = objective(R, C)
+    # the iterate C, its successor U and the momentum point Z: reused arrays
+    C, U, Z = (np.zeros((bank.size, g.N, T), float if half else complex)
+               for _ in range(3))
+    shrunk = np.empty(C.shape)
+    R = R_Z = -X_hat
+    t, obj = 1.0, objective(R, 0.0)
     converged = False
     iterations = restarts = 0
     for iterations in range(1, spec.max_iters + 1):
-        # 2 * analyze(synthesize(Z) - X)
-        grad = 2.0 * _ijft_stack(H * R_Z, eig, T, half)
-        C_new = _soft_threshold(Z - step * grad, step * spec.gamma)
-        R_new = residual_spectrum(C_new)
-        obj_new = objective(R_new, C_new)
+        # U = Z - step * 2 analyze(synthesize(Z) - X), shrunk, and the
+        # residual spectrum jft(synthesize(U) - X)
+        V = _ifft(H_grad * R_Z, T, half)
+        np.subtract(Z, _matvec(Q, V, out=U), out=U)
+        l1 = _soft_threshold(U, thr, shrunk)
+        R_new = (H_fwd * _fft(_matvec(Q.T, U, out=V), half)).sum(axis=0)
+        R_new -= X_hat
+        obj_new = objective(R_new, l1)
         if obj_new > obj:
             # adaptive restart: drop the momentum and re-anchor
             restarts += 1
-            t = 1.0
-            Z, R_Z = C_new, R_new
+            t, R_Z = 1.0, R_new
+            np.copyto(Z, U)
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_new
-            Z = C_new + beta * (C_new - C)
+            np.subtract(U, C, out=Z)    # Z = U + beta (U - C)
+            Z *= beta
+            Z += U
             R_Z = (1.0 + beta) * R_new - beta * R   # R is affine in C
             t = t_new
         done = abs(obj_new - obj) <= spec.tol * max(obj_new, 1e-30)
-        C, R, obj = C_new, R_new, obj_new
+        C, U = U, C
+        R, obj = R_new, obj_new
         if done:
             converged = True
             break

@@ -210,11 +210,13 @@ def ijft(S, eig, real=None):
     return real_if_close(Y, strict=bool(real))
 
 
-def _matvec(A, V):
-    """Real dense ``A`` times a C-contiguous complex ``V`` (broadcast over a
-    stack), computed on the float64 view so ``A`` is never upcast to
-    complex."""
-    return (A @ V.view(np.float64)).view(np.complex128)
+def _matvec(A, V, out=None):
+    """Real dense ``A`` times a C-contiguous float64 or complex128 ``V``
+    (broadcast over a stack), computed on the float64 view so ``A`` is never
+    upcast to complex; into ``out``, C-contiguous of ``V``'s dtype, if
+    given."""
+    return np.matmul(A, V.view(np.float64), out=None if out is None
+                     else out.view(np.float64)).view(V.dtype)
 
 
 def _spectral_bins(A, table):
@@ -264,8 +266,7 @@ def _jft_stack(C, eig, half):
 
 def _ijft_stack(S, eig, T, half):
     """Inverse of :func:`_jft_stack` for ``T`` time samples."""
-    V = _ifft(S, T, half)
-    return (eig.vectors @ V if half else _matvec(eig.vectors, V)) * np.sqrt(T)
+    return _matvec(eig.vectors, _ifft(S, T, half)) * np.sqrt(T)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +274,23 @@ def _ijft_stack(S, eig, T, half):
 # ---------------------------------------------------------------------------
 
 def time_diff(X):
-    """Periodic first difference along time: ``x_t - x_{t-1}``."""
+    """Periodic first difference along time: ``x_t - x_{t-1}``, bit for bit
+    ``X - np.roll(X, 1, axis=1)`` but by slices, with no rolled copy."""
     X = np.asarray(X)
-    return X - np.roll(X, 1, axis=1)
+    D = np.empty_like(X)
+    np.subtract(X[:, 1:], X[:, :-1], out=D[:, 1:])
+    np.subtract(X[:, :1], X[:, -1:], out=D[:, :1])
+    return D
 
 
 def time_diff_adjoint(V):
-    """Adjoint of :func:`time_diff` (so that adjoint(time_diff) = X L_T)."""
+    """Adjoint of :func:`time_diff` (so that adjoint(time_diff) = X L_T):
+    ``V - np.roll(V, -1, axis=1)``, by slices."""
     V = np.asarray(V)
-    return V - np.roll(V, -1, axis=1)
+    A = np.empty_like(V)
+    np.subtract(V[:, :-1], V[:, 1:], out=A[:, :-1])
+    np.subtract(V[:, -1:], V[:, :1], out=A[:, -1:])
+    return A
 
 
 def graph_incidence(g):
@@ -301,7 +310,11 @@ def joint_laplacian_apply(X, g):
     Computed matrix-free; equals ``unvec((L_T kron I + I kron L_G) vec(X))``.
     """
     X = _checked(X, "signal", g=g)
-    time_part = 2.0 * X - np.roll(X, 1, axis=1) - np.roll(X, -1, axis=1)
+    time_part = 2.0 * X   # minus x_{t-1}, then x_{t+1}, as the rolled form
+    time_part[:, 1:] -= X[:, :-1]
+    time_part[:, :1] -= X[:, -1:]
+    time_part[:, :-1] -= X[:, 1:]
+    time_part[:, -1:] -= X[:, :1]
     return g._matmul("L", X) + time_part
 
 

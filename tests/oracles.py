@@ -107,16 +107,21 @@ def tikhonov_normal_equations(Y, Lg, tau1, tau2):
     return x.reshape(n, T, order="F")
 
 
+def masked_quadratic_system(M, Lg, gamma1, gamma2):
+    """Dense matrix of the normal equations of the inpainting problem with
+    p = q = 2, acting on column-stacked signals."""
+    n, T = M.shape
+    return (np.diag(M.reshape(-1, order="F"))
+            + gamma1 * np.kron(np.eye(T), Lg)
+            + gamma2 * np.kron(dense_time_laplacian(T), np.eye(n)))
+
+
 def masked_quadratic_solve(Y, M, Lg, gamma1, gamma2):
     """Dense minimizer of ||M o X - Y||^2 + g1 x' (I kron L) x
     + g2 x' (L_T kron I) x (the inpainting problem with p = q = 2)."""
     n, T = Y.shape
-    m = M.reshape(-1, order="F")
-    A = (np.diag(m)
-         + gamma1 * np.kron(np.eye(T), Lg)
-         + gamma2 * np.kron(dense_time_laplacian(T), np.eye(n)))
     rhs = (M * Y).reshape(-1, order="F")
-    x = np.linalg.solve(A, rhs)
+    x = np.linalg.solve(masked_quadratic_system(M, Lg, gamma1, gamma2), rhs)
     return x.reshape(n, T, order="F")
 
 

@@ -176,6 +176,29 @@ def test_generate_graph_dispatch():
         generate_graph("ring", {"n": 6, "k": 3})
 
 
+@pytest.mark.parametrize("kind, params, name", [
+    ("ring", {"n": "abc"}, "n"),
+    ("ring", {"n": 6.5}, "n"),
+    ("grid2d", {"rows": 2, "cols": float("nan")}, "cols"),
+    ("knn_sensor", {"n": 10, "k": "3x"}, "k"),
+    ("knn_sensor", {"n": 10, "k": 3, "sigma": "inf"}, "sigma"),
+    ("erdos_renyi", {"n": 6, "p": float("inf")}, "p"),
+])
+def test_generate_graph_names_a_bad_parameter_value(kind, params, name):
+    with pytest.raises(ValidationError, match=f"^{name}="):
+        generate_graph(kind, params)
+
+
+def test_generate_graph_keeps_a_large_seed_exact():
+    # 2**53 + 1 would round to 2**53 through a float
+    seed = 2 ** 53 + 1
+    g = generate_graph("erdos_renyi", {"n": "12", "p": "0.5"}, rng_seed=seed)
+    assert g.edges()[0].tolist() == erdos_renyi_graph(
+        12, 0.5, seed=seed).edges()[0].tolist()
+    assert g.edges()[0].tolist() != erdos_renyi_graph(
+        12, 0.5, seed=2 ** 53).edges()[0].tolist()
+
+
 def test_edges_canonical_order():
     g = build_graph([(2, 0, 1.0), (1, 0, 2.0)], 3)
     src, dst, w = g.edges()

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tvgsp import (FilterBank, InverseProblemSpec, JointKernel,
                    NotAFrameError, Regularizer, SparseCodingSpec,
@@ -7,11 +11,11 @@ from tvgsp import (FilterBank, InverseProblemSpec, JointKernel,
                    denoise_tikhonov, inpaint, itersine_graph_design,
                    knn_sensor_graph, localize_source, make_stvft, make_stvwt,
                    normalize_tight, ring_graph, signal_energy_centroid,
-                   sparse_code, synthesize, time_window)
+                   sparse_code, synthesize, time_window, variation_norm)
 from tvgsp.rng import default_rng
 
 from oracles import (masked_quadratic_objective, masked_quadratic_solve,
-                     tikhonov_normal_equations)
+                     masked_quadratic_system, tikhonov_normal_equations)
 
 
 @pytest.fixture
@@ -131,6 +135,91 @@ def test_inpaint_validation(g):
             regularizer=Regularizer()), g)
     with pytest.raises(ValidationError):
         Regularizer(p=3, q=2)
+
+
+@st.composite
+def small_graphs(draw):
+    """A weighted graph on 2-7 vertices, edgeless ones included."""
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1),
+                                    st.floats(0.1, 3.0)), max_size=12))
+    edges = {(min(i, j), max(i, j)): w for i, j, w in pairs if i != j}
+    return build_graph([(i, j, w) for (i, j), w in edges.items()], n)
+
+
+weights = st.one_of(st.just(0.0), st.floats(0.05, 2.0))
+
+
+def _inpaint_case(g, T, seed, p, q, gamma1, gamma2, max_iters, tol):
+    rng = default_rng(seed)
+    Y = rng.standard_normal((g.N, T))
+    M = (rng.random(Y.shape) < 0.6).astype(float)
+    assume(M.sum() > 0)
+    spec = InverseProblemSpec(
+        observation=Y, mask=M,
+        regularizer=Regularizer(p=p, q=q, gamma_graph=gamma1,
+                                gamma_time=gamma2),
+        max_iters=max_iters, tol=tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return Y, M, inpaint(spec, g)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=small_graphs(), T=st.sampled_from([1, 2, 7, 8]), gamma1=weights,
+       gamma2=weights, seed=st.integers(0, 10_000))
+def test_inpaint_quadratic_matches_the_dense_solve(g, T, gamma1, gamma2,
+                                                   seed):
+    Y, M, result = _inpaint_case(g, T, seed, 2, 2, gamma1, gamma2, 5000,
+                                 1e-13)
+    A = masked_quadratic_system(M, g.L.toarray(), gamma1, gamma2)
+    assume(np.linalg.matrix_rank(A) == A.shape[0])
+    X_star = masked_quadratic_solve(Y, M, g.L.toarray(), gamma1, gamma2)
+    obj_star = masked_quadratic_objective(X_star, Y, M, g, gamma1, gamma2)
+    assert abs(result.objective - obj_star) <= 1e-6 * max(obj_star, 1.0)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(g=small_graphs(), T=st.sampled_from([1, 2, 7, 8]),
+       orders=st.sampled_from([(1, 1), (1, 2), (2, 1)]), gamma1=weights,
+       gamma2=weights, seed=st.integers(0, 10_000))
+def test_inpaint_l1_trace_is_finite_and_non_increasing(g, T, orders, gamma1,
+                                                       gamma2, seed):
+    p, q = orders
+    Y, M, result = _inpaint_case(g, T, seed, p, q, gamma1, gamma2, 200, 0.0)
+    trace = np.asarray(result.objective_trace)
+    assert np.isfinite(trace).all()
+    assert (np.diff(trace) <= 0).all()
+    # the carried K X gives the objective of the returned signal
+    r = M * result.signal - M * Y
+    recomputed = float((r * r).sum()) + variation_norm(
+        result.signal, g, p, q, gamma1, gamma2)
+    assert result.objective == pytest.approx(recomputed, rel=1e-12,
+                                             abs=1e-12)
+
+
+def test_inpaint_iterations_on_a_seismic_shaped_problem():
+    # the solve_seismic inputs at seed 3: a noisy wave from a smooth bump
+    # (step 1 / max degree), half observed; 473 iterations with the former
+    # fixed step 0.95 / sqrt(lmax + 4), 259 with the diagonal steps
+    g = knn_sensor_graph(200, 6, seed=3)
+    rng = default_rng(3)
+    s = 1.0 / g.degrees.max()
+    X = np.empty((g.N, 32))
+    centre = g.coords[rng.integers(g.N)]
+    X[:, 0] = np.exp(-((g.coords - centre) ** 2).sum(axis=1) / 0.01)
+    X[:, 1] = X[:, 0] - 0.5 * s * (g.L @ X[:, 0])
+    for t in range(1, 31):
+        X[:, t + 1] = 2 * X[:, t] - X[:, t - 1] - s * (g.L @ X[:, t])
+    X += 0.1 * np.abs(X).max() * rng.standard_normal(X.shape)
+    M = (rng.random(X.shape) < 0.5).astype(float)
+    result = inpaint(InverseProblemSpec(
+        observation=M * X, mask=M,
+        regularizer=Regularizer(p=1, q=2, gamma_graph=0.2, gamma_time=0.5),
+        max_iters=5000, tol=1e-4), g)
+    assert result.converged
+    assert result.iterations <= 320
 
 
 @pytest.fixture

@@ -252,6 +252,23 @@ def test_difference_operator_adjoints(sensor30, rng):
         float((X * (B.T @ U)).sum()), rel=1e-12)
 
 
+@pytest.mark.parametrize("T", [1, 2, 7])
+def test_time_differences_equal_the_rolled_form_bit_for_bit(T):
+    # the sliced differences compute each entry as the np.roll forms do
+    g = ring_graph(5)
+    X = default_rng(T).standard_normal((5, T))
+    rolled = {
+        "diff": X - np.roll(X, 1, axis=1),
+        "adjoint": X - np.roll(X, -1, axis=1),
+        "laplacian": g.L @ X + (2.0 * X - np.roll(X, 1, axis=1)
+                                - np.roll(X, -1, axis=1)),
+    }
+    sliced = {"diff": time_diff(X), "adjoint": time_diff_adjoint(X),
+              "laplacian": joint_laplacian_apply(X, g)}
+    for name, expected in rolled.items():
+        assert sliced[name].tobytes() == expected.tobytes(), name
+
+
 def test_incidence_factorizes_laplacian(sensor30):
     B = graph_incidence(sensor30)
     assert np.abs((B.T @ B - sensor30.L).toarray()).max() <= 1e-12

@@ -9,7 +9,10 @@
 stage in a fresh ``python -m tvgsp._main ... --threads 1``. The tool then
 lists every output file that differs between the trees. Run reports are
 compared without ``timings_ms``, ``environment`` and ``warnings``, and with
-the paths in them reduced to file names.
+the paths in them reduced to file names. A differing signal or coefficient
+file (``TVSG`` or ``TVCF`` binary, or numeric CSV) of the same size also
+gets its largest relative difference, ``max |change - parent|`` over
+``max |parent|``, so that an intended change of outputs shows its size.
 
 Exit status: 0 when every output matches, 1 when one differs or a stage
 fails, 2 on a bad argument.
@@ -22,6 +25,8 @@ import shutil
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Report fields that differ between any two runs.
@@ -80,8 +85,40 @@ def _content(path, work):
     return data
 
 
+def _numbers(path):
+    """The entries of a signal or coefficient file as one flat array, or
+    None for a file of another kind."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:4] in (b"TVSG", b"TVCF"):
+        return np.frombuffer(data[16:], "<f8" if data[:4] == b"TVSG"
+                             else "<c16")
+    if not path.endswith(".csv"):
+        return None
+    lines = data.decode().splitlines()
+    for header in (0, 1):
+        try:
+            return np.loadtxt(lines[header:], delimiter=",",
+                              ndmin=2).ravel()
+        except ValueError:
+            pass
+    return None
+
+
+def _difference(paths):
+    """`` (largest relative difference ...)`` of two numeric files of one
+    size, else an empty string."""
+    parent, change = map(_numbers, paths)
+    if parent is None or change is None or parent.size != change.size:
+        return ""
+    scale = max(np.abs(parent).max(initial=0.0), 1e-300)
+    return (f" (largest relative difference "
+            f"{np.abs(change - parent).max(initial=0.0) / scale:.3e})")
+
+
 def compare(parent_src, change_src, seeds, workloads, scratch):
-    """``(files compared, names of the files that differ)``."""
+    """``(files compared, names of the files that differ)``; a name carries
+    the file's largest relative difference where it has one."""
     compared, differ = 0, []
     for name, wl in workloads.items():
         for seed in seeds:
@@ -94,10 +131,11 @@ def compare(parent_src, change_src, seeds, workloads, scratch):
             for file in names:
                 compared += 1
                 paths = [os.path.join(out, file) for out in outs]
-                if not all(map(os.path.exists, paths)) or (
-                        _content(paths[0], works[0])
-                        != _content(paths[1], works[1])):
-                    differ.append(f"{tag}/{file}")
+                both = all(map(os.path.exists, paths))
+                if not both or (_content(paths[0], works[0])
+                                != _content(paths[1], works[1])):
+                    differ.append(f"{tag}/{file}"
+                                  + (_difference(paths) if both else ""))
     return compared, differ
 
 
