@@ -21,6 +21,7 @@ coefficient readers reject NaN and Inf entries, naming the file.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -228,20 +229,25 @@ def _save_binary(path, A, magic):
 
 
 def _load_binary(path, magic):
+    """Read the header, check the payload size against the file's, then
+    read the payload straight into its array."""
     dtype, rank, what, entries = _BINARY[magic]
     with open(path, "rb") as fh:
-        header, payload = fh.read(16), fh.read()
-    if len(header) != 16:
-        raise ValidationError(f"{path}: truncated {what} header")
-    if header[:4] != magic:
-        raise ValidationError(f"{path}: bad magic {header[:4]!r}")
-    shape = struct.unpack("<3I", header[4:])[:rank]
-    size, width = math.prod(shape), np.dtype(dtype).itemsize
-    if len(payload) != size * width:
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ValidationError(f"{path}: truncated {what} header")
+        if header[:4] != magic:
+            raise ValidationError(f"{path}: bad magic {header[:4]!r}")
+        shape = struct.unpack("<3I", header[4:])[:rank]
+        size, width = math.prod(shape), np.dtype(dtype).itemsize
+        found = os.fstat(fh.fileno()).st_size - 16
+        if found == size * width:
+            A = np.empty(shape, dtype)
+            found = fh.readinto(A)   # short only if the file shrank
+    if found != size * width:
         raise ValidationError(f"{path}: expected {size} {entries}, "
-                              f"found {len(payload) / width:.15g}")
-    return _finite(np.frombuffer(payload, dtype=dtype).reshape(shape).copy(),
-                   path, f"{what} file")
+                              f"found {found / width:.15g}")
+    return _finite(A, path, f"{what} file")
 
 
 # ---------------------------------------------------------------------------

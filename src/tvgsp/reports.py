@@ -3,7 +3,6 @@
 import importlib.util
 import json
 import os
-import platform
 import re
 import sys
 import time
@@ -100,7 +99,7 @@ def environment():
     from . import __version__
     from ._main import THREAD_VARS  # kept with the code that sets them
     return {
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],
         "tvgsp": __version__,
         "numpy": np.__version__,
         "scipy": _scipy_version(),

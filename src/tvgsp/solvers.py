@@ -7,7 +7,8 @@
   difference operators (no lambda-max bound, no smoothing of the l1).
 * :func:`sparse_code` fits sparse synthesis coefficients over a frame by
   FISTA with soft thresholding and adaptive restart, one joint transform
-  pair per iteration (half spectrum, real iterates for real problems).
+  pair per iteration, the forward one on the iterate's support (half
+  spectrum, real iterates for real problems).
 """
 
 import warnings
@@ -226,6 +227,13 @@ def _soft_threshold(U, thr, shrunk):
     return float(shrunk.sum())
 
 
+def _support(mask):
+    """Indexer of the True entries of a 1-D ``mask``: the full slice when
+    all are, so indexing with it gives views and the dense product's
+    bits."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 def sparse_code(spec, g, eig=None):
     """Sparse synthesis coding over a frame by FISTA.
 
@@ -243,9 +251,12 @@ def sparse_code(spec, g, eig=None):
     rest); otherwise on the full complex spectrum. The residual spectrum is
     affine in the coefficients, so the momentum point's is
     ``(1 + beta) R(C_new) - beta R(C)`` and each iteration costs one
-    forward and one adjoint transform. Equivalent to composing the public
-    exact ``synthesize``/``analyze``; ``coeffs`` are complex ``(|Z|, N,
-    T)``.
+    adjoint transform of the full ``(|Z|, N, T)`` stack and one forward
+    transform of the iterate's support: its graph product and FFT run on
+    the atoms with a nonzero coefficient (active) at the vertices where
+    any atom has one (live), so their cost scales with active atoms times
+    live vertices. Equivalent to composing the public exact
+    ``synthesize``/``analyze``; ``coeffs`` are complex ``(|Z|, N, T)``.
     """
     if _number("sparse coding weight gamma", spec.gamma) < 0:
         raise ValidationError("sparse coding weight gamma must be nonnegative")
@@ -276,7 +287,7 @@ def sparse_code(spec, g, eig=None):
     if half:
         weights[1:(T + 1) // 2] = 2.0
     X_hat = _jft_stack(X, eig, half)
-    Q, thr = eig.vectors, step * spec.gamma
+    Q, thr, ones = eig.vectors, step * spec.gamma, np.ones(T)
 
     def objective(R_hat, l1):
         return float((np.abs(R_hat) ** 2).sum(axis=0) @ weights
@@ -296,7 +307,13 @@ def sparse_code(spec, g, eig=None):
         V = _ifft(H_grad * R_Z, T, half)
         np.subtract(Z, _matvec(Q, V, out=U), out=U)
         l1 = _soft_threshold(U, thr, shrunk)
-        R_new = (H_fwd * _fft(_matvec(Q.T, U, out=V), half)).sum(axis=0)
+        # the forward map on the support: shrunk >= 0, so an (atom,
+        # vertex) row sums to 0 only when it is all 0
+        rows = (shrunk.reshape(-1, T) @ ones).reshape(bank.size, g.N)
+        a, v = _support(rows.any(axis=1)), _support(rows.any(axis=0))
+        U_sub = U[a][:, v]
+        S = _matvec(Q[v].T, U_sub, out=V[:len(U_sub)])
+        R_new = (H_fwd[a] * _fft(S, half)).sum(axis=0)
         R_new -= X_hat
         obj_new = objective(R_new, l1)
         if obj_new > obj:

@@ -4,7 +4,7 @@ small kNN graphs."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tvgsp import (SparseCodingSpec, analyze, canonical_dual, filter_exact,
@@ -167,10 +167,18 @@ def _fista_reference(bank, X, g, gamma, iters):
 @settings(derandomize=True, max_examples=5, deadline=None)
 @given(g=graphs, num_scales=st.integers(1, 4), weight=st.floats(0.02, 0.5),
        iters=st.integers(1, 25), seed=st.integers(0, 10_000))
+@example(g=knn_sensor_graph(14, 3, seed=5), num_scales=3, weight=0.0,
+         iters=25, seed=6)
+@example(g=knn_sensor_graph(14, 3, seed=5), num_scales=3, weight=1.5,
+         iters=1, seed=6)
 def test_sparse_code_matches_fista_from_public_operators(
         T, complex_valued, mother, g, num_scales, weight, iters, seed):
     # a real observation of a conjugate-symmetric bank (mexican_hat, heat)
-    # takes the half spectrum, every other case the full one
+    # takes the half spectrum, every other case the full one. The forward
+    # map runs on the iterate's support: weight 0 keeps every coefficient
+    # live, a weight above 1 none (the first step's coefficients are
+    # 2 step C0, the threshold step gamma; the objective then stays put, so
+    # FISTA stops after one iteration), the drawn weights some.
     bank = _bank(g, T, mother, num_scales)
     X, X2 = default_rng(seed).standard_normal((2, g.N, T))
     if complex_valued:
