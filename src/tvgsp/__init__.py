@@ -16,6 +16,10 @@ import importlib
 
 __version__ = "0.1.0"
 
+#: Environment variables that cap the numerical thread pools.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
 _EXPORTS = {
     "errors": ("EigendecompositionCapError", "ImaginaryResidueError",
                "NotAFrameError", "NumericalError", "SingularKernelError",
@@ -29,13 +33,13 @@ _EXPORTS = {
                    "time_diff", "time_laplacian",
                    "time_laplacian_eigenvalues", "unvec", "variation_norm",
                    "vec"),
-    "kernels": ("JointKernel", "grid_eval", "heat_response",
-                "lowpass_sigmoid_response", "mexican_hat_response",
-                "named_response", "tikhonov_response",
-                "wave_gauss_response"),
-    "dynamics": ("damped_wave_kernel", "damped_wave_response", "heat_evolve",
-                 "heat_joint_spectrum", "wave_evolve", "wave_joint_spectrum",
-                 "wave_kernel", "wave_response", "wave_tau"),
+    "kernels": ("JointKernel", "damped_wave_kernel", "damped_wave_response",
+                "grid_eval", "heat_response", "lowpass_sigmoid_response",
+                "mexican_hat_response", "named_response",
+                "tikhonov_response", "wave_gauss_response"),
+    "dynamics": ("heat_evolve", "heat_joint_spectrum", "wave_evolve",
+                 "wave_joint_spectrum", "wave_kernel", "wave_response",
+                 "wave_tau"),
     "filtering": ("ChebyshevApprox", "filter_cheby2d", "filter_exact",
                   "filter_ffc", "filter_separable", "fit_chebyshev",
                   "fit_joint_kernel"),

@@ -10,9 +10,7 @@ names on first access.
 import os
 import sys
 
-#: Environment variables that cap the numerical thread pools.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
+from . import THREAD_VARS
 
 
 def _requested_threads(argv):

@@ -255,16 +255,16 @@ def cmd_filter(job, args):
         elif args.method == "ffc":
             Y = filter_ffc(X, kernel, g, args.order, info=job.info)
         elif args.method == "cheby2d":
-            Y = filter_cheby2d(X, kernel, g, args.order,
-                               args.order_t if args.order_t is not None
-                               else args.order)
+            order_t = args.order if args.order_t is None else args.order_t
+            Y = filter_cheby2d(X, kernel, g, args.order, order_t)
         else:
             Y = filter_separable(X, kernel, None, g, args.order,
                                  info=job.info)
     Y = real_if_close(Y, strict=True)
     job.write(fileio.save_signal, args.out, Y)
-    return ({"kernel": args.kernel, "method": args.method,
-             "order": args.order},
+    return ({"kernel": args.kernel, "params": kernel.params,
+             "method": args.method, "order": args.order,
+             "order_t": args.order_t},
             {"input_norm": float(np.linalg.norm(X)),
              "output_norm": float(np.linalg.norm(Y))})
 

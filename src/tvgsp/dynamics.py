@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 
-from .errors import SingularKernelError, StabilityError, ValidationError
+from .errors import StabilityError, ValidationError
 from .kernels import JointKernel, _check_horizon, _number, stable_geometric_sum
 from .transforms import _checked, omega_grid
 
@@ -152,34 +152,3 @@ def wave_joint_spectrum(x1, g, eig, s, T):
     K = wave_kernel(eig.values[:, None],
                     omega_grid(T, centered=False)[None, :], s, T)
     return K * (xt1[:, None] / np.sqrt(T))
-
-
-def damped_wave_kernel(lam, omega, beta, T):
-    """Damped-wave mother kernel.
-
-    ``(e^{beta + j omega} + lambda/2 - 1) / (2 sqrt(T) (cosh(beta + j omega)
-    + lambda/2 - 1))``. The damping ``beta`` controls the decay envelope.
-    Raises :class:`SingularKernelError` when the denominator vanishes
-    (e.g. at ``beta = omega = lambda = 0``).
-    """
-    lam, omega = np.asarray(lam, dtype=float), np.asarray(omega, dtype=float)
-    w = beta + 1j * omega
-    cosh_w, exp_w = np.cosh(w), np.exp(w)  # on omega's shape, not the grid's
-    shift = lam / 2.0 - 1.0
-    den = 2.0 * (cosh_w + shift)
-    bad = np.abs(den) < 1e-12
-    if np.any(bad):
-        lam, omega = np.broadcast_arrays(lam, omega)
-        idx = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
-        raise SingularKernelError(
-            f"damped wave kernel singular at (lambda={float(lam[idx]):g}, "
-            f"omega={float(omega[idx]):g}, beta={beta:g})")
-    return (exp_w + shift) / (den * np.sqrt(T))
-
-
-def damped_wave_response(beta, T):
-    """Damped-wave mother as a joint kernel (the seismic dictionary mother)."""
-    _check_horizon(T)
-    return JointKernel(
-        fn=lambda lam, omega: damped_wave_kernel(lam, omega, beta, T),
-        name="damped_wave", params={"beta": beta, "T": T})

@@ -19,9 +19,11 @@ its line, counting blank lines and the header. The signal, spectrum and
 coefficient readers reject NaN and Inf entries, naming the file.
 """
 
+import io
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -230,7 +232,8 @@ def _save_binary(path, A, magic):
 
 def _load_binary(path, magic):
     """Read the header, check the payload size against the file's, then
-    read the payload straight into its array."""
+    read the payload straight into its array. A stream that is not a
+    regular file (a pipe, a FIFO) has no size: it is read to its end."""
     dtype, rank, what, entries = _BINARY[magic]
     with open(path, "rb") as fh:
         header = fh.read(16)
@@ -240,10 +243,12 @@ def _load_binary(path, magic):
             raise ValidationError(f"{path}: bad magic {header[:4]!r}")
         shape = struct.unpack("<3I", header[4:])[:rank]
         size, width = math.prod(shape), np.dtype(dtype).itemsize
-        found = os.fstat(fh.fileno()).st_size - 16
+        status = os.fstat(fh.fileno())
+        stream = fh if stat.S_ISREG(status.st_mode) else io.BytesIO(fh.read())
+        found = status.st_size - 16 if stream is fh else len(stream.getvalue())
         if found == size * width:
             A = np.empty(shape, dtype)
-            found = fh.readinto(A)   # short only if the file shrank
+            found = stream.readinto(A)   # short only if the file shrank
     if found != size * width:
         raise ValidationError(f"{path}: expected {size} {entries}, "
                               f"found {found / width:.15g}")

@@ -36,6 +36,7 @@ kernel module alone.
 import os
 import sys
 from dataclasses import dataclass
+from importlib import machinery, util
 
 import numpy as np
 
@@ -133,16 +134,14 @@ def _kernels():
     if module is not None:
         return module
     try:
-        from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-        from importlib.util import (find_spec, module_from_spec,
-                                    spec_from_file_location)
-        base = os.path.join(find_spec("scipy").submodule_search_locations[0],
-                            "sparse", "_sparsetools")
-        path = next(base + suffix for suffix in EXTENSION_SUFFIXES
+        scipy_dir = util.find_spec("scipy").submodule_search_locations[0]
+        base = os.path.join(scipy_dir, "sparse", "_sparsetools")
+        path = next(base + suffix for suffix in machinery.EXTENSION_SUFFIXES
                     if os.path.isfile(base + suffix))
-        loader = ExtensionFileLoader(_KERNELS, path)
-        module = module_from_spec(
-            spec_from_file_location(_KERNELS, path, loader=loader))
+        # looked up on each call, so that a patched loader class applies
+        loader = machinery.ExtensionFileLoader(_KERNELS, path)
+        module = util.module_from_spec(
+            util.spec_from_file_location(_KERNELS, path, loader=loader))
         loader.exec_module(module)
     except Exception:  # whatever failed, scipy.sparse's own product remains
         return None

@@ -8,7 +8,7 @@ that fast separable filtering and windowed transforms can exploit them.
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, SingularKernelError, ValidationError
 from .transforms import omega_grid
 
 
@@ -123,15 +123,19 @@ def stable_geometric_sum(a, length):
 # Named responses
 # ---------------------------------------------------------------------------
 
+def _logistic(x):
+    """``1 / (1 + e^{-x})`` as ``(1 + tanh(x / 2)) / 2``: no overflow."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
+
+
 def lowpass_sigmoid_response(lambda_cut, omega_cut):
     """Separable sigmoid lowpass: logistic roll-off past each cutoff.
 
     Takes the value 1/4 at ``(lambda_cut, omega_cut)``.
     """
-    from scipy.special import expit  # deferred: only this kernel needs it
     return JointKernel(
-        h1=lambda lam: expit(lambda_cut - lam),
-        h2=lambda omega: expit(omega_cut - np.abs(omega)),
+        h1=lambda lam: _logistic(lambda_cut - lam),
+        h2=lambda omega: _logistic(omega_cut - np.abs(omega)),
         name="lowpass_sigmoid",
         params={"lambda_cut": lambda_cut, "omega_cut": omega_cut})
 
@@ -191,9 +195,35 @@ def mexican_hat_response():
     return JointKernel(fn=fn, name="mexican_hat", params={})
 
 
-def _damped_wave(beta, T):
-    from .dynamics import damped_wave_response  # dynamics imports this module
-    return damped_wave_response(beta, T)
+def damped_wave_kernel(lam, omega, beta, T):
+    """Damped-wave mother kernel.
+
+    ``(e^{beta + j omega} + lambda/2 - 1) / (2 sqrt(T) (cosh(beta + j omega)
+    + lambda/2 - 1))``. The damping ``beta`` controls the decay envelope.
+    Raises :class:`SingularKernelError` when the denominator vanishes
+    (e.g. at ``beta = omega = lambda = 0``).
+    """
+    lam, omega = np.asarray(lam, dtype=float), np.asarray(omega, dtype=float)
+    w = beta + 1j * omega
+    cosh_w, exp_w = np.cosh(w), np.exp(w)  # on omega's shape, not the grid's
+    shift = lam / 2.0 - 1.0
+    den = 2.0 * (cosh_w + shift)
+    bad = np.abs(den) < 1e-12
+    if np.any(bad):
+        lam, omega = np.broadcast_arrays(lam, omega)
+        idx = np.unravel_index(np.argmax(bad), bad.shape) if bad.ndim else ()
+        raise SingularKernelError(
+            f"damped wave kernel singular at (lambda={float(lam[idx]):g}, "
+            f"omega={float(omega[idx]):g}, beta={beta:g})")
+    return (exp_w + shift) / (den * np.sqrt(T))
+
+
+def damped_wave_response(beta, T):
+    """Damped-wave mother as a joint kernel (the seismic dictionary mother)."""
+    _check_horizon(T)
+    return JointKernel(
+        fn=lambda lam, omega: damped_wave_kernel(lam, omega, beta, T),
+        name="damped_wave", params={"beta": beta, "T": T})
 
 
 #: name -> (factory, parameter names); the one table of named kernels.
@@ -203,7 +233,7 @@ _NAMED = {
     "tikhonov": (tikhonov_response, ("tau1", "tau2")),
     "heat": (heat_response, ("s", "T")),
     "mexican_hat": (mexican_hat_response, ()),
-    "damped_wave": (_damped_wave, ("beta", "T")),
+    "damped_wave": (damped_wave_response, ("beta", "T")),
 }
 
 

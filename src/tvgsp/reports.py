@@ -10,6 +10,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from . import THREAD_VARS, __version__
 from .errors import ValidationError
 from .fileio import _write_csv
 from .transforms import _checked, dft, gft, idft, igft, ijft, jft
@@ -96,8 +97,6 @@ def environment():
     tvgsp, numpy and scipy versions, the scipy modules it loaded, the
     thread-cap variables and its peak resident memory. Imports no
     dependency."""
-    from . import __version__
-    from ._main import THREAD_VARS  # kept with the code that sets them
     return {
         "python": sys.version.split()[0],
         "tvgsp": __version__,

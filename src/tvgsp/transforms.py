@@ -121,14 +121,8 @@ def omega_grid(T, centered=True):
 def time_laplacian(T):
     """Circulant second-difference matrix (the time Laplacian)."""
     import scipy.sparse as sp  # deferred: first sparse use
-    if T == 1:
-        return sp.csr_array((1, 1))
-    main = 2.0 * np.ones(T)
-    off = -np.ones(T - 1)
-    L = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    L[0, T - 1] += -1.0
-    L[T - 1, 0] += -1.0
-    return sp.csr_array(L)
+    shift = sp.eye_array(T, k=1) + sp.eye_array(T, k=1 - T)  # cyclic
+    return sp.csr_array(2.0 * sp.eye_array(T) - shift - shift.T)
 
 
 def time_laplacian_eigenvalues(T):

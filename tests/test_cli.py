@@ -140,6 +140,29 @@ def test_filter_methods_agree(graph_files, tmp_path):
             <= metrics["ffc_fit_error"] * np.linalg.norm(X))
 
 
+def test_filter_report_reproduces_the_run(graph_files, tmp_path):
+    """The report holds the kernel's resolved parameters, ``lmax`` filled
+    in from the graph, and ``order_t``; passing them back as ``--param``
+    and ``--order-t`` writes the same bytes."""
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(5).standard_normal((24, 8)))
+    common = ["filter", "--graph", str(gpath), "--kernel", "wave_gauss",
+              "--signal", str(tmp_path / "x.csv"), "--method", "cheby2d",
+              "--order", "12"]
+    assert invoke(*common, "--out", str(tmp_path / "a.csv"),
+                  "--report", str(tmp_path / "a.json")) == 0
+    params = json.loads((tmp_path / "a.json").read_text())["params"]
+    lmax = build_graph(*fileio.load_edges_csv(gpath)).lmax
+    assert (params["params"], params["order_t"]) == ({"lmax": lmax}, None)
+    assert invoke(*common, "--param", f"lmax={params['params']['lmax']!r}",
+                  "--order-t", "12", "--out", str(tmp_path / "b.csv"),
+                  "--report", str(tmp_path / "b.json")) == 0
+    assert json.loads((tmp_path / "b.json").read_text())["params"][
+        "order_t"] == 12
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 def test_filter_bench_csv(tmp_path):
     assert invoke("filter-bench", "--n", "20", "--t", "8", "--knn", "4",
                   "--kernels", "tikhonov", "--orders", "2,4",

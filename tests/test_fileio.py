@@ -74,6 +74,38 @@ def test_signal_binary_validation(tmp_path):
         fileio.load_signal_binary(path)
 
 
+def _load_from_pipe(load, data):
+    """``load`` applied to a pipe holding ``data``, named by its
+    ``/dev/fd`` path: a stream with no size."""
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+        return load(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+
+
+def test_binary_payloads_load_from_a_pipe(tmp_path):
+    rng = default_rng(6)
+    X = rng.standard_normal((5, 7))
+    C = rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7))
+    fileio.save_signal_binary(tmp_path / "x.tvsg", X)
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf", C)
+    for name, load, want in (
+            ("x.tvsg", fileio.load_signal_binary, X),
+            ("c.tvcf", fileio.load_coefficients_binary, C)):
+        got = _load_from_pipe(load, (tmp_path / name).read_bytes())
+        assert got.flags.writeable and np.array_equal(got, want)
+
+
+def test_short_pipe_reports_the_truncation():
+    data = struct.pack("<4sIII", b"TVSG", 2, 2, 0) + b"\0" * 20
+    with pytest.raises(ValidationError,
+                       match="expected 4 samples, found 2.5"):
+        _load_from_pipe(fileio.load_signal_binary, data)
+
+
 def test_spectrum_csv_roundtrip(tmp_path):
     rng = default_rng(5)
     S = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))

@@ -5,11 +5,15 @@ runs scipy's compiled kernel module ``scipy.sparse._sparsetools``, loaded
 alone from its extension file, so ``graph-gen`` and the CLI stages that
 work on the eigenbasis alone load no scipy module, and the Chebyshev and
 solver stages load that one module and neither ``scipy`` nor the
-``scipy.sparse`` package. Each heavier scipy submodule is imported inside
-the one function that needs it. A deferred import returns the same values
-in a fresh interpreter as in this one.
+``scipy.sparse`` package. Every import of the package is at module level,
+except ``scipy.sparse`` in the functions that return scipy matrices or fall
+back to scipy's product, and the entry point's import of ``tvgsp.cli``;
+no module imports one that imports it back. A deferred import returns the
+same values in a fresh interpreter as in this one.
 """
 
+import ast
+import graphlib
 import json
 import subprocess
 import sys
@@ -18,11 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tvgsp
 from tvgsp import (cli, erdos_renyi_graph, fileio, grid_eval, jft,
                    joint_laplacian_apply, named_response, ring_graph)
 from tvgsp.rng import default_rng
-
-DEFERRED = ("scipy.sparse", "scipy.special")
 
 #: The one scipy module a sparse product loads.
 KERNELS = ["scipy.sparse._sparsetools"]
@@ -222,16 +225,14 @@ def test_chebyshev_and_solver_stages_load_only_the_sparse_kernels(
 def test_separable_filter_loads_no_scipy_sparse_package(stage_files,
                                                         child_env):
     """``--method separable`` takes the one separable named kernel,
-    ``lowpass_sigmoid``, whose ``expit`` loads ``scipy.special`` and so the
-    ``scipy`` package; its sparse products still load only the kernels."""
+    ``lowpass_sigmoid``, whose logistic is numpy's; its sparse products
+    load only the kernels."""
     argv = _argv("filter --signal x.csv --kernel lowpass_sigmoid --param "
                  "lambda_cut=1.0 --param omega_cut=1.0 --method separable "
                  "--order 10 --out y.csv")
     result = _child(f"value = tvgsp.cli.run({argv!r})", child_env,
                     stage_files)
-    assert result["value"] == 0 and "scipy.special" in result["scipy"]
-    assert [m for m in result["scipy"]
-            if m.startswith("scipy.sparse")] == KERNELS
+    assert result == {"value": 0, "scipy": KERNELS}
 
 
 # makes the extension loader raise, then runs a Chebyshev stage; scipy's
@@ -343,9 +344,66 @@ def _sigmoid_grid():
 
 
 # floats cross JSON as their shortest repr, so equality here is bitwise
-@pytest.mark.parametrize("module, case", zip(DEFERRED, [
-    "_sparse_laplacian", "_sigmoid_grid"]))
+@pytest.mark.parametrize("module, case", [
+    ("scipy.sparse", "_sparse_laplacian"), (None, "_sigmoid_grid")])
 def test_deferred_import_loads_on_demand(module, case, child_env):
+    """``scipy.sparse`` loads when a case needs it; the sigmoid lowpass
+    loads no scipy module at all."""
     result = _child(_call(case), child_env)
-    assert module in result["scipy"]
+    if module is None:
+        assert result["scipy"] == []
+    else:
+        assert module in result["scipy"]
     assert result["value"] == globals()[case]()
+
+
+def _imports(path):
+    """``(module, in_function)`` of each import statement of the source
+    file ``path``. A package module keeps its leading dot (``from . import
+    fileio`` is ``.fileio``); the package itself is ``.``."""
+    tree = ast.parse(path.read_text())
+    inner = {id(node) for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = ["." + node.module]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." + alias.name
+                     if (path.parent / f"{alias.name}.py").exists() else "."
+                     for alias in node.names]
+        else:
+            continue
+        found += [(name, id(node) in inner) for name in names]
+    return found
+
+
+PACKAGE_IMPORTS = {path.stem: _imports(path)
+                   for path in Path(tvgsp.__file__).parent.glob("*.py")}
+
+
+def test_only_scipy_sparse_and_the_cli_are_imported_in_functions():
+    """The import rule: every import is at module level, except
+    ``scipy.sparse`` in the four :class:`~tvgsp.graphs.Graph` methods and
+    two transforms that return scipy matrices or fall back to scipy's
+    product, and the entry point's ``tvgsp.cli``, imported after the
+    thread caps are set."""
+    late = [(f"{stem}.py", name) for stem, found in PACKAGE_IMPORTS.items()
+            for name, in_function in found if in_function]
+    assert set(late) == {("_main.py", ".cli"), ("graphs.py", "scipy.sparse"),
+                         ("transforms.py", "scipy.sparse")}
+    assert len(late) == 7
+
+
+def test_package_imports_form_no_cycle():
+    """No module of the package imports, at module level or in a function,
+    a module that imports it back, directly or through others."""
+    graph = {stem: {name[1:] or "__init__" for name, _ in found
+                    if name.startswith(".")}
+             for stem, found in PACKAGE_IMPORTS.items()}
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError

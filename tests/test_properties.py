@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tvgsp import (SparseCodingSpec, analyze, canonical_dual, filter_exact,
+from tvgsp import (SparseCodingSpec, analyze, build_graph, canonical_dual,
+                   filter_exact,
                    filter_ffc, frame_bounds, heat_response,
                    itersine_graph_design, ijft, jft, knn_sensor_graph,
                    make_stvft, make_stvwt, mexican_hat_response, sparse_code,
@@ -101,6 +102,42 @@ def test_stvft_ffc_within_reported_fit_error(g, num_translates, shape, length,
     bound = info["ffc_fit_error"] * np.linalg.norm(X)
     for z in range(bank.size):
         assert np.linalg.norm(fast[z] - exact[z]) <= bound * (1 + 1e-9) + 1e-12
+
+
+EDGELESS = build_graph([], 6)
+#: two paths and an isolated vertex
+DISCONNECTED = build_graph([(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0),
+                            (4, 5, 1.0), (5, 6, 0.7)], 8)
+
+
+def _smooth_kernel(name, g, T):
+    return {"tikhonov": tikhonov_response(0.5, 0.3),
+            "heat": heat_response(1.0 / max(g.lmax, 1.0), T),
+            "mexican_hat": mexican_hat_response()}[name]
+
+
+@SETTINGS
+@given(g=st.one_of(st.sampled_from([EDGELESS, DISCONNECTED]), graphs),
+       T=st.integers(2, 12),
+       name=st.sampled_from(["tikhonov", "heat", "mexican_hat"]),
+       seed=st.integers(0, 10_000))
+@example(g=EDGELESS, T=8, name="heat", seed=0)
+@example(g=DISCONNECTED, T=7, name="mexican_hat", seed=1)
+@example(g=DISCONNECTED, T=6, name="tikhonov", seed=2)
+def test_ffc_fit_error_bounds_the_filter_error(g, T, name, seed):
+    """``ffc_fit_error`` bounds ``||Y - Y_exact|| / ||X||`` at every order,
+    up to roundoff; the error does not grow from order 10 to 40 beyond
+    roundoff, though once converged it need not fall either."""
+    kernel = _smooth_kernel(name, g, T)
+    X = default_rng(seed).standard_normal((g.N, T))
+    exact = filter_exact(X, kernel, g.eigensystem())
+    errors = {}
+    for order in (5, 10, 20, 40):
+        info = {}
+        Y = filter_ffc(X, kernel, g, order, info=info)
+        errors[order] = np.linalg.norm(Y - exact) / np.linalg.norm(X)
+        assert errors[order] <= info["ffc_fit_error"] * (1 + 1e-9) + 1e-12
+    assert errors[40] <= max(errors[10], 1e-10)
 
 
 @SETTINGS

@@ -12,7 +12,8 @@ compared without ``timings_ms``, ``environment`` and ``warnings``, and with
 the paths in them reduced to file names. A differing signal or coefficient
 file (``TVSG`` or ``TVCF`` binary, or numeric CSV) of the same size also
 gets its largest relative difference, ``max |change - parent|`` over
-``max |parent|``, so that an intended change of outputs shows its size.
+``max |parent|``, so that an intended change of outputs shows its size. A
+differing run report gets the dotted names of the fields that differ.
 
 Exit status: 0 when every output matches, 1 when one differs or a stage
 fails, 2 on a bad argument.
@@ -105,9 +106,25 @@ def _numbers(path):
     return None
 
 
-def _difference(paths):
-    """`` (largest relative difference ...)`` of two numeric files of one
-    size, else an empty string."""
+def _changed_fields(parent, change, prefix=""):
+    """Dotted names of the entries of two report objects that differ,
+    descending into the objects that both hold."""
+    names = []
+    for key in sorted(set(parent) | set(change)):
+        a, b = parent.get(key), change.get(key)
+        if isinstance(a, dict) and isinstance(b, dict):
+            names += _changed_fields(a, b, f"{prefix}{key}.")
+        elif key not in parent or key not in change or a != b:
+            names.append(prefix + key)
+    return names
+
+
+def _difference(paths, contents):
+    """`` (fields ...)`` of two run reports, `` (largest relative
+    difference ...)`` of two numeric files of one size, else an empty
+    string."""
+    if isinstance(contents[0], dict) and isinstance(contents[1], dict):
+        return f" (fields {', '.join(_changed_fields(*contents))})"
     parent, change = map(_numbers, paths)
     if parent is None or change is None or parent.size != change.size:
         return ""
@@ -132,10 +149,11 @@ def compare(parent_src, change_src, seeds, workloads, scratch):
                 compared += 1
                 paths = [os.path.join(out, file) for out in outs]
                 both = all(map(os.path.exists, paths))
-                if not both or (_content(paths[0], works[0])
-                                != _content(paths[1], works[1])):
-                    differ.append(f"{tag}/{file}"
-                                  + (_difference(paths) if both else ""))
+                contents = [_content(path, work) for path, work
+                            in zip(paths, works)] if both else None
+                if not both or contents[0] != contents[1]:
+                    differ.append(f"{tag}/{file}" + (
+                        _difference(paths, contents) if both else ""))
     return compared, differ
 
 
