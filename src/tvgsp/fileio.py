@@ -227,7 +227,7 @@ def _save_binary(path, A, magic):
         raise ValidationError(f"{what}s are written as {rank}-D arrays")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIII", magic, *A.shape, *[0] * (3 - rank)))
-        fh.write(A.tobytes())
+        fh.write(A.data)  # the array's own buffer, with no bytes copy
 
 
 def _load_binary(path, magic):

@@ -30,7 +30,9 @@ with an eigensystem (the stack on the joint grid times the joint spectrum of
 eigendecomposition. The engine fits a ``(Z, M + 1, T)`` coefficient table,
 frequency last like the exact grid ``(Z, N, T)``, and applies it with a
 single three-term recurrence whose terms are weighted per kernel (analysis)
-or with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint).
+or with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint);
+both take :data:`_BLOCK` orders at a time in one batched matrix product per
+bin (analysis with one kernel weights each term elementwise).
 The fit (``_fit_table``) is the one place that records ``ffc_fit_error`` in
 a caller's ``info`` dict. Each step multiplies by the graph's cached step
 operator ``(4 / lmax) L - 2 I`` through the CSR product of
@@ -41,8 +43,10 @@ FFT, so any memory layout of the input gives the same result. When the
 input is real and the table conjugate-symmetric in omega (the operator maps
 real signals to real signals) it works on the ``T // 2 + 1`` bins of the
 half spectrum, else on all ``T``. A recurrence costs ``O(|E| M T / 2 + N T
-log T)`` on the half spectrum, plus ``O(|Z| N M T / 2)`` for the per-kernel
-weights, shared by all ``|Z|`` kernels of a bank.
+log T)`` on the half spectrum, shared by all ``|Z|`` kernels of a bank,
+plus ``O(|Z| N M T / 2)`` for the per-kernel weights. Those run in the
+batched matrix products; the one elementwise pass left per order copies a
+term into its block (analysis) or a coefficient out of it (adjoint).
 """
 
 from dataclasses import dataclass
@@ -150,37 +154,89 @@ def _fit_table(stack, T, order, g, info, scale=1.0):
     return table
 
 
+#: Chebyshev orders per block of the engine's batched products: a block of
+#: terms (analysis) or Clenshaw coefficients (synthesis) is one ``(B, K,
+#: N)`` array, 4.2 MB at N = 1000 and B = 33 bins. Blocks of 16 or 31
+#: orders were no faster there, and took twice or four times the memory.
+_BLOCK = 8
+
+
+def _terms(Vf, order, step):
+    """``T_0(L~) Vf, ..., T_order(L~) Vf`` by the three-term recurrence."""
+    yield Vf
+    if order > 0:
+        prev, cur = Vf, 0.5 * step(Vf)
+        yield cur
+        for _ in range(order - 1):
+            prev, cur = cur, step(cur) - prev
+            yield cur
+
+
 def _recurrence(Vf, table, step):
     """``Y_z = sum_m c_{z,m,.} o T_m(L~) Vf`` (``c_{z,0}`` halved) for all z.
 
-    One three-term recurrence ``T_m(L~) Vf`` serves all kernels; each term
-    is weighted per kernel and bin. ``step(V)`` is ``2 L~ V``; on a graph
-    ``L~`` maps ``[0, lmax]`` onto ``[-1, 1]`` and the step is the cached
-    ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``, ``table`` ``(Z, M + 1,
-    B)`` and the result ``(Z, N, B)``."""
-    c = np.moveaxis(table, 1, 0)[:, :, None, :]            # (M+1, Z, 1, B)
-    Y = 0.5 * c[0] * Vf
-    if len(c) > 1:
-        prev, cur = Vf, 0.5 * step(Vf)
-        Y += c[1] * cur
-        for cm in c[2:]:
-            prev, cur = cur, step(cur) - prev
-            Y += cm * cur
-    return Y
+    One three-term recurrence ``T_m(L~) Vf`` serves all kernels. ``step(V)``
+    is ``2 L~ V``; on a graph ``L~`` maps ``[0, lmax]`` onto ``[-1, 1]`` and
+    the step is the cached ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``,
+    ``table`` ``(Z, M + 1, B)`` or, with one bin for all columns, ``(Z, M
+    + 1, 1)``, and the result ``(Z, N, B)``.
+
+    One kernel, or one bin, weights each term elementwise. Several kernels
+    on several bins gather :data:`_BLOCK` terms into a ``(B, K, N)`` block
+    and weight it with one batched product per bin, ``(Z, K) @ (K, N)``."""
+    Z, M1, bins = table.shape
+    terms = _terms(Vf, M1 - 1, step)
+    if Z == 1 or bins == 1:
+        c = np.moveaxis(table, 1, 0)[:, :, None, :]        # (M+1, Z, 1, B)
+        Y = 0.5 * c[0] * next(terms)
+        for cm, term in zip(c[1:], terms):
+            Y += cm * term
+        return Y
+    c = table.transpose(2, 0, 1).copy()                    # (B, Z, M+1)
+    c[..., 0] *= 0.5
+    block = np.empty((bins, min(_BLOCK, M1), Vf.shape[0]),
+                     np.result_type(Vf, table))
+    Y = 0.0
+    for m, term in enumerate(terms):
+        k = m % _BLOCK
+        block[:, k] = term.T
+        if k == _BLOCK - 1 or m == M1 - 1:
+            Y += c[..., m - k:m + 1] @ block[:, :k + 1]       # (B, Z, N)
+    return Y.transpose(1, 2, 0)
 
 
-def _clenshaw(term, order, step):
-    """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence.
+def _clenshaw(coeffs, step):
+    """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence, for
+    the coefficients ``B_M, ..., B_0`` in this order.
 
-    The coefficients are complex matrices ``B_m = term(m)`` of shape
-    ``(N, cols)``, so one backward recurrence sums them all; ``step`` is
-    as in :func:`_recurrence`."""
-    if order == 0:
-        return 0.5 * term(0)
-    b1, b2 = term(order), 0.0
-    for m in range(order - 1, 0, -1):
-        b1, b2 = term(m) + step(b1) - b2, b1
-    return 0.5 * (term(0) + step(b1)) - b2
+    The coefficients are ``(N, cols)`` matrices, so one backward recurrence
+    sums them all. ``step(V, out)`` adds ``2 L~ V`` (see :func:`_recurrence`)
+    into ``out``, a new C-contiguous ``B_m - b_{m+2}``. Each coefficient
+    is read before the next is asked for, except ``B_M``, which is copied:
+    the iterator may reuse its memory."""
+    coeffs = iter(coeffs)
+    b1, b2, b3 = np.array(next(coeffs)), 0.0, 0.0
+    for Bm in coeffs:
+        out = np.empty(Bm.shape, np.result_type(Bm, b2))
+        b1, b2, b3 = step(b1, np.subtract(Bm, b2, out=out)), b1, b2
+    return 0.5 * (b1 - b3)                                 # (b_0 - b_2) / 2
+
+
+def _coefficients(C, half, table):
+    """The Clenshaw coefficients ``B_M, ..., B_0`` of the adjoint, ``B_m =
+    sum_z conj(c_{z,m,.}) o F C_z`` for a ``(Z, N, T)`` stack ``C`` (``F``
+    and ``half`` as in :func:`_fft`), as ``(N, B)`` views: :data:`_BLOCK`
+    orders at a time, from one batched product per bin, ``(K, Z) @ (Z,
+    N)``, into one buffer."""
+    cc = np.ascontiguousarray(np.conj(table.transpose(2, 1, 0)))  # (B, M+1, Z)
+    Cb = np.ascontiguousarray(_fft(C, half).transpose(2, 0, 1))   # (B, Z, N)
+    bins, M1, _ = cc.shape
+    block = np.empty((bins, min(_BLOCK, M1), Cb.shape[2]),
+                     np.result_type(cc, Cb))
+    for j in range((M1 - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        k = min(_BLOCK, M1 - j)
+        np.matmul(cc[:, j:j + k], Cb, out=block[:, :k])
+        yield from np.flip(block[:, :k], 1).transpose(1, 2, 0)
 
 
 def _analysis(X, stack, g, eig, order, info, scale=1.0):
@@ -207,10 +263,7 @@ def _synthesis(C, stack, g, eig, order, info):
         S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
         return _ijft_stack(S, eig, T, half)
     half, H = _spectral_bins(C, _fit_table(stack, T, order, g, info))
-    Cf = _fft(C, half)
-    cc = np.conj(np.moveaxis(H, 1, 0))[:, :, None, :]       # (M+1, Z, 1, B)
-    Yf = _clenshaw(lambda m: (cc[m] * Cf).sum(axis=0), len(cc) - 1,
-                   partial(g._matmul, "step"))
+    Yf = _clenshaw(_coefficients(C, half, H), partial(g._matmul, "step"))
     return _ifft(Yf, T, half)
 
 
@@ -240,6 +293,18 @@ def filter_ffc(X, kernel, g, order, info=None):
     return _filter(_checked(X, "signal", g=g), kernel, g, None, order, info)
 
 
+def _time_step(V):
+    """``V (L_T - 2 I)``, twice the time axis's ``L~``: ``-(v_{t-1} +
+    v_{t+1})``, periodic, bit for bit ``-(np.roll(V, 1, axis=-1) +
+    np.roll(V, -1, axis=-1))`` but by slices, with no rolled copy."""
+    T = V.shape[-1]
+    S = np.empty_like(V)
+    np.add(V[..., :-2], V[..., 2:], out=S[..., 1:-1])
+    np.add(V[..., -1:], V[..., 1 % T:1 % T + 1], out=S[..., :1])
+    np.add(V[..., (T - 2) % T:(T - 2) % T + 1], V[..., :1], out=S[..., -1:])
+    return np.negative(S, out=S)
+
+
 def filter_cheby2d(X, kernel, g, order_graph, order_time):
     """2-D Chebyshev polynomial filter in ``(L_G, L_T)`` (baseline).
 
@@ -257,13 +322,8 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     omega_nodes = np.arccos(1.0 - mu_nodes / 2.0)
     A = QG @ _stack([kernel])(lam_nodes, omega_nodes)[0] @ QT.T
 
-    def time_step(V):
-        # right-multiplication by L_T - 2 I, twice the time axis's L~
-        return -(np.roll(V, 1, axis=-1) + np.roll(V, -1, axis=-1))
-
-    Amats = _recurrence(X, A[:, :, None], time_step)   # (MG + 1, N, T)
-    return real_if_close(_clenshaw(Amats.__getitem__, order_graph,
-                                   partial(g._matmul, "step")))
+    Amats = _recurrence(X, A[:, :, None], _time_step)  # (MG + 1, N, T)
+    return real_if_close(_clenshaw(Amats[::-1], partial(g._matmul, "step")))
 
 
 def filter_separable(X, h1, h2, g, order, info=None):

@@ -262,7 +262,7 @@ class Graph:
             self._ops.update(built)
         return self._ops[op]
 
-    def _matmul(self, op, V):
+    def _matmul(self, op, V, out=None):
         """``A @ V`` for the operator ``A`` named ``op`` (see
         :meth:`_operator`) and a 1-D or 2-D ``V``, bit for bit
         ``scipy.sparse.csr_array @``: a float64 ``V`` goes to ``csr_matvec``
@@ -270,7 +270,12 @@ class Graph:
         zero-filled output; a complex ``V`` is multiplied through its
         float64 view, so ``A`` is never upcast. The kernels check nothing,
         so the shape is checked and ``V`` made a C-contiguous float64
-        here; the operator's arrays all have int64 indices."""
+        here; the operator's arrays all have int64 indices.
+
+        With ``out``, a C-contiguous array of the product's shape and of
+        ``V``'s type (complex128 or float64), the product is added into
+        ``out`` (the kernels add into their output), which is returned:
+        ``out + A @ V``, up to the order of the sums."""
         indptr, indices, data, n_col = self._operator(op)
         V = np.asarray(V)
         if V.ndim not in (1, 2) or V.shape[0] != n_col:
@@ -282,19 +287,30 @@ class Graph:
                                      np.complex128).view(np.float64)
         else:
             V = np.ascontiguousarray(V, np.float64)
+        if out is None:
+            Y = np.zeros((n_row,) + V.shape[1:])
+        else:
+            dtype = np.complex128 if cplx else np.float64
+            if (out.shape != (n_row,) + shape[1:] or out.dtype != dtype
+                    or not out.flags.c_contiguous):
+                raise ValueError(f"matmul: output must be a C-contiguous "
+                                 f"{np.dtype(dtype)} array of shape "
+                                 f"{(n_row,) + shape[1:]}")
+            Y = out.view(np.float64).reshape((n_row,) + V.shape[1:])
         kernels = _kernels()
         if kernels is None:
             import scipy.sparse as sp  # the fallback: scipy's own product
-            Y = sp.csr_array((data, indices, indptr),
-                             shape=(n_row, n_col)) @ V
+            # no -0.0 in a kernel's product, so 0 + it is it, bit for bit
+            Y += sp.csr_array((data, indices, indptr),
+                              shape=(n_row, n_col)) @ V
         elif V.ndim == 1 or V.shape[1] == 1:
-            Y = np.zeros((n_row,) + V.shape[1:])
             kernels.csr_matvec(n_row, n_col, indptr, indices, data,
                                V.ravel(), Y.ravel())
         else:
-            Y = np.zeros((n_row, V.shape[1]))
             kernels.csr_matvecs(n_row, n_col, V.shape[1], indptr, indices,
                                 data, V.ravel(), Y.ravel())
+        if out is not None:
+            return out
         if cplx:
             Y = Y.view(np.complex128).reshape((n_row,) + shape[1:])
         return Y

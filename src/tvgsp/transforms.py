@@ -221,9 +221,13 @@ def _spectral_bins(A, table):
     solvers multiply by it every iteration."""
     if np.iscomplexobj(A) and A.imag.any():
         return False, table
-    mirror = np.conj(np.roll(np.flip(table, -1), 1, axis=-1))
-    if not (np.abs(table - mirror).max(initial=0.0)
-            <= SYMMETRY_TOL * np.abs(table).max(initial=0.0)):
+    # bin k against the conjugate of bin -k: the DC bin against itself,
+    # bins 1.. against bins T-1..1, with no mirrored copy of the table
+    dc = table[..., :1]
+    gap = np.maximum(
+        np.abs(dc - np.conj(dc)).max(initial=0.0),
+        np.abs(table[..., 1:] - np.conj(table[..., :0:-1])).max(initial=0.0))
+    if not gap <= SYMMETRY_TOL * np.abs(table).max(initial=0.0):
         return False, table
     return True, table[..., :table.shape[-1] // 2 + 1].copy()
 

@@ -131,3 +131,49 @@ def masked_quadratic_objective(X, Y, M, g, gamma1, gamma2):
     r = M * X - M * Y
     return ((r * r).sum() + gamma1 * (gpart ** 2).sum()
             + gamma2 * (tpart ** 2).sum())
+
+
+def chebyshev_recurrence(V, table, step):
+    """``Y_z = sum_m c_{z,m,.} o T_m V`` (``c_{z,0}`` halved), term by term:
+    the terms ``T_m V`` of the three-term recurrence with ``step(V) = 2 L~
+    V``, each weighted elementwise. ``table`` is ``(Z, M + 1, B)`` and
+    broadcasts against the columns of ``V``."""
+    c = np.moveaxis(table, 1, 0)[:, :, None, :]
+    terms = [V]
+    for m in range(1, len(c)):
+        terms.append(0.5 * step(V) if m == 1
+                     else step(terms[-1]) - terms[-2])
+    return sum(cm * Tm for cm, Tm in zip(c[1:], terms[1:])) + 0.5 * c[0] * V
+
+
+def clenshaw_sum(coeffs, step):
+    """``sum_m T_m B_m`` (``B_0`` halved) for the list ``B_0, ..., B_M``,
+    by Clenshaw's recurrence with ``step`` as in
+    :func:`chebyshev_recurrence`."""
+    if len(coeffs) == 1:
+        return 0.5 * coeffs[0]
+    b1, b2 = coeffs[-1], 0.0
+    for Bm in coeffs[-2:0:-1]:
+        b1, b2 = Bm + step(b1) - b2, b1
+    return 0.5 * (coeffs[0] + step(b1)) - b2
+
+
+def chebyshev_step(g):
+    """``V -> 2 L~ V`` with the dense ``(4 / lmax) L - 2 I`` of a graph."""
+    S = (4.0 / g.lmax) * g.laplacian_dense() - 2.0 * np.eye(g.N)
+    return lambda V: S @ V
+
+
+def chebyshev_analysis(X, table, step):
+    """The engine's analysis on all ``T`` DFT bins: ``(Z, N, T)``."""
+    return np.fft.ifft(chebyshev_recurrence(np.fft.fft(X, axis=-1), table,
+                                            step), axis=-1)
+
+
+def chebyshev_synthesis(C, table, step):
+    """The engine's adjoint on all ``T`` bins: one Clenshaw sum over ``B_m =
+    sum_z conj(c_{z,m,.}) o F C_z``, each ``B_m`` an elementwise sum."""
+    Cf = np.fft.fft(C, axis=-1)
+    cc = np.conj(np.moveaxis(table, 1, 0))[:, :, None, :]
+    return np.fft.ifft(clenshaw_sum([(cm * Cf).sum(axis=0) for cm in cc],
+                                    step), axis=-1)

@@ -153,6 +153,28 @@ def test_coefficients_roundtrip(tmp_path):
     assert path.read_bytes()[:4] == b"TVCF"
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "float32"])
+def test_binary_files_hold_the_header_and_the_array_bytes(tmp_path, layout):
+    """Written from the array's own buffer, a binary file is its header
+    and then the bytes of the contiguous float64 or complex128 array, in
+    any layout or type of the input."""
+    rng = default_rng(9)
+    X, C = rng.standard_normal((5, 7)), rng.standard_normal((2, 5, 7)) + 0j
+    C.imag = rng.standard_normal(C.shape)
+    make = {"C": lambda A: A, "F": np.asfortranarray,
+            "strided": lambda A: np.repeat(A, 2, axis=-1)[..., ::2],
+            "float32": lambda A: A.astype(np.complex64 if A.dtype == complex
+                                          else np.float32)}[layout]
+    for save, A, magic, dtype in (
+            (fileio.save_signal_binary, X, b"TVSG", "<f8"),
+            (fileio.save_coefficients_binary, C, b"TVCF", "<c16")):
+        path = tmp_path / magic.decode()
+        save(path, make(A))
+        shape = list(A.shape) + [0] * (3 - A.ndim)
+        assert path.read_bytes() == (struct.pack("<4sIII", magic, *shape)
+                                     + np.asarray(make(A), dtype).tobytes())
+
+
 def test_bank_spec_stvwt(tmp_path):
     g = knn_sensor_graph(12, 3, seed=8)
     spec = {

@@ -1,13 +1,22 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tvgsp import (JointKernel, ValidationError, build_graph, filter_cheby2d,
-                   filter_exact, filter_ffc, filter_separable, fit_chebyshev,
-                   fit_joint_kernel, knn_sensor_graph, named_response)
+from tvgsp import (JointKernel, ValidationError, build_graph,
+                   erdos_renyi_graph, filter_cheby2d, filter_exact,
+                   filter_ffc, filter_separable, fit_chebyshev,
+                   fit_joint_kernel, knn_sensor_graph, named_response,
+                   path_graph)
+from tvgsp import filtering
 from tvgsp.transforms import dft, idft, omega_grid
 from tvgsp.rng import default_rng
 
-from oracles import dense_joint_filter, dense_time_filter_matrix
+from oracles import (chebyshev_analysis, chebyshev_recurrence, chebyshev_step,
+                     chebyshev_synthesis, clenshaw_sum, dense_joint_filter,
+                     dense_time_filter_matrix, dense_time_laplacian)
 
 
 IDENTITY = JointKernel(fn=lambda lam, omega: 1.0, name="one")
@@ -285,3 +294,94 @@ def test_chebyshev_engine_accepts_any_memory_layout(name, dtype):
     for operand in (view, np.asfortranarray(view)):
         out = fn(operand)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+K = filtering._BLOCK
+
+
+def _random_stack(rng, Z, kind):
+    """A stack function of ``Z`` smooth responses ``exp(-s_z lambda) (1 +
+    a_z cos omega + odd_z(omega))``: ``odd`` is 0 (``real``), ``i b_z sin
+    omega`` (``hermitian``: complex, conjugate-symmetric) or ``b_z sin
+    omega`` (``asymmetric``, as a shifted STVFT window makes a table)."""
+    s, a, b = (rng.uniform(0.1, 1.0, Z), rng.uniform(-0.5, 0.5, Z),
+               rng.uniform(0.2, 0.5, Z))
+    b = {"real": 0.0 * b, "hermitian": 1j * b, "asymmetric": b}[kind]
+
+    def stack(lambdas, omegas):
+        lam = np.asarray(lambdas)[None, :, None]
+        w = np.asarray(omegas)[None, None, :]
+        return (np.exp(-s[:, None, None] * lam)
+                * (1.0 + a[:, None, None] * np.cos(w)
+                   + b[:, None, None] * np.sin(w)))
+    return stack
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(n=st.integers(1, 10), p=st.sampled_from([0.0, 0.3, 0.8]),
+       Z=st.integers(1, 5),
+       order=st.one_of(st.sampled_from([0, 1, K - 1, K, K + 1]),
+                       st.integers(0, 40)),
+       T=st.integers(1, 9), complex_input=st.booleans(),
+       kind=st.sampled_from(["real", "hermitian", "asymmetric"]),
+       seed=st.integers(0, 999))
+def test_blocked_engine_matches_the_per_term_oracle(n, p, Z, order, T,
+                                                    complex_input, kind,
+                                                    seed):
+    """Analysis and its adjoint, with the terms and Clenshaw coefficients
+    formed in blocks of orders, against the per-term oracle on all ``T``
+    bins, to 1e-12: full and half spectrum, real and complex input,
+    symmetric and asymmetric tables, edgeless graphs included; and
+    ``<analyze X, C> = <X, synthesize C>`` to 1e-12."""
+    rng = default_rng(seed)
+    g = erdos_renyi_graph(n, p, seed=seed)
+    stack = _random_stack(rng, Z, kind)
+    X, C = rng.standard_normal((n, T)), rng.standard_normal((Z, n, T))
+    if complex_input:
+        X = X + 1j * rng.standard_normal(X.shape)
+        C = C + 1j * rng.standard_normal(C.shape)
+    table = filtering._fit_table(stack, T, order, g, None)
+    step = chebyshev_step(g) if g.lmax > 0 else None   # edgeless: order 0
+    Y = filtering._analysis(X, stack, g, None, order, None)
+    S = filtering._synthesis(C, stack, g, None, order, None)
+    for got, ref in ((Y, chebyshev_analysis(X, table, step)),
+                     (S, chebyshev_synthesis(C, table, step))):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    scale = max(np.linalg.norm(Y) * np.linalg.norm(C),
+                np.linalg.norm(X) * np.linalg.norm(S))
+    assert abs(np.vdot(Y, C) - np.vdot(X, S)) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 10), order_graph=st.integers(0, 40),
+       order_time=st.integers(0, K + 1), T=st.integers(1, 9),
+       seed=st.integers(0, 999))
+def test_one_bin_table_matches_the_per_term_oracle(n, order_graph,
+                                                   order_time, T, seed):
+    """``filter_cheby2d``'s use of the engine: a ``(MG + 1, MT + 1, 1)``
+    table, one bin for every column, in the recurrence along time, then
+    the Clenshaw sum in the graph, against the oracle to 1e-12."""
+    rng = default_rng(seed)
+    g = path_graph(n)
+    A = (rng.standard_normal((order_graph + 1, order_time + 1))
+         / np.outer(np.arange(1, order_graph + 2), np.arange(1, order_time + 2)))
+    X = rng.standard_normal((n, T))
+    got = filtering._clenshaw(
+        filtering._recurrence(X, A[:, :, None], filtering._time_step)[::-1],
+        partial(g._matmul, "step"))
+    S_T = dense_time_laplacian(T) - 2.0 * np.eye(T)
+    ref = clenshaw_sum(list(chebyshev_recurrence(X, A[:, :, None],
+                                                 lambda V: V @ S_T)),
+                       chebyshev_step(g))
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("T", [1, 2, 3, 8, 9])
+def test_time_step_is_the_rolled_difference_bit_for_bit(T):
+    """``cheby2d``'s step along time, by slices, has the bits of ``-(roll(V,
+    1) + roll(V, -1))``, signed zeros included, for any ``T``."""
+    V = default_rng(T).standard_normal((4, T))
+    V[0, 0], V[1, -1] = -0.0, 0.0
+    ref = -(np.roll(V, 1, axis=-1) + np.roll(V, -1, axis=-1))
+    assert filtering._time_step(V).tobytes() == ref.tobytes()

@@ -417,7 +417,9 @@ def _operands(rng, n, k):
 
 def _assert_products_match_scipy(g, seed=0, k=5):
     """``g._matmul`` equals scipy's product bit for bit on every operator;
-    a complex operand through the float64 view of a (n, cols) block."""
+    a complex operand through the float64 view of a (n, cols) block. Added
+    into a given output, the product is ``out + A @ V`` to 1e-14, in
+    another order of the sums."""
     rng = default_rng(seed)
     for op, A in _scipy_operators(g).items():
         for V in _operands(rng, A.shape[1], k):
@@ -430,6 +432,14 @@ def _assert_products_match_scipy(g, seed=0, k=5):
             got = g._matmul(op, V)
             assert got.dtype == ref.dtype and got.shape == ref.shape, op
             assert got.tobytes() == ref.tobytes(), op
+            out = rng.standard_normal(ref.shape).astype(ref.dtype)
+            if np.iscomplexobj(V):
+                out += 1j * rng.standard_normal(ref.shape)
+            expected = out + ref
+            got = g._matmul(op, V, out=out)
+            assert got is out, op
+            assert (np.abs(got - expected).max(initial=0.0)
+                    <= 1e-14 * np.abs(expected).max(initial=0.0)), op
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -482,6 +492,17 @@ def test_csr_product_checks_the_operand_shape(shape):
         g._matmul("L", np.ones(shape))
     with pytest.raises(ValueError, match="dimension mismatch"):
         g._matmul("BT", np.ones((g.N,) + shape[1:]))
+
+
+@pytest.mark.parametrize("out", [
+    np.zeros((7, 3)), np.zeros((8, 3), complex), np.zeros((8, 3), np.float32),
+    np.zeros((3, 8)).T, np.zeros(8)], ids=[
+    "rows", "complex", "float32", "fortran", "rank"])
+def test_csr_product_checks_the_output(out):
+    """The kernels add into any buffer; the product refuses an output that
+    is not a C-contiguous array of the product's shape and type."""
+    with pytest.raises(ValueError, match="output must be"):
+        path_graph(8)._matmul("L", np.ones((8, 3)), out=out)
 
 
 @pytest.mark.parametrize("weights,message", [

@@ -250,23 +250,44 @@ value = tvgsp.cli.run({argv!r})
 """
 
 
+def _fallback_stages(tag):
+    """An FFC filter, and an FFC synthesis, whose Clenshaw sum adds each
+    product into its output, writing into files named by ``tag``."""
+    ffc = ["--order", "10", "--graph", "g.csv"]
+    return [["filter", "--kernel", "wave_gauss", "--method", "ffc", *ffc,
+             "--signal", "x.csv", "--out", f"{tag}.csv",
+             "--report", f"{tag}.json"],
+            ["synthesize", "--bank", "bank.json", *ffc, "--coeffs", "c.tvcf",
+             "--out", f"{tag}-y.csv", "--report", f"{tag}-y.json"]]
+
+
 def test_kernel_load_failure_falls_back_to_scipy_sparse(stage_files,
                                                         child_env):
     """When the kernel module cannot be loaded on its own, the products go
-    through ``scipy.sparse``: same exit, same output bytes, and the report
-    shows ``scipy.sparse`` among the loaded modules."""
-    argv = ["filter", "--kernel", "wave_gauss", "--method", "ffc",
-            "--order", "10", "--graph", "g.csv", "--signal", "x.csv"]
-    loaded = _child(f"value = tvgsp.cli.run({argv!r} + ['--out', 'a.csv', "
-                    "'--report', 'a.json'])", child_env, stage_files)
-    assert loaded == {"value": 0, "scipy": KERNELS}
-    fallback = _child(_NO_LOADER.format(argv=argv + [
-        "--out", "b.csv", "--report", "b.json"]), child_env, stage_files)
-    assert fallback["value"] == 0 and "scipy.sparse" in fallback["scipy"]
+    through ``scipy.sparse``: same exits, the filter's output bytes, the
+    synthesis to 1e-14 (scipy's product is added into the output once
+    summed, the kernels add into it term by term), and the reports show
+    ``scipy.sparse`` among the loaded modules. Importing ``scipy.sparse``
+    loads the kernel module, so only the first product of a process falls
+    back: each stage runs in its own."""
+    analyze = ["analyze", "--bank", "bank.json", "--order", "10", "--graph",
+               "g.csv", "--signal", "x.csv", "--out", "c.tvcf",
+               "--report", "c.json"]
+    loaded = _child(f"value = [tvgsp.cli.run(argv) for argv in "
+                    f"{[analyze] + _fallback_stages('a')!r}]", child_env,
+                    stage_files)
+    assert loaded == {"value": [0, 0, 0], "scipy": KERNELS}
+    for argv in _fallback_stages("b"):
+        fallback = _child(_NO_LOADER.format(argv=argv), child_env,
+                          stage_files)
+        assert fallback["value"] == 0 and "scipy.sparse" in fallback["scipy"]
+        report = json.loads((stage_files / argv[-1]).read_text())
+        assert "scipy.sparse" in report["environment"]["scipy_modules"]
     assert ((stage_files / "a.csv").read_bytes()
             == (stage_files / "b.csv").read_bytes())
-    report = json.loads((stage_files / "b.json").read_text())
-    assert "scipy.sparse" in report["environment"]["scipy_modules"]
+    Ya, Yb = (fileio.load_signal(stage_files / f"{tag}-y.csv")
+              for tag in "ab")
+    assert np.abs(Yb - Ya).max() <= 1e-14 * np.abs(Ya).max()
 
 
 def _kernels_then_scipy():

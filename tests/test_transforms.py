@@ -2,13 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tvgsp import (ImaginaryResidueError, ValidationError, build_graph, dft,
                    gft, idft, igft, ijft, jft, joint_gradient,
                    joint_laplacian_apply, knn_sensor_graph, path_graph,
                    ring_graph, time_laplacian, time_laplacian_eigenvalues,
                    unvec, variation_norm, vec)
-from tvgsp.transforms import (omega_grid, real_if_close, time_diff,
+from tvgsp.transforms import (SYMMETRY_TOL, _spectral_bins, omega_grid,
+                              real_if_close, time_diff,
                               time_diff_adjoint)
 from tvgsp.transforms import graph_incidence, validate_signal
 from tvgsp.rng import default_rng
@@ -370,3 +373,36 @@ def test_variation_norm_of_a_complex_signal_sums_squared_moduli(ring8):
     gpart, tpart = joint_gradient(X.real, ring8)
     assert (variation_norm(X.real, ring8, p=2, q=1)
             == float((gpart ** 2).sum() + np.abs(tpart).sum()))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(T=st.sampled_from([1, 2, 3, 4, 7, 8, 16, 17]),
+       symmetric=st.booleans(),
+       dc_gap=st.sampled_from([None, 0.0, 0.999, 1.001]),
+       seed=st.integers(0, 999))
+def test_spectral_bins_decides_as_the_rolled_mirror(T, symmetric, dc_gap,
+                                                     seed):
+    """The half-spectrum decision compares bin k with conj(bin -k) without
+    a mirrored copy, and decides as the rule on ``conj(roll(flip(table),
+    1))`` does: on random tables of any T, conjugate-symmetric ones among
+    them, whose DC bin has an imaginary part just below or just above the
+    tolerance (the gap at DC is twice it)."""
+    rng = default_rng(seed)
+    table = (rng.standard_normal((2, 3, T))
+             + 1j * rng.standard_normal((2, 3, T)))
+
+    def mirror(A):
+        return np.conj(np.roll(np.flip(A, -1), 1, axis=-1))
+
+    if symmetric:
+        table = 0.5 * (table + mirror(table))
+    if dc_gap is not None:
+        table[..., 0] = table[..., 0].real + 0.5j * dc_gap * (
+            SYMMETRY_TOL * np.abs(table).max())
+    rolled = (np.abs(table - mirror(table)).max()
+              <= SYMMETRY_TOL * np.abs(table).max())
+    half, kept = _spectral_bins(np.ones((3, T)), table)
+    assert half == rolled
+    if symmetric and dc_gap is not None:
+        assert half == (dc_gap < 1.0)
+    assert kept.shape[-1] == (T // 2 + 1 if half else T)
