@@ -271,6 +271,8 @@ def cmd_filter(job, args):
 
 @_command
 def cmd_filter_bench(job, args):
+    if args.t < 0:  # T = 0 is the signal's own error, "no time samples"
+        raise ValidationError(f"--t={args.t} must be nonnegative")
     if args.graph:
         with job.load() as g:
             pass  # the graph is the command's only input file
@@ -278,9 +280,8 @@ def cmd_filter_bench(job, args):
         with job.stage("fixture_graph"):
             g = generate_graph("knn_sensor", {"n": args.n, "k": args.knn},
                                rng_seed=args.seed)
-    T = args.t
     rng = default_rng(args.seed + 1)
-    X = rng.standard_normal((g.N, T))
+    X = rng.standard_normal((g.N, args.t))
     eig = job.eig(g)
     presets = {
         "lp": ("lowpass_sigmoid",
@@ -294,14 +295,14 @@ def cmd_filter_bench(job, args):
         if name not in presets:
             raise ValidationError(f"unknown benchmark kernel '{name}'; "
                                   f"available: {tuple(presets)}")
-        kernels[name] = named_response(*presets[name], lmax=g.lmax, T=T)
+        kernels[name] = named_response(*presets[name], lmax=g.lmax, T=args.t)
     with job.stage("bench"):
         rows = reports.filter_error_table(
             X, g, eig, kernels, args.methods.split(","),
             _number_list(args.orders, "--orders", int))
     job.write(reports.write_filter_error_csv, args.emit, rows)
     worst = max((r[3] for r in rows), default=0.0)
-    return ({"n": g.N, "t": T, "kernels": args.kernels,
+    return ({"n": g.N, "t": args.t, "kernels": args.kernels,
              "methods": args.methods, "orders": args.orders,
              "seed": args.seed},
             {"max_rel_error": float(worst), "rows": len(rows)})

@@ -16,11 +16,10 @@ Three interchangeable implementations of ``Y = h(L_G, L_T) X``:
     ``||Y - Y_exact||_F <= ffc_fit_error * ||X||_F`` (the DFT is unitary).
 
 ``filter_cheby2d``
-    Baseline: a 2-D Chebyshev expansion in ``(L_G, L_T)`` applied with the
-    engine's recurrence in time and its Clenshaw sum in the graph. The temporal
-    axis is approximated through the symbol ``lambda_T = 2 (1 - cos omega)``,
-    whose inverse map has square-root singularities; responses with sharp
-    temporal structure converge markedly slower than under FFC.
+    Baseline: a 2-D Chebyshev expansion in ``(L_G, L_T)``, one table on the
+    DFT bins (``L_T`` is circulant). ``lambda_T = 2 (1 - cos omega)`` has an
+    inverse map with square-root singularities, so sharp temporal structure
+    converges markedly slower than under FFC.
 
 Every joint filter of the package runs through one private analysis/adjoint
 pair for a stack function, ``(lambdas, omegas)`` -> the ``(Z, L, W)``
@@ -32,12 +31,12 @@ frequency last like the exact grid ``(Z, N, T)``, and applies it with a
 single three-term recurrence whose terms are weighted per kernel (analysis)
 or with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint);
 both take :data:`_BLOCK` orders at a time in one batched matrix product per
-bin (analysis with one kernel weights each term elementwise).
-The fit (``_fit_table``) is the one place that records ``ffc_fit_error`` in
-a caller's ``info`` dict. Each step multiplies by the graph's cached step
-operator ``(4 / lmax) L - 2 I`` through the CSR product of
-:mod:`tvgsp.graphs`, which runs scipy's compiled kernels without loading the
-``scipy.sparse`` package; complex operands go through their float64 view,
+bin (analysis with one kernel, ``filter_cheby2d``'s included, weights each
+term elementwise). The fit (``_fit_table``) is the one place that records
+``ffc_fit_error`` in a caller's ``info`` dict. Each step multiplies by the
+graph's cached step operator ``(4 / lmax) L - 2 I`` through the CSR product
+of :mod:`tvgsp.graphs`, which runs scipy's compiled kernels without loading
+the ``scipy.sparse`` package; complex operands go through their float64 view,
 so ``L`` is never upcast. The operand is made C-contiguous once, at the
 FFT, so any memory layout of the input gives the same result. When the
 input is real and the table conjugate-symmetric in omega (the operator maps
@@ -56,8 +55,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import JointKernel, _stack
-from .transforms import (_checked, _fft, _ifft, _ijft_stack, _jft_stack,
-                         _spectral_bins, omega_grid, real_if_close)
+from .transforms import (SYMMETRY_TOL, _checked, _fft, _ifft, _ijft_stack,
+                         _jft_stack, _spectral_bins, omega_grid,
+                         real_if_close)
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +143,14 @@ def _fit_table(stack, T, order, g, info, scale=1.0):
 
     An edgeless graph has the single eigenvalue 0; its table is the exact
     order-0 response ``h_z(0, omega_k)``, with fit error 0."""
+    if order < 0:
+        raise ValidationError("Chebyshev order must be nonnegative")
     if g.lmax == 0:
-        table = 2.0 * stack(np.zeros(1), omega_grid(T))
-        fit_error = 0.0
+        table, fit_errors = 2.0 * stack(np.zeros(1), omega_grid(T)), 0.0
     else:
         table, fit_errors = _fit_kernels(stack, T, order, (0.0, g.lmax))
-        fit_error = float(fit_errors.max())
     if info is not None:
-        info["ffc_fit_error"] = fit_error * scale
+        info["ffc_fit_error"] = float(np.max(fit_errors)) * scale
     return table
 
 
@@ -177,16 +177,15 @@ def _recurrence(Vf, table, step):
 
     One three-term recurrence ``T_m(L~) Vf`` serves all kernels. ``step(V)``
     is ``2 L~ V``; on a graph ``L~`` maps ``[0, lmax]`` onto ``[-1, 1]`` and
-    the step is the cached ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``,
-    ``table`` ``(Z, M + 1, B)`` or, with one bin for all columns, ``(Z, M
-    + 1, 1)``, and the result ``(Z, N, B)``.
+    the step is the cached ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``
+    on ``B`` DFT bins, ``table`` ``(Z, M + 1, B)``, the result ``(Z, N, B)``.
 
-    One kernel, or one bin, weights each term elementwise. Several kernels
-    on several bins gather :data:`_BLOCK` terms into a ``(B, K, N)`` block
-    and weight it with one batched product per bin, ``(Z, K) @ (K, N)``."""
+    One kernel weights each term elementwise. Several kernels gather
+    :data:`_BLOCK` terms into a ``(B, K, N)`` block and weight it with one
+    batched product per bin, ``(Z, K) @ (K, N)``."""
     Z, M1, bins = table.shape
     terms = _terms(Vf, M1 - 1, step)
-    if Z == 1 or bins == 1:
+    if Z == 1:
         c = np.moveaxis(table, 1, 0)[:, :, None, :]        # (M+1, Z, 1, B)
         Y = 0.5 * c[0] * next(terms)
         for cm, term in zip(c[1:], terms):
@@ -207,14 +206,13 @@ def _recurrence(Vf, table, step):
 
 def _clenshaw(coeffs, step):
     """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence, for
-    the coefficients ``B_M, ..., B_0`` in this order.
+    an iterator of the coefficients ``B_M, ..., B_0`` in this order.
 
     The coefficients are ``(N, cols)`` matrices, so one backward recurrence
     sums them all. ``step(V, out)`` adds ``2 L~ V`` (see :func:`_recurrence`)
     into ``out``, a new C-contiguous ``B_m - b_{m+2}``. Each coefficient
     is read before the next is asked for, except ``B_M``, which is copied:
     the iterator may reuse its memory."""
-    coeffs = iter(coeffs)
     b1, b2, b3 = np.array(next(coeffs)), 0.0, 0.0
     for Bm in coeffs:
         out = np.empty(Bm.shape, np.result_type(Bm, b2))
@@ -239,6 +237,14 @@ def _coefficients(C, half, table):
         yield from np.flip(block[:, :k], 1).transpose(1, 2, 0)
 
 
+def _engine(X, table, g):
+    """``(Z, N, T)`` stack of ``sum_m c_{z,m,k} T_m(L~) X`` at each DFT bin
+    ``k`` of a ``(Z, M + 1, T)`` table: FFT, :func:`_recurrence`, inverse."""
+    half, H = _spectral_bins(X, table)
+    return _ifft(_recurrence(_fft(X, half), H, partial(g._matmul, "step")),
+                 X.shape[-1], half)
+
+
 def _analysis(X, stack, g, eig, order, info, scale=1.0):
     """``(Z, N, T)`` stack of ``h_z(L_G, L_T) X`` for the responses of a
     stack function: with ``eig`` the grid table times the joint spectrum,
@@ -248,9 +254,7 @@ def _analysis(X, stack, g, eig, order, info, scale=1.0):
     if eig is not None:
         half, H = _spectral_bins(X, stack(eig.values, omega_grid(T)))
         return _ijft_stack(H * _jft_stack(X, eig, half), eig, T, half)
-    half, H = _spectral_bins(X, _fit_table(stack, T, order, g, info, scale))
-    return _ifft(_recurrence(_fft(X, half), H, partial(g._matmul, "step")),
-                 T, half)
+    return _engine(X, _fit_table(stack, T, order, g, info, scale), g)
 
 
 def _synthesis(C, stack, g, eig, order, info):
@@ -293,37 +297,31 @@ def filter_ffc(X, kernel, g, order, info=None):
     return _filter(_checked(X, "signal", g=g), kernel, g, None, order, info)
 
 
-def _time_step(V):
-    """``V (L_T - 2 I)``, twice the time axis's ``L~``: ``-(v_{t-1} +
-    v_{t+1})``, periodic, bit for bit ``-(np.roll(V, 1, axis=-1) +
-    np.roll(V, -1, axis=-1))`` but by slices, with no rolled copy."""
-    T = V.shape[-1]
-    S = np.empty_like(V)
-    np.add(V[..., :-2], V[..., 2:], out=S[..., 1:-1])
-    np.add(V[..., -1:], V[..., 1 % T:1 % T + 1], out=S[..., :1])
-    np.add(V[..., (T - 2) % T:(T - 2) % T + 1], V[..., :1], out=S[..., -1:])
-    return np.negative(S, out=S)
-
-
 def filter_cheby2d(X, kernel, g, order_graph, order_time):
     """2-D Chebyshev polynomial filter in ``(L_G, L_T)`` (baseline).
 
-    The kernel is sampled as a function of ``(lambda, lambda_T)`` through
-    ``omega(lambda_T) = arccos(1 - lambda_T / 2)``; responses must be even
-    in ``omega`` to be representable (all named responses are).
-    """
+    The kernel is sampled at ``omega = arccos(1 - lambda_T / 2)``, so at
+    ``omega >= 0`` only: a polynomial in ``L_T`` is even in ``omega``. A
+    kernel whose response there changes at ``-omega`` by more than
+    :data:`SYMMETRY_TOL` of its peak (``heat``, ``damped_wave``) is a
+    :class:`ValidationError` naming it. ``T_m(L~_T)`` has the eigenvalue
+    ``cos(m (pi - omega_k))`` at DFT bin ``k``, so the expansion is one
+    ``(MG + 1, T)`` table for :func:`_engine`."""
     X = _checked(X, "signal", g=g)
     if g.lmax == 0:
         raise ValidationError("cheby2d requires a graph with at least one edge")
-    if order_graph < 0 or order_time < 0:
-        raise ValidationError("Chebyshev orders must be nonnegative")
     lam_nodes, QG = _quadrature(order_graph, (0.0, g.lmax))
     mu_nodes, QT = _quadrature(order_time, (0.0, 4.0))
-    omega_nodes = np.arccos(1.0 - mu_nodes / 2.0)
-    A = QG @ _stack([kernel])(lam_nodes, omega_nodes)[0] @ QT.T
-
-    Amats = _recurrence(X, A[:, :, None], _time_step)  # (MG + 1, N, T)
-    return real_if_close(_clenshaw(Amats[::-1], partial(g._matmul, "step")))
+    w = np.arccos(1.0 - mu_nodes / 2.0)
+    H, mirror = np.split(_stack([kernel])(lam_nodes, np.r_[w, -w])[0], 2, 1)
+    if not np.abs(H - mirror).max() <= SYMMETRY_TOL * np.abs(H).max():
+        raise ValidationError("cheby2d needs a response even in omega; "
+                              f"kernel '{kernel.name}' is not")
+    A = QG @ H @ QT.T
+    A[:, 0] *= 0.5
+    table = A @ np.cos(np.outer(np.arange(order_time + 1),
+                                np.pi - omega_grid(X.shape[-1])))
+    return real_if_close(_engine(X, table[None], g)[0])
 
 
 def filter_separable(X, h1, h2, g, order, info=None):

@@ -158,6 +158,17 @@ def clenshaw_sum(coeffs, step):
     return 0.5 * (coeffs[0] + step(b1)) - b2
 
 
+def cheby2d_time_route(X, A, step):
+    """The 2-D Chebyshev sum ``sum_{i,j} A_ij T_i(L~_G) X T_j(L~_T)``
+    (first terms halved along each axis) as a recurrence along time with
+    the dense ``S_T = L_T - 2 I``, then a Clenshaw sum in the graph with
+    ``step`` (as in :func:`chebyshev_recurrence`)."""
+    T = X.shape[-1]
+    S_T = dense_time_laplacian(T) - 2.0 * np.eye(T)
+    return clenshaw_sum(list(chebyshev_recurrence(X, A[:, :, None],
+                                                  lambda V: V @ S_T)), step)
+
+
 def chebyshev_step(g):
     """``V -> 2 L~ V`` with the dense ``(4 / lmax) L - 2 I`` of a graph."""
     S = (4.0 / g.lmax) * g.laplacian_dense() - 2.0 * np.eye(g.N)

@@ -1083,6 +1083,8 @@ def test_a_nan_parameter_exits_2_naming_it(command, name, tmp_path,
 
 _HEAT = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--kernel",
          "heat", "--param", "s=1e300", "--out", "y.csv"]
+_CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
+            "cheby2d", "--out", "y.csv", "--kernel"]
 
 
 @pytest.mark.parametrize("command,code,line", [
@@ -1096,14 +1098,24 @@ _HEAT = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--kernel",
      "numerical_failure: kernel 'heat' has a response that is not finite"),
     (["graph-gen", "--kind", "ring", "--n", "6", "--k", "3",
       "--out", "g2.csv"], 2, "invalid_input: ring graph takes no parameter 'k'"),
+    (_CHEBY2D + ["heat", "--param", "s=0.5"], 2,
+     "invalid_input: cheby2d needs a response even in omega; "
+     "kernel 'heat' is not"),
+    (_CHEBY2D + ["damped_wave", "--param", "beta=0.5"], 2,
+     "invalid_input: cheby2d needs a response even in omega; "
+     "kernel 'damped_wave' is not"),
+    (["filter-bench", "--n", "6", "--knn", "2", "--t", "-1", "--emit",
+      "e.csv"], 2, "invalid_input: --t=-1 must be nonnegative"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
-        "heat-exact", "graph-gen-parameter-of-another-kind"])
+        "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
+        "damped-wave-cheby2d", "filter-bench-negative-t"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):
-    """A negative tolerance, a kernel whose response overflows and a
-    generator parameter of another graph kind each end the run with one
-    line that names them, and no file is written."""
+    """A negative tolerance, a kernel whose response overflows, a response
+    that cheby2d cannot represent, a negative horizon and a generator
+    parameter of another graph kind each end the run with one line that
+    names them, and no file is written."""
     monkeypatch.chdir(tmp_path)
     fileio.save_edges_csv("g.csv", ring_graph(6))
     fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +12,9 @@ from tvgsp import filtering
 from tvgsp.transforms import dft, idft, omega_grid
 from tvgsp.rng import default_rng
 
-from oracles import (chebyshev_analysis, chebyshev_recurrence, chebyshev_step,
-                     chebyshev_synthesis, clenshaw_sum, dense_joint_filter,
-                     dense_time_filter_matrix, dense_time_laplacian)
+from oracles import (cheby2d_time_route, chebyshev_analysis, chebyshev_step,
+                     chebyshev_synthesis, dense_joint_filter,
+                     dense_time_filter_matrix)
 
 
 IDENTITY = JointKernel(fn=lambda lam, omega: 1.0, name="one")
@@ -255,36 +253,39 @@ def test_cheby2d_invalid_inputs(fixture_graph, fixture_signal):
         filter_cheby2d(fixture_signal, IDENTITY, fixture_graph, -1, 3)
 
 
-def _layout_cases():
-    """The five entry points of the Chebyshev engine, each as a function
-    of the input array and the shape that input has."""
+def _engine_cases(g, order):
+    """The five entry points of the Chebyshev engine on ``g`` at ``order``,
+    each as a function of the input array and the shape that input has."""
     from tvgsp import analyze, denoise_tikhonov, synthesize
     from tvgsp.frames import FilterBank
     from tvgsp.kernels import mexican_hat_response, tikhonov_response
-    g = knn_sensor_graph(30, 4, seed=7)
     kernel = tikhonov_response(0.5, 0.3)
     bank = FilterBank(kernels=[kernel, mexican_hat_response()],
                       lattice=[(0, 0), (1, 0)], T=12)
     return {
-        "filter_ffc": (lambda X: filter_ffc(X, kernel, g, 12), (30, 12)),
+        "filter_ffc": (lambda X: filter_ffc(X, kernel, g, order), (g.N, 12)),
         "filter_separable": (lambda X: filter_separable(
             X, lambda lam: np.exp(-lam), lambda w: np.cos(w / 2) ** 2, g,
-            12), (30, 12)),
-        "analyze": (lambda X: analyze(bank, X, g, order=12), (30, 12)),
-        "synthesize": (lambda C: synthesize(bank, C, g, order=12),
-                       (2, 30, 12)),
+            order), (g.N, 12)),
+        "analyze": (lambda X: analyze(bank, X, g, order=order), (g.N, 12)),
+        "synthesize": (lambda C: synthesize(bank, C, g, order=order),
+                       (2, g.N, 12)),
         "denoise_tikhonov": (lambda X: denoise_tikhonov(X, g, 0.5, 0.3,
-                                                        order=12), (30, 12)),
+                                                        order=order),
+                             (g.N, 12)),
     }
 
 
+_ENGINE_ENTRIES = ["filter_ffc", "filter_separable", "analyze", "synthesize",
+                   "denoise_tikhonov"]
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("name", ["filter_ffc", "filter_separable", "analyze",
-                                  "synthesize", "denoise_tikhonov"])
+@pytest.mark.parametrize("name", _ENGINE_ENTRIES)
 def test_chebyshev_engine_accepts_any_memory_layout(name, dtype):
     """A transposed view and a Fortran-ordered copy give the bytes of the
     C-ordered input, real or complex."""
-    fn, shape = _layout_cases()[name]
+    fn, shape = _engine_cases(knn_sensor_graph(30, 4, seed=7), 12)[name]
     rng = default_rng(11)
     X = rng.standard_normal(shape[::-1])
     if dtype is complex:
@@ -294,6 +295,17 @@ def test_chebyshev_engine_accepts_any_memory_layout(name, dtype):
     for operand in (view, np.asfortranarray(view)):
         out = fn(operand)
         assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("graph", ["edgeless", "path"])
+@pytest.mark.parametrize("name", _ENGINE_ENTRIES)
+def test_a_negative_order_is_refused_on_any_graph(name, graph):
+    """An edgeless graph, whose table is the exact order-0 response, checks
+    the order as a graph with an edge does."""
+    g = build_graph([], 6) if graph == "edgeless" else path_graph(6)
+    fn, shape = _engine_cases(g, -3)[name]
+    with pytest.raises(ValidationError, match="order must be nonnegative"):
+        fn(np.ones(shape))
 
 
 K = filtering._BLOCK
@@ -353,35 +365,46 @@ def test_blocked_engine_matches_the_per_term_oracle(n, p, Z, order, T,
     assert abs(np.vdot(Y, C) - np.vdot(X, S)) <= 1e-12 * scale
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None)
 @given(n=st.integers(2, 10), order_graph=st.integers(0, 40),
        order_time=st.integers(0, K + 1), T=st.integers(1, 9),
+       complex_input=st.booleans(), complex_kernel=st.booleans(),
        seed=st.integers(0, 999))
-def test_one_bin_table_matches_the_per_term_oracle(n, order_graph,
-                                                   order_time, T, seed):
-    """``filter_cheby2d``'s use of the engine: a ``(MG + 1, MT + 1, 1)``
-    table, one bin for every column, in the recurrence along time, then
-    the Clenshaw sum in the graph, against the oracle to 1e-12."""
+def test_cheby2d_matches_the_time_recurrence_route(n, order_graph, order_time,
+                                                   T, complex_input,
+                                                   complex_kernel, seed):
+    """``filter_cheby2d``, one table on the DFT bins for the engine, against
+    the same expansion applied by a recurrence along time with the dense
+    ``L_T`` and a Clenshaw sum in the graph, to 1e-12, with its dtype: real
+    and complex input, real and complex (even) responses."""
     rng = default_rng(seed)
     g = path_graph(n)
-    A = (rng.standard_normal((order_graph + 1, order_time + 1))
-         / np.outer(np.arange(1, order_graph + 2), np.arange(1, order_time + 2)))
+    s, a, b = rng.uniform(0.1, 1.0), rng.uniform(-0.5, 0.5), rng.uniform(0, 1)
+    coef = 1.0 + 0.5j if complex_kernel else 1.0
+
+    def fn(lam, omega):
+        return coef * np.exp(-s * lam) * (1 + a * np.cos(omega)
+                                          + b * np.abs(omega))
     X = rng.standard_normal((n, T))
-    got = filtering._clenshaw(
-        filtering._recurrence(X, A[:, :, None], filtering._time_step)[::-1],
-        partial(g._matmul, "step"))
-    S_T = dense_time_laplacian(T) - 2.0 * np.eye(T)
-    ref = clenshaw_sum(list(chebyshev_recurrence(X, A[:, :, None],
-                                                 lambda V: V @ S_T)),
-                       chebyshev_step(g))
+    if complex_input:
+        X = X + 1j * rng.standard_normal(X.shape)
+    got = filter_cheby2d(X, JointKernel(fn=fn), g, order_graph, order_time)
+    lam_nodes, QG = filtering._quadrature(order_graph, (0.0, g.lmax))
+    mu_nodes, QT = filtering._quadrature(order_time, (0.0, 4.0))
+    A = QG @ fn(lam_nodes[:, None], np.arccos(1 - mu_nodes / 2)[None]) @ QT.T
+    ref = cheby2d_time_route(X, A, chebyshev_step(g))
+    assert got.dtype == ref.dtype
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("T", [1, 2, 3, 8, 9])
-def test_time_step_is_the_rolled_difference_bit_for_bit(T):
-    """``cheby2d``'s step along time, by slices, has the bits of ``-(roll(V,
-    1) + roll(V, -1))``, signed zeros included, for any ``T``."""
-    V = default_rng(T).standard_normal((4, T))
-    V[0, 0], V[1, -1] = -0.0, 0.0
-    ref = -(np.roll(V, 1, axis=-1) + np.roll(V, -1, axis=-1))
-    assert filtering._time_step(V).tobytes() == ref.tobytes()
+@pytest.mark.parametrize("name,params", [("heat", {"s": 0.5, "T": 8}),
+                                         ("damped_wave", {"beta": 0.5,
+                                                          "T": 8})])
+def test_cheby2d_refuses_a_response_not_even_in_omega(name, params,
+                                                      fixture_graph,
+                                                      fixture_signal):
+    """A 2-D polynomial in ``(L_G, L_T)`` is even in omega; a kernel that is
+    not would be filtered by its even part, so it is refused by name."""
+    with pytest.raises(ValidationError, match=f"kernel '{name}' is not"):
+        filter_cheby2d(fixture_signal, named_response(name, params),
+                       fixture_graph, 10, 10)
