@@ -12,10 +12,11 @@ print a single ``code: message`` line: a bad flag is ``invalid_input``,
 and a file that cannot be read or written, the report included, is
 ``io_error`` with exit 2.
 
-A command times the files it reads in a ``load`` stage, the
-eigendecomposition in its own stage and the files it writes (not the
-report) in a ``write`` stage; one private runner keeps these and the
-report, so a ``cmd_<name>`` holds only its own stages, params and metrics.
+Each run has one private ``_Job``: ``cmd_<name>(args)`` runs its stages on
+``args.job`` and returns its params and metrics, and ``run`` builds the
+report. The job times the files read in a ``load`` stage, the
+eigendecomposition in its own stage and the files written (not the
+report) in a ``write`` stage.
 
 Outputs, the report included, are written to temporary siblings and
 renamed into place only when the whole run has succeeded: a run that exits
@@ -46,7 +47,7 @@ from .rng import default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
                       inpaint, denoise_tikhonov, localize_source,
                       signal_energy_centroid, sparse_code)
-from .transforms import ijft, jft, joint_gradient, real_if_close
+from .transforms import ijft, jft, real_if_close, variation_norm
 from .dynamics import heat_evolve, wave_evolve
 from .filtering import (filter_cheby2d, filter_exact, filter_ffc,
                         filter_separable)
@@ -71,42 +72,12 @@ def _number_list(text, flag, kind):
                               f" values, got '{text}'") from None
 
 
-class _Staged:
-    """The files of one run, each written first to a temporary sibling that
-    keeps its extension (``fileio.save_signal`` dispatches on it)."""
-
-    def __init__(self):
-        self.pending = []  # (temporary path, output path)
-
-    def temporary(self, path):
-        """A fresh temporary sibling of ``path`` to write instead."""
-        root, ext = os.path.splitext(path)
-        temp = f"{root}.tmp{os.getpid()}-{len(self.pending)}{ext}"
-        self.pending.append((temp, path))
-        return temp
-
-    def commit(self):
-        """Rename every temporary file into place, in the order written."""
-        for _, path in self.pending:  # the one rename that fails in practice
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
-        for temp, path in self.pending:
-            os.replace(temp, path)
-        self.pending.clear()
-
-    def discard(self):
-        """Remove the temporary files not yet renamed."""
-        for temp, _ in self.pending:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-        self.pending.clear()
-
-
 class _Job:
-    """What one command run records for its report besides its own params
-    and metrics: the wall time of each stage, how the eigendecomposition
-    stage obtained the eigensystem, the diagnostics that FFC and solver
-    calls put in ``info``, and the files written."""
+    """One command run: the wall time of each stage, how the
+    eigendecomposition stage obtained the eigensystem, the diagnostics that
+    FFC and solver calls put in ``info``, and the files written, each first
+    to a temporary sibling that keeps its extension (``fileio.save_signal``
+    dispatches on it)."""
 
     def __init__(self, args):
         self.args = args
@@ -114,6 +85,7 @@ class _Job:
         self.eigensystem = None
         self.info = {}
         self.outputs = []
+        self.pending = []  # (temporary path, output path)
 
     @contextlib.contextmanager
     def stage(self, name):
@@ -146,34 +118,42 @@ class _Job:
 
     def write(self, save, path, data):
         """``save`` writes ``data`` to a temporary sibling of ``path`` in
-        the ``write`` stage (``run`` renames it into place); ``path`` becomes
-        one of the report's outputs."""
+        the ``write`` stage (:meth:`commit` renames it into place);
+        ``path`` becomes one of the report's outputs."""
         with self.stage("write"):
-            save(self.args.staged.temporary(path), data)
+            save(self.temporary(path), data)
         self.outputs.append(path)
 
+    def temporary(self, path):
+        """A fresh temporary sibling of ``path`` to write instead."""
+        root, ext = os.path.splitext(path)
+        temp = f"{root}.tmp{os.getpid()}-{len(self.pending)}{ext}"
+        self.pending.append((temp, path))
+        return temp
 
-def _command(body):
-    """``cmd_<name>(args)`` from ``body(job, args)``, which runs the
-    command's stages on a :class:`_Job` and returns its ``params`` and
-    ``metrics``; the job's ``info`` joins the metrics."""
-    @functools.wraps(body)
-    def command(args):
-        job = _Job(args)
-        params, metrics = body(job, args)
-        return reports.RunReport(
-            command=args.command, params=params, timings_ms=job.timings_ms,
-            metrics={**metrics, **job.info}, outputs=job.outputs,
-            eigensystem=job.eigensystem)
-    return command
+    def commit(self):
+        """Rename every temporary file into place, in the order written."""
+        for _, path in self.pending:  # the one rename that fails in practice
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+        for temp, path in self.pending:
+            os.replace(temp, path)
+        self.pending.clear()
+
+    def discard(self):
+        """Remove the temporary files not yet renamed."""
+        for temp, _ in self.pending:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        self.pending.clear()
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations (each cmd_<name>(args) returns a RunReport)
+# Subcommands: cmd_<name>(args) runs on args.job, returns (params, metrics)
 # ---------------------------------------------------------------------------
 
-@_command
-def cmd_graph_gen(job, args):
+def cmd_graph_gen(args):
+    job = args.job
     names = {key for _, keys in _KINDS.values() for key in keys} - {"seed"}
     params = {key: value for key, value in vars(args).items()
               if key in names and value is not None}
@@ -191,8 +171,8 @@ def cmd_graph_gen(job, args):
              "lambda_max_bound": g.lmax, "connected": int(connected)})
 
 
-@_command
-def cmd_transform(job, args):
+def cmd_transform(args):
+    job = args.job
     if args.inverse and not args.spectrum:
         raise ValidationError("--inverse needs --spectrum")
     if not args.inverse and not args.signal:
@@ -221,8 +201,8 @@ def cmd_transform(job, args):
     return {"inverse": bool(args.inverse)}, metrics
 
 
-@_command
-def cmd_dynamics(job, args):
+def cmd_dynamics(args):
+    job = args.job
     with job.load() as g:
         x1 = fileio.load_signal(args.x1).ravel()
     eig = job.eig(g) if args.kind == "wave" or args.emit_spectrum else None
@@ -242,8 +222,8 @@ def cmd_dynamics(job, args):
              "final_norm": float(np.linalg.norm(X[:, -1]))})
 
 
-@_command
-def cmd_filter(job, args):
+def cmd_filter(args):
+    job = args.job
     with job.load() as g:
         X = fileio.load_signal(args.signal)
     kernel = named_response(args.kernel, _parse_params(args.param),
@@ -269,8 +249,8 @@ def cmd_filter(job, args):
              "output_norm": float(np.linalg.norm(Y))})
 
 
-@_command
-def cmd_filter_bench(job, args):
+def cmd_filter_bench(args):
+    job = args.job
     if args.t < 0:  # T = 0 is the signal's own error, "no time samples"
         raise ValidationError(f"--t={args.t} must be nonnegative")
     if args.graph:
@@ -308,8 +288,8 @@ def cmd_filter_bench(job, args):
             {"max_rel_error": float(worst), "rows": len(rows)})
 
 
-@_command
-def cmd_frame_build(job, args):
+def cmd_frame_build(args):
+    job = args.job
     with job.load() as g:
         spec = fileio.load_bank_spec(args.bank)
     with job.stage("build"):
@@ -326,8 +306,8 @@ def cmd_frame_build(job, args):
              "bounds_certified": int(bank.bounds_certified)})
 
 
-@_command
-def cmd_analyze(job, args):
+def cmd_analyze(args):
+    job = args.job
     with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         X = fileio.load_signal(args.signal)
@@ -343,8 +323,8 @@ def cmd_analyze(job, args):
              float(np.linalg.norm(C) ** 2 / max(nx * nx, 1e-300))})
 
 
-@_command
-def cmd_synthesize(job, args):
+def cmd_synthesize(args):
+    job = args.job
     with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         C = fileio.load_coefficients_binary(args.coeffs)
@@ -362,8 +342,8 @@ def cmd_synthesize(job, args):
             {"output_norm": float(np.linalg.norm(Y))})
 
 
-@_command
-def cmd_denoise(job, args):
+def cmd_denoise(args):
+    job = args.job
     with job.load() as g:
         Y = fileio.load_signal(args.signal)
     eig = job.eig(g) if args.exact else None
@@ -371,17 +351,15 @@ def cmd_denoise(job, args):
         X = denoise_tikhonov(Y, g, args.tau1, args.tau2,
                              eig=eig, order=args.order, info=job.info)
     job.write(fileio.save_signal, args.out, X)
-    gpart, tpart = joint_gradient(X, g)
     objective = (float(np.linalg.norm(X - Y) ** 2)
-                 + args.tau1 * float((gpart ** 2).sum())
-                 + args.tau2 * float((tpart ** 2).sum()))
+                 + variation_norm(X, g, 2, 2, args.tau1, args.tau2))
     return ({"tau1": args.tau1, "tau2": args.tau2,
              "exact": bool(args.exact), "order": args.order},
             {"objective": objective, "iterations": 0})
 
 
-@_command
-def cmd_inpaint(job, args):
+def cmd_inpaint(args):
+    job = args.job
     with job.load() as g:
         Y = fileio.load_signal(args.signal)
         M = fileio.load_mask_csv(args.mask)
@@ -403,8 +381,8 @@ def cmd_inpaint(job, args):
              "objective_gap": result.gap})
 
 
-@_command
-def cmd_sparse_code(job, args):
+def cmd_sparse_code(args):
+    job = args.job
     with job.load() as g:
         bank = fileio.load_bank(args.bank, g)
         X = fileio.load_signal(args.signal)
@@ -425,8 +403,8 @@ def cmd_sparse_code(job, args):
              "support_size": support})
 
 
-@_command
-def cmd_localize(job, args):
+def cmd_localize(args):
+    job = args.job
     with job.load() as g:
         bank = fileio.load_bank(args.bank, g) if args.bank else None
         C = fileio.load_coefficients_binary(args.coeffs)
@@ -442,8 +420,8 @@ def cmd_localize(job, args):
     return {"top_k": args.top_k}, metrics
 
 
-@_command
-def cmd_compaction(job, args):
+def cmd_compaction(args):
+    job = args.job
     with job.load() as g:
         X = fileio.load_signal(args.signal)
     percentiles = _number_list(args.percentiles, "--percentiles", float)
@@ -484,6 +462,10 @@ def build_parser():
     graph_args = argparse.ArgumentParser(add_help=False)
     graph_args.add_argument("--graph", required=True)
     graph_args.add_argument("--num-vertices", type=int, default=None)
+
+    engine = argparse.ArgumentParser(add_help=False)  # exact or Chebyshev
+    engine.add_argument("--exact", action="store_true")
+    engine.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
     parser = _Parser(
         prog="tvgsp",
@@ -547,31 +529,25 @@ def build_parser():
     p.add_argument("--bank", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("analyze", parents=[common, graph_args],
+    p = sub.add_parser("analyze", parents=[common, graph_args, engine],
                        help="frame analysis coefficients")
     p.add_argument("--bank", required=True)
     p.add_argument("--signal", required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("synthesize", parents=[common, graph_args],
+    p = sub.add_parser("synthesize", parents=[common, graph_args, engine],
                        help="frame synthesis from coefficients")
     p.add_argument("--bank", required=True)
     p.add_argument("--coeffs", required=True)
     p.add_argument("--dual", action="store_true",
                    help="synthesize with the canonical dual bank")
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("denoise", parents=[common, graph_args],
+    p = sub.add_parser("denoise", parents=[common, graph_args, engine],
                        help="joint Tikhonov denoising")
     p.add_argument("--signal", required=True)
     p.add_argument("--tau1", type=float, default=0.71)
     p.add_argument("--tau2", type=float, default=1.78)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("inpaint", parents=[common, graph_args],
@@ -622,32 +598,33 @@ def run(argv=None):
     # looked up per call rather than bound into the cached parser, so that
     # rebinding a module-level cmd_* function takes effect
     command = globals()["cmd_" + args.command.replace("-", "_")]
-    staged = args.staged = _Staged()
+    job = args.job = _Job(args)
     try:
         # no floating-point warning reaches stderr (a result that is not
         # finite fails the finite-metric check of its report), and no other
         # warning either: the report lists them
         with np.errstate(all="ignore"), \
                 warnings.catch_warnings(record=True) as caught:
-            report = command(args)
-        report.warnings = [str(w.message) for w in caught]
-        report.environment = reports.environment()
-        text = report.to_json()
+            params, metrics = command(args)
+        text = reports.RunReport(
+            command=args.command, params=params, timings_ms=job.timings_ms,
+            metrics={**metrics, **job.info}, outputs=job.outputs,
+            environment=reports.environment(), eigensystem=job.eigensystem,
+            warnings=[str(w.message) for w in caught]).to_json()
         if args.report:
-            with open(staged.temporary(args.report), "w",
-                      newline="\n") as fh:
+            with open(job.temporary(args.report), "w", newline="\n") as fh:
                 fh.write(text + "\n")
-        staged.commit()
+        job.commit()
         if not args.report:
             print(text)
     except OSError as exc:
         if exc.filename2 is None:  # name the output, not its temporary file
-            exc.filename = dict(staged.pending).get(exc.filename, exc.filename)
+            exc.filename = dict(job.pending).get(exc.filename, exc.filename)
         print(f"io_error: {exc}".replace("\n", " "), file=sys.stderr)
         return 2
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
     finally:
-        staged.discard()
+        job.discard()
     return 0

@@ -317,7 +317,10 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     if not np.abs(H - mirror).max() <= SYMMETRY_TOL * np.abs(H).max():
         raise ValidationError("cheby2d needs a response even in omega; "
                               f"kernel '{kernel.name}' is not")
-    A = QG @ H @ QT.T
+    # the real and imaginary parts as real products: BLAS threads a complex
+    # product this small at many times the cost of the work
+    A = QG @ np.stack((H.real, H.imag)) @ QT.T
+    A = A[0] + 1j * A[1]
     A[:, 0] *= 0.5
     table = A @ np.cos(np.outer(np.arange(order_time + 1),
                                 np.pi - omega_grid(X.shape[-1])))

@@ -376,6 +376,25 @@ def test_sparse_code_and_localize_cli(graph_files, bank_file, tmp_path):
         assert 0.0 <= loc["metrics"][key] <= 1.0
 
 
+def test_localize_without_energy_is_the_plain_mean(graph_files, tmp_path):
+    """All-zero coefficients weigh the ``top_k`` vertices first in index
+    order alike, and an all-zero signal weighs every vertex alike."""
+    gpath, cpath = graph_files
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf",
+                                    np.zeros((1, 24, 8), dtype=complex))
+    fileio.save_signal_csv(tmp_path / "x.csv", np.zeros((24, 8)))
+    assert invoke("localize", "--graph", str(gpath), "--coords", str(cpath),
+                  "--coeffs", str(tmp_path / "c.tvcf"), "--top-k", "3",
+                  "--signal", str(tmp_path / "x.csv"),
+                  "--report", str(tmp_path / "loc.json")) == 0
+    metrics = json.loads((tmp_path / "loc.json").read_text())["metrics"]
+    coords = fileio.load_coords_csv(cpath)
+    for got, want in (("estimate", coords[:3].mean(axis=0)),
+                      ("baseline", coords.mean(axis=0))):
+        assert [metrics[f"{got}_x"], metrics[f"{got}_y"]] == pytest.approx(
+            want, rel=1e-12)
+
+
 def test_compaction_cli(graph_files, tmp_path):
     gpath, _ = graph_files
     X = default_rng(8).standard_normal((24, 8))
@@ -422,6 +441,25 @@ def test_every_subcommand_has_its_cmd_function():
             for name in sub.choices} == functions
 
 
+def test_every_subcommand_help_lists_its_flags(capsys):
+    """``<subcommand> --help`` exits 0 and names every flag; the shared
+    ``--exact`` and ``--order`` appear under each command that has them."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        with pytest.raises(SystemExit) as err:
+            run([name, "--help"])
+        captured = capsys.readouterr()
+        assert err.value.code == 0 and captured.err == "", name
+        flags = {flag for action in parser._actions
+                 for flag in action.option_strings}
+        if name in ("analyze", "synthesize", "denoise"):
+            assert {"--exact", "--order"} <= flags, name
+        for flag in flags:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])",
+                             captured.out), (name, flag)
+
+
 def test_unwritable_report_exits_2_with_one_line(tmp_path, capsys):
     code = invoke("graph-gen", "--kind", "ring", "--n", "6",
                   "--out", str(tmp_path / "g.csv"),
@@ -457,7 +495,9 @@ def ring_files(tmp_path):
     ("x1.csv", ["--emit-spectrum", "nodir/S.csv"], "io_error"),
     ("x1_huge.csv", [], "invalid_input"),  # the norms overflow
     ("x1.csv", ["--report", "nodir/r.json"], "io_error"),
-], ids=["second-write-fails", "metric-not-finite", "report-not-writable"])
+    ("x1.csv", ["--emit-spectrum", "."], "io_error"),
+], ids=["second-write-fails", "metric-not-finite", "report-not-writable",
+        "second-output-is-a-directory"])
 def test_failed_run_leaves_no_output(ring_files, monkeypatch, capsys, x1,
                                      extra, code):
     """A run that exits non-zero writes nothing: no output, no temporary
@@ -562,6 +602,57 @@ def test_console_entry_point(tmp_path, child_env):
     assert json.loads(proc.stdout)["metrics"]["num_edges"] == 6
 
 
+_SHOW_THREAD_CAPS = """\
+import json, os, sys
+from tvgsp import THREAD_VARS
+from tvgsp._main import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({var: os.environ.get(var) for var in THREAD_VARS}))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("env,flags,code,cap", [
+    ("abc", [], 2, None),
+    ("0", [], 2, None),
+    ("-3", [], 2, None),
+    ("2", [], 0, "2"),
+    ("abc", ["--threads=3"], 0, "3"),
+    (None, ["--threads=x"], 2, None),
+    (None, ["--threads", "0"], 2, None),
+], ids=["env-text", "env-zero", "env-negative", "env-valid",
+        "flag-with-equals-wins", "flag-with-equals-text", "flag-zero"])
+def test_thread_caps_come_only_from_a_positive_count(env, flags, code, cap,
+                                                     tmp_path, child_env):
+    """``TVGSP_THREADS`` that is not a positive integer exits 2 with one
+    line naming it; no invalid count, from the environment or
+    ``--threads``, sets a thread variable."""
+    env_vars = {k: v for k, v in child_env.items()
+                if k not in tvgsp.THREAD_VARS and k != "TVGSP_THREADS"}
+    if env is not None:
+        env_vars["TVGSP_THREADS"] = env
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHOW_THREAD_CAPS, "graph-gen", "--kind",
+         "ring", "--n", "5", "--out", str(tmp_path / "g.csv"),
+         "--report", str(tmp_path / "r.json"), *flags],
+        capture_output=True, text=True, env=env_vars)
+    assert proc.returncode == code, proc.stderr
+    caps = json.loads(proc.stdout.splitlines()[-1])
+    assert caps == dict.fromkeys(tvgsp.THREAD_VARS, cap)
+    if code == 0:
+        assert proc.stderr == ""
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["environment"]["thread_caps"] == caps
+        return
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("invalid_input: "), lines
+    assert ("TVGSP_THREADS" in lines[0]) == (not flags), lines
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 def test_binary_signal_path(graph_files, tmp_path):
     gpath, _ = graph_files
     X = default_rng(10).standard_normal((24, 8))
@@ -632,6 +723,7 @@ def _assert_invalid_input(code, capsys):
     ("tikhonov", ["tau1=abc", "tau2=1.0"]),
     ("tikhonov", ["tau1=nan", "tau2=1.0"]),
     ("heat", ["s=0.05", "T=3.7"]),
+    ("tikhonov", ["tau1"]),
 ])
 def test_filter_bad_param_exits_2(kernel, params, graph_files, tmp_path,
                                   capsys):
@@ -724,6 +816,21 @@ def _nan_coordinate(tmp_path):
             "--coeffs", str(tmp_path / "c.tvcf")]
 
 
+def _mask_of_another_shape(tmp_path):
+    fileio.save_signal_csv(tmp_path / "y.csv", np.ones((24, 8)))
+    fileio.save_mask_csv(tmp_path / "m.csv", np.ones((24, 4)))
+    return ["inpaint", "--signal", str(tmp_path / "y.csv"),
+            "--mask", str(tmp_path / "m.csv"), "--gamma1", "0.2",
+            "--gamma2", "0.5", "--out", str(tmp_path / "x.csv")]
+
+
+def _no_top_vertex(tmp_path):
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf",
+                                    np.ones((1, 24, 8), dtype=complex))
+    return ["localize", "--coords", str(tmp_path / "c.csv"),
+            "--coeffs", str(tmp_path / "c.tvcf"), "--top-k", "0"]
+
+
 @pytest.mark.parametrize("make_argv,message", [
     (_empty_signal, "empty.csv: no data rows"),
     (lambda tmp: _bad_spectrum("1,1,nan,0.0", tmp),
@@ -731,7 +838,10 @@ def _nan_coordinate(tmp_path):
     (lambda tmp: _bad_spectrum("0,1,1.0,0.0", tmp),
      "s.csv: line 2: frequency indices start at 1"),
     (_nan_coordinate, "coords contain NaN or Inf entries"),
-], ids=["empty-signal", "nan-spectrum", "zero-based-index", "nan-coordinate"])
+    (_mask_of_another_shape, "mask shape (24, 4) != signal shape (24, 8)"),
+    (_no_top_vertex, "top_k must lie in [1, 24]"),
+], ids=["empty-signal", "nan-spectrum", "zero-based-index", "nan-coordinate",
+        "mask-of-another-shape", "top-k-zero"])
 def test_bad_input_file_exits_2_with_one_line(make_argv, message, graph_files,
                                                tmp_path, capsys):
     gpath, _ = graph_files
@@ -753,8 +863,28 @@ def test_bad_input_file_exits_2_with_one_line(make_argv, message, graph_files,
       "window_time": {"shape": "rectangular", "length": 4}},
      "num_translates"),
     ([{"kind": "stvwt", "T": 8}], "bank spec"),
+    ({"kind": "stvft", "T": 8,
+      "window_graph": {"name": "itersine", "num_translates": 1},
+      "window_time": {"shape": "rectangular", "length": 4}},
+     "at least two translates"),
+    ({"kind": "stvft", "T": 8,
+      "window_graph": {"name": "itersine", "num_translates": 3, "lmax": -1},
+      "window_time": {"shape": "rectangular", "length": 4}}, "positive lmax"),
+    ({"kind": "stvft", "T": 8,
+      "window_graph": {"name": "itersine", "num_translates": 3},
+      "window_time": {"shape": "triangle", "length": 4}},
+     "unknown time window 'triangle'"),
+    ({"kind": "stvft", "T": 8, "z_lambda": [],
+      "window_graph": {"name": "itersine", "num_translates": 3},
+      "window_time": {"shape": "rectangular", "length": 4}},
+     "empty graph shift list"),
+    ({"kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
+      "scales_lambda": "1.0", "scales_omega": [1.0]}, "scales_lambda"),
+    ({"kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
+      "scales_lambda": [], "scales_omega": [1.0]}, "empty scale list"),
 ], ids=["mother-string", "T-text", "scale-text", "translates-text",
-        "top-level-list"])
+        "top-level-list", "one-translate", "negative-lmax", "unknown-window",
+        "empty-shifts", "scales-string", "empty-scales"])
 def test_bank_spec_wrong_type_exits_2(spec, field, graph_files, tmp_path,
                                       capsys):
     gpath, _ = graph_files
@@ -1106,9 +1236,23 @@ _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
      "kernel 'damped_wave' is not"),
     (["filter-bench", "--n", "6", "--knn", "2", "--t", "-1", "--emit",
       "e.csv"], 2, "invalid_input: --t=-1 must be nonnegative"),
+    (["transform", "--graph", "g.csv", "--out", "S.csv"], 2,
+     "invalid_input: forward transform needs --signal"),
+    (["transform", "--graph", "g.csv", "--inverse", "--out", "x2.csv"], 2,
+     "invalid_input: --inverse needs --spectrum"),
+    (["graph-gen", "--kind", "ring", "--n", "6", "--out", "g2.csv",
+      "--threads", "0"], 2, "invalid_input: --threads must be a positive "
+     "integer"),
+    (["transform", "--graph", "g.csv", "--num-vertices", "-1", "--signal",
+      "x.csv", "--out", "S.csv"], 2,
+     "invalid_input: num_vertices must be nonnegative"),
+    (_INPAINT + ["--gamma1", "-1"], 2,
+     "invalid_input: regularizer weights must be nonnegative"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
         "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
-        "damped-wave-cheby2d", "filter-bench-negative-t"])
+        "damped-wave-cheby2d", "filter-bench-negative-t",
+        "transform-without-signal", "inverse-without-spectrum",
+        "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvgsp import ValidationError, build_graph, knn_sensor_graph
+from tvgsp import (ValidationError, analyze, build_graph,
+                   itersine_graph_design, knn_sensor_graph, make_stvft,
+                   time_window)
 from tvgsp import fileio
 from tvgsp.rng import default_rng
 
@@ -206,6 +208,25 @@ def test_bank_spec_stvft(tmp_path):
     assert bank.kind == "stvft"
     assert bank.size == 4 * 4
     assert bank.subsampled
+
+
+def test_bank_spec_stvft_honours_its_graph_shifts():
+    """A ``z_lambda`` field replaces the itersine design's shifts: the bank
+    analyzes as ``make_stvft`` with those shifts does."""
+    g = knn_sensor_graph(12, 3, seed=9)
+    eig = g.eigensystem()
+    shifts = [0.25, 1.0, 2.5, 3.0]
+    spec = {"kind": "stvft", "T": 8, "z_lambda": shifts,
+            "window_graph": {"name": "itersine", "num_translates": 3},
+            "window_time": {"shape": "hann", "length": 4}, "time_hop": 2}
+    h_graph, _ = itersine_graph_design(g.lmax, 3)
+    X = default_rng(4).standard_normal((12, 8))
+    bank = fileio.build_bank(spec, g)
+    expected = make_stvft(h_graph, time_window("hann", 4), shifts, 2, g, 8)
+    assert bank.meta["z_lambda"] == shifts and bank.size == 4 * 4
+    np.testing.assert_allclose(analyze(bank, X, g, eig=eig),
+                               analyze(expected, X, g, eig=eig),
+                               rtol=0, atol=1e-13)
 
 
 def test_bank_spec_validation(tmp_path):
