@@ -120,7 +120,7 @@ def wave_kernel(lam, omega, s, T):
 
 def wave_response(s, lmax, T):
     """The wave propagator spectrum as a filterable joint kernel."""
-    _check_horizon(T)
+    s, lmax, T = _number("s", s), _number("lmax", lmax), _check_horizon(T)
     if lmax <= 0:
         raise ValidationError("wave propagator requires a positive lmax")
     if s >= 4.0 / lmax:

@@ -27,11 +27,11 @@ responses of a kernel list or bank (see :func:`tvgsp.kernels._stack`): exact
 with an eigensystem (the stack on the joint grid times the joint spectrum of
 :mod:`tvgsp.transforms`), else the Chebyshev engine, which needs no
 eigendecomposition. The engine fits a ``(Z, M + 1, T)`` coefficient table,
-frequency last like the exact grid ``(Z, N, T)``, and applies it with a
-single three-term recurrence whose terms are weighted per kernel (analysis)
-or with a single Clenshaw sum over ``sum_z conj(c_z) o C_z`` (the adjoint);
-both take :data:`_BLOCK` orders at a time in one batched matrix product per
-bin (analysis with one kernel, ``filter_cheby2d``'s included, weights each
+frequency last like the exact grid ``(Z, N, T)``. On the spectrum, analysis is
+one three-term recurrence with its terms weighted per kernel, and the adjoint
+one Clenshaw loop over blocks of ``B_m = sum_z conj(c_{z,m}) o C_z^``; a block
+of :data:`_BLOCK` orders comes from one batched matrix product per bin
+(analysis with one kernel, ``filter_cheby2d``'s included, weights each
 term elementwise). The fit (``_fit_table``) is the one place that records
 ``ffc_fit_error`` in a caller's ``info`` dict. Each step multiplies by the
 graph's cached step operator ``(4 / lmax) L - 2 I`` through the CSR product
@@ -49,7 +49,6 @@ term into its block (analysis) or a coefficient out of it (adjoint).
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -155,36 +154,36 @@ def _fit_table(stack, T, order, g, info, scale=1.0):
 
 
 #: Chebyshev orders per block of the engine's batched products: a block of
-#: terms (analysis) or Clenshaw coefficients (synthesis) is one ``(B, K,
-#: N)`` array, 4.2 MB at N = 1000 and B = 33 bins. Blocks of 16 or 31
-#: orders were no faster there, and took twice or four times the memory.
+#: terms (analysis) or of the adjoint's ``B_m``, which one Clenshaw loop
+#: consumes, is one ``(B, K, N)`` array, 4.2 MB at N = 1000 and B = 33
+#: bins. Blocks of 16 or 31 orders were no faster, and took 2-4x the memory.
 _BLOCK = 8
 
 
-def _terms(Vf, order, step):
+def _terms(Vf, order, g):
     """``T_0(L~) Vf, ..., T_order(L~) Vf`` by the three-term recurrence."""
     yield Vf
     if order > 0:
-        prev, cur = Vf, 0.5 * step(Vf)
+        prev, cur = Vf, 0.5 * g._matmul("step", Vf)
         yield cur
         for _ in range(order - 1):
-            prev, cur = cur, step(cur) - prev
+            prev, cur = cur, g._matmul("step", cur) - prev
             yield cur
 
 
-def _recurrence(Vf, table, step):
+def _recurrence(Vf, table, g):
     """``Y_z = sum_m c_{z,m,.} o T_m(L~) Vf`` (``c_{z,0}`` halved) for all z.
 
-    One three-term recurrence ``T_m(L~) Vf`` serves all kernels. ``step(V)``
-    is ``2 L~ V``; on a graph ``L~`` maps ``[0, lmax]`` onto ``[-1, 1]`` and
-    the step is the cached ``(4 / lmax) L - 2 I``. ``Vf`` is ``(N, B)``
-    on ``B`` DFT bins, ``table`` ``(Z, M + 1, B)``, the result ``(Z, N, B)``.
+    One three-term recurrence ``T_m(L~) Vf`` serves all kernels. ``L~``
+    maps ``[0, lmax]`` onto ``[-1, 1]``, and the graph's cached step
+    operator ``(4 / lmax) L - 2 I`` is ``2 L~``. ``Vf`` is ``(N, B)`` on
+    ``B`` DFT bins, ``table`` ``(Z, M + 1, B)``, the result ``(Z, N, B)``.
 
     One kernel weights each term elementwise. Several kernels gather
     :data:`_BLOCK` terms into a ``(B, K, N)`` block and weight it with one
     batched product per bin, ``(Z, K) @ (K, N)``."""
     Z, M1, bins = table.shape
-    terms = _terms(Vf, M1 - 1, step)
+    terms = _terms(Vf, M1 - 1, g)
     if Z == 1:
         c = np.moveaxis(table, 1, 0)[:, :, None, :]        # (M+1, Z, 1, B)
         Y = 0.5 * c[0] * next(terms)
@@ -204,45 +203,38 @@ def _recurrence(Vf, table, step):
     return Y.transpose(1, 2, 0)
 
 
-def _clenshaw(coeffs, step):
-    """``sum_m T_m(L~) B_m`` (``B_0`` halved) by Clenshaw's recurrence, for
-    an iterator of the coefficients ``B_M, ..., B_0`` in this order.
+def _clenshaw(Cf, table, g):
+    """``sum_m T_m(L~) B_m`` (``B_0`` halved), ``B_m = sum_z conj(c_{z,m,.})
+    o Cf_z``: the adjoint of :func:`_recurrence`, on a ``(Z, N, B)``
+    spectrum ``Cf``, to ``(N, B)``.
 
-    The coefficients are ``(N, cols)`` matrices, so one backward recurrence
-    sums them all. ``step(V, out)`` adds ``2 L~ V`` (see :func:`_recurrence`)
-    into ``out``, a new C-contiguous ``B_m - b_{m+2}``. Each coefficient
-    is read before the next is asked for, except ``B_M``, which is copied:
-    the iterator may reuse its memory."""
-    b1, b2, b3 = np.array(next(coeffs)), 0.0, 0.0
-    for Bm in coeffs:
-        out = np.empty(Bm.shape, np.result_type(Bm, b2))
-        b1, b2, b3 = step(b1, np.subtract(Bm, b2, out=out)), b1, b2
-    return 0.5 * (b1 - b3)                                 # (b_0 - b_2) / 2
-
-
-def _coefficients(C, half, table):
-    """The Clenshaw coefficients ``B_M, ..., B_0`` of the adjoint, ``B_m =
-    sum_z conj(c_{z,m,.}) o F C_z`` for a ``(Z, N, T)`` stack ``C`` (``F``
-    and ``half`` as in :func:`_fft`), as ``(N, B)`` views: :data:`_BLOCK`
-    orders at a time, from one batched product per bin, ``(K, Z) @ (Z,
-    N)``, into one buffer."""
+    :data:`_BLOCK` orders of ``B_m`` at a time come from one batched
+    product per bin, ``(K, Z) @ (Z, N)``, into one buffer; Clenshaw's
+    backward recurrence consumes each block from its top order down,
+    ``b_m = B_m - b_{m+2} + 2 L~ b_{m+1}``, adding the step product
+    straight into a new C-contiguous ``B_m - b_{m+2}``."""
     cc = np.ascontiguousarray(np.conj(table.transpose(2, 1, 0)))  # (B, M+1, Z)
-    Cb = np.ascontiguousarray(_fft(C, half).transpose(2, 0, 1))   # (B, Z, N)
-    bins, M1, _ = cc.shape
-    block = np.empty((bins, min(_BLOCK, M1), Cb.shape[2]),
-                     np.result_type(cc, Cb))
+    Cb = np.ascontiguousarray(Cf.transpose(2, 0, 1))              # (B, Z, N)
+    (bins, M1, _), N = cc.shape, Cf.shape[1]
+    block = np.empty((bins, min(_BLOCK, M1), N), np.result_type(cc, Cb))
+    b1, b2, b3 = 0.0, 0.0, 0.0
     for j in range((M1 - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
         k = min(_BLOCK, M1 - j)
         np.matmul(cc[:, j:j + k], Cb, out=block[:, :k])
-        yield from np.flip(block[:, :k], 1).transpose(1, 2, 0)
+        for m in range(j + k - 1, j - 1, -1):
+            out = np.subtract(block[:, m - j].T, b2,
+                              out=np.empty((N, bins), block.dtype))
+            if m < M1 - 1:
+                out = g._matmul("step", b1, out)
+            b1, b2, b3 = out, b1, b2
+    return 0.5 * (b1 - b3)                                 # (b_0 - b_2) / 2
 
 
 def _engine(X, table, g):
     """``(Z, N, T)`` stack of ``sum_m c_{z,m,k} T_m(L~) X`` at each DFT bin
     ``k`` of a ``(Z, M + 1, T)`` table: FFT, :func:`_recurrence`, inverse."""
     half, H = _spectral_bins(X, table)
-    return _ifft(_recurrence(_fft(X, half), H, partial(g._matmul, "step")),
-                 X.shape[-1], half)
+    return _ifft(_recurrence(_fft(X, half), H, g), X.shape[-1], half)
 
 
 def _analysis(X, stack, g, eig, order, info, scale=1.0):
@@ -259,16 +251,14 @@ def _analysis(X, stack, g, eig, order, info, scale=1.0):
 
 def _synthesis(C, stack, g, eig, order, info):
     """``sum_z conj(h_z)(L_G, L_T) C_z`` (the adjoint of :func:`_analysis`);
-    without ``eig`` one Clenshaw sum over ``B_m = sum_z conj(c_{z,m,.}) o
-    F C_z``."""
+    without ``eig`` :func:`_clenshaw` between an FFT and its inverse."""
     T = C.shape[-1]
     if eig is not None:
         half, H = _spectral_bins(C, stack(eig.values, omega_grid(T)))
         S = (np.conj(H) * _jft_stack(C, eig, half)).sum(axis=0)
         return _ijft_stack(S, eig, T, half)
     half, H = _spectral_bins(C, _fit_table(stack, T, order, g, info))
-    Yf = _clenshaw(_coefficients(C, half, H), partial(g._matmul, "step"))
-    return _ifft(Yf, T, half)
+    return _ifft(_clenshaw(_fft(C, half), H, g), T, half)
 
 
 def _filter(X, kernel, g, eig, order, info=None):

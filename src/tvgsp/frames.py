@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .kernels import JointKernel, _check_horizon, _stack
+from .kernels import JointKernel, _check_horizon, _number, _stack
 from .filtering import _analysis, _filter, _synthesis
 from .transforms import _checked, omega_grid, real_if_close
 
@@ -106,9 +106,10 @@ def itersine_graph_design(lmax, num_translates):
     squares sum to one across the whole interval, giving a well
     conditioned STVFT graph axis.
     """
-    if num_translates < 2:
+    if _number("num_translates", num_translates) < 2:
         raise ValidationError("itersine design needs at least two translates")
-    if lmax <= 0:
+    num_translates = _number("num_translates", num_translates, integer=True)
+    if _number("lmax", lmax) <= 0:
         raise ValidationError("itersine design needs a positive lmax")
     delta = lmax / (num_translates - 1)
     shifts = [i * delta for i in range(num_translates)]
@@ -117,8 +118,9 @@ def itersine_graph_design(lmax, num_translates):
 
 def time_window(shape, length):
     """Named time-domain analysis windows."""
-    if length < 1:
+    if _number("window length", length) < 1:
         raise ValidationError("window length must be positive")
+    length = _number("window length", length, integer=True)
     if shape == "rectangular":
         return np.ones(length)
     if shape == "hann":
@@ -150,13 +152,13 @@ def make_stvft(window_graph, window_time, z_lambda, time_hop, g, T):
     ``2 pi i / l`` and the time positions are subsampled with ``time_hop``
     (window length over redundancy). The vertex lattice stays full.
     """
-    w = np.asarray(window_time, dtype=float).ravel()
+    T, w = _check_horizon(T), np.asarray(window_time, dtype=float).ravel()
     if not 1 <= w.size <= T:
         raise ValidationError(
             f"time window length {w.size} must lie in [1, T={T}]")
     if time_hop < 1 or T % time_hop != 0:
         raise ValidationError(f"time hop {time_hop} must divide T={T}")
-    z_lambda = [float(z) for z in z_lambda]
+    z_lambda = [_number("z_lambda", z) for z in z_lambda]
     if not z_lambda:
         raise ValidationError("empty graph shift list")
     z_omega = 2.0 * np.pi * np.arange(w.size) / w.size
@@ -167,7 +169,7 @@ def make_stvft(window_graph, window_time, z_lambda, time_hop, g, T):
         for zw in z_omega:
             kernels.append(mother.shifted(zl, zw))
             lattice.append((zl, float(zw)))
-    time_lattice = None if time_hop == 1 else np.arange(0, T, time_hop)
+    time_lattice = None if time_hop == 1 else np.arange(0, T, int(time_hop))
     return FilterBank(
         kernels=kernels, lattice=lattice, kind="stvft", mother=mother, T=T,
         time_lattice=time_lattice,
@@ -184,9 +186,9 @@ def make_stvwt(mother, scales_lambda, scales_omega, g, T,
     scaling-function ``dc_kernel`` or ``check_admissibility=False``
     (the damped-wave mother is used this way). Lattices are full.
     """
-    _check_horizon(T)
-    scales_lambda = [float(z) for z in scales_lambda]
-    scales_omega = [float(z) for z in scales_omega]
+    T = _check_horizon(T)
+    scales_lambda = [_number("scales_lambda", z) for z in scales_lambda]
+    scales_omega = [_number("scales_omega", z) for z in scales_omega]
     if not scales_lambda or not scales_omega:
         raise ValidationError("empty scale list")
     if check_admissibility and dc_kernel is None:

@@ -12,10 +12,26 @@ from .errors import NumericalError, SingularKernelError, ValidationError
 from .transforms import omega_grid
 
 
+def _number(label, value, integer=False):
+    """``value`` (a number or a numeric string) as a finite float, or with
+    ``integer`` a positive int, else a :class:`ValidationError` naming
+    ``label``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number) or (integer and (number < 1 or number % 1)):
+        kind = "a positive integer" if integer else "a finite number"
+        raise ValidationError(f"{label}={value!r} is not {kind}")
+    return int(number) if integer else number
+
+
 def _check_horizon(T):
-    """The check of every time horizon ``T``: at least one sample."""
-    if T < 1:
+    """The check of every time horizon ``T``: a whole number of samples, at
+    least one, returned as an int."""
+    if _number("T", T) < 1:
         raise ValidationError("horizon T must be positive")
+    return _number("T", T, integer=True)
 
 
 class JointKernel:
@@ -133,6 +149,8 @@ def lowpass_sigmoid_response(lambda_cut, omega_cut):
 
     Takes the value 1/4 at ``(lambda_cut, omega_cut)``.
     """
+    lambda_cut = _number("lambda_cut", lambda_cut)
+    omega_cut = _number("omega_cut", omega_cut)
     return JointKernel(
         h1=lambda lam: _logistic(lambda_cut - lam),
         h2=lambda omega: _logistic(omega_cut - np.abs(omega)),
@@ -146,7 +164,7 @@ def wave_gauss_response(lmax):
     Equal to 1 where ``pi |omega| = arccos(1 - lambda / (2 lmax))`` and
     decaying with the squared distance from that curve. Non-separable.
     """
-    if lmax <= 0:
+    if _number("lmax", lmax) <= 0:
         raise ValidationError("wave_gauss requires a positive lmax")
 
     def fn(lam, omega):
@@ -176,7 +194,7 @@ def heat_response(s, T):
     """Joint transfer function of the discrete heat evolution over ``T``
     steps, normalized to unit DC gain. Non-separable lowpass.
     """
-    _check_horizon(T)
+    s, T = _number("s", s), _check_horizon(T)
 
     def fn(lam, omega):
         a = (1.0 - s * lam) * np.exp(-1j * omega)
@@ -220,7 +238,7 @@ def damped_wave_kernel(lam, omega, beta, T):
 
 def damped_wave_response(beta, T):
     """Damped-wave mother as a joint kernel (the seismic dictionary mother)."""
-    _check_horizon(T)
+    beta, T = _number("beta", beta), _check_horizon(T)
     return JointKernel(
         fn=lambda lam, omega: damped_wave_kernel(lam, omega, beta, T),
         name="damped_wave", params={"beta": beta, "T": T})
@@ -235,20 +253,6 @@ _NAMED = {
     "mexican_hat": (mexican_hat_response, ()),
     "damped_wave": (damped_wave_response, ("beta", "T")),
 }
-
-
-def _number(label, value, integer=False):
-    """``value`` (a number or a numeric string) as a finite float, or with
-    ``integer`` a positive int, else a :class:`ValidationError` naming
-    ``label``."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = np.nan
-    if not np.isfinite(number) or (integer and (number < 1 or number % 1)):
-        kind = "a positive integer" if integer else "a finite number"
-        raise ValidationError(f"{label}={value!r} is not {kind}")
-    return int(number) if integer else number
 
 
 def named_response(name, params, lmax=None, T=None):

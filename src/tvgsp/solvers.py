@@ -37,9 +37,10 @@ class Regularizer:
     def __post_init__(self):
         if self.p not in (1, 2) or self.q not in (1, 2):
             raise ValidationError("regularizer orders must be 1 or 2")
-        if (_number("gamma_graph", self.gamma_graph) < 0
-                or _number("gamma_time", self.gamma_time) < 0):
-            raise ValidationError("regularizer weights must be nonnegative")
+        for name in ("gamma_graph", "gamma_time"):
+            weight = _number(name, getattr(self, name))
+            if weight < 0:
+                raise ValidationError(f"{name}={weight!r} must be nonnegative")
 
 
 @dataclass

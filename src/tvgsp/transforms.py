@@ -340,8 +340,10 @@ def variation_norm(X, g, p=2, q=2, w_graph=1.0, w_time=1.0):
     """
     if p not in (1, 2) or q not in (1, 2):
         raise ValidationError("variation norm orders must be 1 or 2")
-    if w_graph < 0 or w_time < 0:
-        raise ValidationError("variation norm weights must be nonnegative")
+    for name, weight in (("w_graph", w_graph), ("w_time", w_time)):
+        if not 0 <= weight < np.inf:
+            raise ValidationError(f"variation norm weight {name}={weight} "
+                                  "must be finite and nonnegative")
     gpart, tpart = joint_gradient(X, g)
     g_term = (np.abs(gpart) ** p).sum()
     t_term = (np.abs(tpart) ** q).sum()

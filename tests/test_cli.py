@@ -1247,12 +1247,15 @@ _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
       "x.csv", "--out", "S.csv"], 2,
      "invalid_input: num_vertices must be nonnegative"),
     (_INPAINT + ["--gamma1", "-1"], 2,
-     "invalid_input: regularizer weights must be nonnegative"),
+     "invalid_input: gamma_graph=-1.0 must be nonnegative"),
+    (_INPAINT + ["--gamma2", "-1"], 2,
+     "invalid_input: gamma_time=-1.0 must be nonnegative"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
         "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
         "damped-wave-cheby2d", "filter-bench-negative-t",
         "transform-without-signal", "inverse-without-spectrum",
-        "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1"])
+        "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1",
+        "inpaint-negative-gamma2"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):

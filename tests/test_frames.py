@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -100,6 +101,41 @@ def test_itersine_partition_of_squares(g):
     assert np.abs(total - 1.0).max() <= 1e-12
 
 
+
+@pytest.mark.parametrize("build,message", [
+    (lambda g: itersine_graph_design(np.nan, 4),
+     "lmax=nan is not a finite number"),
+    (lambda g: itersine_graph_design(4.0, 2.5),
+     "num_translates=2.5 is not a positive integer"),
+    (lambda g: itersine_graph_design(4.0, np.nan),
+     "num_translates=nan is not a finite number"),
+    (lambda g: time_window("hann", 2.5),
+     "window length=2.5 is not a positive integer"),
+    (lambda g: time_window("hann", np.nan),
+     "window length=nan is not a finite number"),
+    (lambda g: make_stvwt(mexican_hat_response(), [np.nan], [1.0], g, 4),
+     "scales_lambda=nan is not a finite number"),
+    (lambda g: make_stvwt(mexican_hat_response(), [1.0], [np.inf], g, 4),
+     "scales_omega=inf is not a finite number"),
+    (lambda g: make_stvwt(mexican_hat_response(), [1.0], [1.0], g, 4.5),
+     "T=4.5 is not a positive integer"),
+    (lambda g: make_stvft(lambda lam: 1.0, np.ones(4), [np.nan], 1, g, 8),
+     "z_lambda=nan is not a finite number"),
+    (lambda g: make_stvft(lambda lam: 1.0, np.ones(4), [0.0], 1, g, 8.5),
+     "T=8.5 is not a positive integer"),
+], ids=["itersine-lmax", "itersine-fractional-count", "itersine-nan-count",
+        "window-fractional-length", "window-nan-length", "stvwt-scale-lambda",
+        "stvwt-scale-omega", "stvwt-fractional-T", "stvft-shift",
+        "stvft-fractional-T"])
+def test_dictionary_factories_name_a_bad_parameter(g, build, message):
+    """A non-finite parameter, or a fractional count or length, is a
+    :class:`ValidationError` naming it and its value (it used to give NaN
+    shifts, a bank of NaN atoms, a window of ``ceil(length)`` samples, or
+    a raw ``TypeError`` or ``ValueError``)."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build(g)
+
+
 def test_itersine_window_shape():
     assert itersine(0.0) == pytest.approx(1.0)
     assert itersine(0.5) == pytest.approx(0.0, abs=1e-15)
@@ -140,6 +176,16 @@ def test_stvft_subsampled_matches_full(g, eig, signal):
     assert C_sub.shape == (full.size, g.N, T // 4)
     assert np.linalg.norm(C_sub - C_full[:, :, ::4]) <= 1e-10 * np.linalg.norm(C_full)
 
+
+
+def test_stvft_takes_a_whole_hop_of_float_type(g, eig, signal):
+    """A hop of ``4.0`` builds the bank a hop of ``4`` does (its time
+    lattice used to be a float array, which analysis failed to index with)."""
+    h, shifts = itersine_graph_design(g.lmax, 3)
+    C, C_float = (analyze(make_stvft(h, time_window("hann", 4), shifts, hop,
+                                     g, T), signal, g, eig=eig)
+                  for hop in (4, 4.0))
+    assert np.array_equal(C, C_float)
 
 def test_stvft_analysis_equals_per_kernel_filtering(g, eig, signal):
     h, shifts = itersine_graph_design(g.lmax, 3)

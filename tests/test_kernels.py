@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from tvgsp import (JointKernel, ValidationError, damped_wave_response,
                    grid_eval, heat_response, make_stvwt, named_response,
                    mexican_hat_response, ring_graph, wave_response)
+from tvgsp.kernels import lowpass_sigmoid_response, wave_gauss_response
 from tvgsp.transforms import omega_grid
 
 
@@ -167,3 +170,31 @@ def test_kernel_factories_reject_a_horizon_below_one(factory, T):
     zeros, and ``make_stvwt`` built a bank that analysis then failed on)."""
     with pytest.raises(ValidationError, match="horizon T must be positive"):
         factory(T)
+
+
+@pytest.mark.parametrize("factory,message", [
+    (lambda: lowpass_sigmoid_response(np.nan, 1.0),
+     "lambda_cut=nan is not a finite number"),
+    (lambda: lowpass_sigmoid_response(1.0, np.inf),
+     "omega_cut=inf is not a finite number"),
+    (lambda: heat_response(np.nan, 8), "s=nan is not a finite number"),
+    (lambda: heat_response(0.1, np.nan), "T=nan is not a finite number"),
+    (lambda: heat_response(0.1, 2.5), "T=2.5 is not a positive integer"),
+    (lambda: damped_wave_response(np.nan, 8),
+     "beta=nan is not a finite number"),
+    (lambda: damped_wave_response(0.5, 7.5),
+     "T=7.5 is not a positive integer"),
+    (lambda: wave_gauss_response(np.nan), "lmax=nan is not a finite number"),
+    (lambda: wave_response(0.1, np.nan, 8), "lmax=nan is not a finite number"),
+    (lambda: wave_response(np.nan, 4.0, 8), "s=nan is not a finite number"),
+    (lambda: wave_response(0.1, 4.0, 2.5), "T=2.5 is not a positive integer"),
+], ids=["lowpass-lambda-cut", "lowpass-omega-cut", "heat-s", "heat-nan-T",
+        "heat-fractional-T", "damped-wave-beta", "damped-wave-fractional-T",
+        "wave-gauss-lmax", "wave-lmax", "wave-s", "wave-fractional-T"])
+def test_kernel_factories_name_a_bad_parameter(factory, message):
+    """A non-finite parameter or a fractional horizon is a
+    :class:`ValidationError` naming it and its value, at construction (the
+    kernels used to be built and then failed to filter, or filtered to
+    NaN)."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        factory()
