@@ -7,16 +7,19 @@ run emits a JSON report (stdout or ``--report``) that also records the
 environment it ran in; numerical outputs are CSV or the binary formats of
 :mod:`tvgsp.fileio`. All randomness is seeded via ``--seed`` (default 0).
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure. Errors
-print a single ``code: message`` line: a bad flag is ``invalid_input``,
-and a file that cannot be read or written, the report included, is
-``io_error`` with exit 2.
+Exit codes: 0 success, 2 validation error, 3 numerical failure or memory
+exhausted. Errors print a single ``code: message`` line: a bad flag is
+``invalid_input``, a file that cannot be read or written, the report
+included, is ``io_error`` with exit 2, and an allocation that fails is
+``out_of_memory: <stage>: ...`` with exit 3, naming the stage that ran
+(the command outside any stage).
 
 Each run has one private ``_Job``: ``cmd_<name>(args)`` runs its stages on
 ``args.job`` and returns its params and metrics, and ``run`` builds the
 report. The job times the files read in a ``load`` stage, the
 eigendecomposition in its own stage and the files written (not the
-report) in a ``write`` stage.
+report) in a ``write`` stage. A graph file whose bytes the previous load
+of the process read too is not parsed again (see ``_Job``).
 
 Outputs, the report included, are written to temporary siblings and
 renamed into place only when the whole run has succeeded: a run that exits
@@ -41,7 +44,7 @@ from .errors import NumericalError, TvgspError, ValidationError
 from .frames import analyze as frame_analyze
 from .frames import DEFAULT_ORDER, canonical_dual, frame_bounds
 from .frames import synthesize as frame_synthesize
-from .graphs import _KINDS, build_graph, generate_graph
+from .graphs import _KINDS, _twin, build_graph, generate_graph
 from .kernels import named_response
 from .rng import default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
@@ -72,16 +75,28 @@ def _number_list(text, flag, kind):
                               f" values, got '{text}'") from None
 
 
+#: ``((graph file bytes, --num-vertices), graph)`` of the last graph file
+#: a ``_Job`` loaded, or None: the process's graph-load memo (see
+#: :meth:`_Job.load`). The graph is never handed to a command.
+_loaded = None
+
+
 class _Job:
-    """One command run: the wall time of each stage, how the
-    eigendecomposition stage obtained the eigensystem, the diagnostics that
-    FFC and solver calls put in ``info``, and the files written, each first
-    to a temporary sibling that keeps its extension (``fileio.save_signal``
-    dispatches on it)."""
+    """One command run: the wall time of each stage, the stage running, how
+    the eigendecomposition stage obtained the eigensystem, the diagnostics
+    that FFC and solver calls put in ``info``, and the files written, each
+    first to a temporary sibling that keeps its extension
+    (``fileio.save_signal`` dispatches on it).
+
+    Loading goes through a one-entry, process-wide memo keyed by the bytes
+    of the graph file and ``--num-vertices``: a chain of in-process runs on
+    one graph file parses it and builds its graph once, and each run gets a
+    new graph over the same read-only arrays."""
 
     def __init__(self, args):
         self.args = args
         self.timings_ms = {}
+        self.running = None  # the stage running, left set when it raises
         self.eigensystem = None
         self.info = {}
         self.outputs = []
@@ -91,22 +106,33 @@ class _Job:
     def stage(self, name):
         """Adds the block's wall time to stage ``name``."""
         start = time.perf_counter()
+        self.running = name
         yield
+        self.running = None
         self.timings_ms[name] = (self.timings_ms.get(name, 0.0)
                                  + (time.perf_counter() - start) * 1e3)
 
     @contextlib.contextmanager
     def load(self):
-        """The ``load`` stage: yields the graph of ``--graph`` (with
+        """The ``load`` stage: yields a new graph of ``--graph`` (with
         ``--coords`` where the command has it); the block reads the
-        command's other inputs."""
+        command's other inputs. The graph file is read once, as bytes,
+        which are parsed and built only when they or ``--num-vertices``
+        differ from the memo's; a file that fails to is not memoized."""
+        global _loaded
         args = self.args
         with self.stage("load"):
-            edges, n = fileio.load_edges_csv(args.graph, args.num_vertices)
+            with open(args.graph, "rb") as fh:
+                data = fh.read()
+            key = (data, args.num_vertices)
+            if _loaded is None or _loaded[0] != key:
+                edges, n = fileio.load_edges_csv(args.graph, args.num_vertices,
+                                                 data=data)
+                _loaded = (key, build_graph(edges, n))
             coords = None
             if getattr(args, "coords", None):
                 coords = fileio.load_coords_csv(args.coords)
-            yield build_graph(edges, n, coords=coords)
+            yield _twin(_loaded[1], coords)
 
     def eig(self, g):
         """The graph's eigensystem, timed as its own stage; the report
@@ -625,6 +651,11 @@ def run(argv=None):
     except TvgspError as exc:
         print(f"{exc.code}: {str(exc)}".replace("\n", " "), file=sys.stderr)
         return 3 if isinstance(exc, NumericalError) else 2
+    except MemoryError as exc:  # numpy's names the allocation it refused
+        print(f"out_of_memory: {job.running or args.command}: "
+              f"{str(exc) or 'no memory left'}".replace("\n", " "),
+              file=sys.stderr)
+        return 3
     finally:
         job.discard()
     return 0

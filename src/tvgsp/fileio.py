@@ -59,15 +59,19 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _read_table(path, header, dtype, what):
+def _read_table(path, header, dtype, what, data=None):
     """Parse the ``what`` CSV table at ``path`` with one ``np.loadtxt``.
 
     ``header`` is the expected first line, or ``None``. A structured
     ``dtype`` such as ``"i8,i8,f8"`` gives (rows, 1) records, a plain one a
     rows x columns matrix. Only a headerless table needs a data row. A
-    parse error names the file, its line and the kind of table.
+    parse error names the file, its line and the kind of table. ``data``,
+    the file's bytes when the caller has read them, is parsed instead of
+    the file, decoded the same way.
     """
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    # text-mode decoding, universal newlines included
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().split("\n")  # a byte that is not UTF-8 fails to parse
     first = 1 if header is None else 2
     if header is not None and ([h.strip() for h in lines[0].split(",")]
@@ -109,10 +113,12 @@ def save_edges_csv(path, g):
     _write_csv(path, _EDGES, zip(*(a.tolist() for a in g.edges())))
 
 
-def load_edges_csv(path, num_vertices=None):
+def load_edges_csv(path, num_vertices=None, data=None):
     """Read an edge-list CSV as ``(edges, N)``: an (E, 3) float array of
-    ``src, dst, weight`` rows and N, ``max id + 1`` unless given."""
-    table = _read_table(path, _EDGES, "i8,i8,f8", "edge")
+    ``src, dst, weight`` rows and N, ``max id + 1`` unless given. With
+    ``data``, the bytes of the file at ``path``, those are parsed instead
+    of reading the file again."""
+    table = _read_table(path, _EDGES, "i8,i8,f8", "edge", data)
     edges = np.column_stack((table["f0"], table["f1"], table["f2"]))
     if num_vertices is None:
         num_vertices = edges[:, :2].max(initial=-1) + 1

@@ -403,6 +403,16 @@ def build_graph(edge_list, num_vertices, coords=None):
                                           np.repeat(w, 2), n), coords=coords)
 
 
+def _twin(g, coords=None):
+    """A new graph over the CSR arrays of ``g``, made read-only because
+    both graphs hold them, with ``coords``. It takes none of ``g``'s
+    caches, so its eigensystem is looked up in the process memo again."""
+    csr = (g._indptr, g._indices, g._data)
+    for a in csr:
+        a.flags.writeable = False
+    return Graph._from_csr(csr, coords=coords)
+
+
 def estimate_lambda_max(g):
     """Upper bound ``2 * max(degree)`` on the largest Laplacian eigenvalue:
     cheap and always valid, 0 for a graph without edges."""

@@ -882,9 +882,16 @@ def test_bad_input_file_exits_2_with_one_line(make_argv, message, graph_files,
       "scales_lambda": "1.0", "scales_omega": [1.0]}, "scales_lambda"),
     ({"kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
       "scales_lambda": [], "scales_omega": [1.0]}, "empty scale list"),
+    ({"kind": "stvwt", "T": True, "mother": {"name": "mexican_hat"},
+      "scales_lambda": [1.0], "scales_omega": [1.0]},
+     "bank spec field T=True is not a positive integer"),
+    ({"kind": "stvwt", "T": 8, "mother": {"name": "mexican_hat"},
+      "scales_lambda": [True], "scales_omega": [1.0]},
+     "bank spec field scales_lambda[0]=True is not a finite number"),
 ], ids=["mother-string", "T-text", "scale-text", "translates-text",
         "top-level-list", "one-translate", "negative-lmax", "unknown-window",
-        "empty-shifts", "scales-string", "empty-scales"])
+        "empty-shifts", "scales-string", "empty-scales", "T-boolean",
+        "scale-boolean"])
 def test_bank_spec_wrong_type_exits_2(spec, field, graph_files, tmp_path,
                                       capsys):
     gpath, _ = graph_files
@@ -1435,3 +1442,192 @@ def test_in_process_chain_decomposes_the_graph_once(graph_files, bank_file,
     for ext in ("csv", "tvcf"):
         assert ((tmp_path / f"memo.{ext}").read_bytes()
                 == (tmp_path / f"fresh.{ext}").read_bytes())
+
+
+def _counting(monkeypatch, module, name):
+    """Calls of ``module.name`` from now on, each recorded as its first
+    argument."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: calls.append(a[0]) or real(*a, **k))
+    return calls
+
+
+def test_in_process_chain_parses_the_graph_file_once(graph_files, bank_file,
+                                                     tmp_path, monkeypatch):
+    """Five stages reading one graph file parse it and build its graph
+    once; their files and report metrics equal those of the same chain
+    with the graph-load memo emptied before every stage."""
+    gpath, cpath = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(5).standard_normal((24, 8)))
+    parsed = _counting(monkeypatch, fileio, "load_edges_csv")
+    built = _counting(monkeypatch, cli, "build_graph")
+
+    def chain(tag, empty_between):
+        stages = [["filter", "--signal", "x.csv", "--kernel", "wave_gauss",
+                   "--order", "12", "--out", f"{tag}-f.csv"],
+                  ["analyze", "--bank", str(bank_file), "--signal", "x.csv",
+                   "--order", "12", "--out", f"{tag}.tvcf"],
+                  ["synthesize", "--bank", str(bank_file), "--coeffs",
+                   f"{tag}.tvcf", "--order", "12", "--out", f"{tag}-s.csv"],
+                  ["denoise", "--signal", "x.csv", "--order", "12",
+                   "--out", f"{tag}-d.csv"],
+                  ["localize", "--coords", str(cpath), "--coeffs",
+                   f"{tag}.tvcf", "--signal", "x.csv"]]
+        monkeypatch.setattr(cli, "_loaded", None)
+        parsed.clear()
+        built.clear()
+        metrics = []
+        for i, argv in enumerate(stages):
+            if empty_between:
+                monkeypatch.setattr(cli, "_loaded", None)
+            assert invoke(*argv, "--graph", str(gpath),
+                          "--report", f"{tag}{i}.json") == 0
+            metrics.append(json.loads((tmp_path / f"{tag}{i}.json")
+                                      .read_text())["metrics"])
+        return metrics, len(parsed), len(built)
+
+    monkeypatch.chdir(tmp_path)
+    memo, fresh = chain("memo", False), chain("fresh", True)
+    assert memo[1:] == (1, 1) and fresh[1:] == (5, 5)
+    assert memo[0] == fresh[0]
+    for name in ("f.csv", ".tvcf", "s.csv", "d.csv"):
+        sep = "" if name.startswith(".") else "-"
+        assert ((tmp_path / f"memo{sep}{name}").read_bytes()
+                == (tmp_path / f"fresh{sep}{name}").read_bytes())
+
+
+def test_graph_load_memo_misses_on_other_bytes_or_vertex_count(
+        graph_files, tmp_path, monkeypatch):
+    """Other bytes at the same path, the same edges with CRLF line ends, and
+    another ``--num-vertices`` each parse the file again; a repeat does
+    not, and every run writes what a run with the memo emptied writes."""
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(5).standard_normal((24, 8)))
+    fileio.save_signal_csv(tmp_path / "x25.csv",
+                           default_rng(5).standard_normal((25, 8)))
+    original = gpath.read_bytes()
+    heavier = original.replace(b",0.", b",1.", 1)
+    assert heavier != original
+    parsed = _counting(monkeypatch, fileio, "load_edges_csv")
+
+    def transform(data, signal="x.csv", extra=()):
+        gpath.write_bytes(data)
+        assert invoke("transform", "--graph", str(gpath), "--signal", signal,
+                      "--out", "S.csv", *extra) == 0
+        return (tmp_path / "S.csv").read_bytes()
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_loaded", None)
+    runs = [(original,), (original,), (heavier,),
+            (original.replace(b"\n", b"\r\n"),),
+            (original, "x25.csv", ("--num-vertices", "25")), (original,)]
+    got = [transform(*run) for run in runs]
+    assert len(parsed) == 5  # the repeat hits
+    for run, out in zip(runs, got):
+        monkeypatch.setattr(cli, "_loaded", None)
+        assert transform(*run) == out
+    assert got[0] == got[1] == got[3] == got[5] != got[2]
+
+
+def test_a_malformed_graph_file_is_not_memoized(tmp_path, monkeypatch,
+                                                capsys):
+    (tmp_path / "g.csv").write_text("src,dst,weight\n0,1,1.0\n1,x,1.0\n")
+    fileio.save_signal_csv(tmp_path / "x.csv", np.ones((2, 4)))
+    monkeypatch.setattr(cli, "_loaded", None)
+    parsed = _counting(monkeypatch, fileio, "load_edges_csv")
+    errors = []
+    for _ in range(2):
+        assert invoke("transform", "--graph", str(tmp_path / "g.csv"),
+                      "--signal", str(tmp_path / "x.csv"),
+                      "--out", str(tmp_path / "S.csv")) == 2
+        errors.append(capsys.readouterr().err)
+    assert len(parsed) == 2 and cli._loaded is None
+    assert errors[0] == errors[1]
+    assert re.fullmatch(r"invalid_input: \S+g\.csv: line 3: malformed edge "
+                        r"row \(non-numeric, missing or extra field\)\n",
+                        errors[0])
+
+
+def test_coordinates_are_read_on_a_memo_hit(graph_files, tmp_path,
+                                            monkeypatch):
+    """``--coords`` is no part of the memo's key: a hit with other
+    coordinates reports those."""
+    gpath, cpath = graph_files
+    fileio.save_coefficients_binary(tmp_path / "c.tvcf",
+                                    np.zeros((1, 24, 8), dtype=complex))
+    coords = fileio.load_coords_csv(cpath)
+    fileio.save_coords_csv(tmp_path / "moved.csv", coords + 1.0)
+    parsed = _counting(monkeypatch, fileio, "load_edges_csv")
+    monkeypatch.setattr(cli, "_loaded", None)
+
+    def estimate(path):
+        assert invoke("localize", "--graph", str(gpath), "--coords",
+                      str(path), "--coeffs", str(tmp_path / "c.tvcf"),
+                      "--top-k", "3", "--report", str(tmp_path / "r.json")) == 0
+        metrics = json.loads((tmp_path / "r.json").read_text())["metrics"]
+        return [metrics["estimate_x"], metrics["estimate_y"]]
+
+    first, moved = estimate(cpath), estimate(tmp_path / "moved.csv")
+    assert len(parsed) == 1
+    assert first == pytest.approx(coords[:3].mean(axis=0), rel=1e-12)
+    assert moved == pytest.approx(np.add(first, 1.0), rel=1e-12)
+
+
+def test_a_graph_file_can_be_a_pipe_on_a_miss_and_a_hit(graph_files,
+                                                        tmp_path, monkeypatch):
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv",
+                           default_rng(5).standard_normal((24, 8)))
+    monkeypatch.setattr(cli, "_loaded", None)
+    outs = []
+    for source in ("pipe", "pipe", "file"):
+        out = tmp_path / f"S{len(outs)}.csv"
+        argv = ["transform", "--signal", str(tmp_path / "x.csv"),
+                "--out", str(out)]
+        if source == "file":
+            monkeypatch.setattr(cli, "_loaded", None)
+            assert invoke(*argv, "--graph", str(gpath)) == 0
+        else:
+            read_end, write_end = os.pipe()
+            try:
+                with os.fdopen(write_end, "wb") as fh:
+                    fh.write(gpath.read_bytes())
+                assert invoke(*argv, "--graph", f"/dev/fd/{read_end}") == 0
+            finally:
+                os.close(read_end)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("command,owner,name,where", [
+    ("filter", cli, "filter_ffc", "filter"),
+    ("filter", fileio, "load_signal", "load"),
+    ("inpaint", cli, "Regularizer", "inpaint"),
+], ids=["in-a-work-stage", "in-the-load-stage", "outside-any-stage"])
+def test_out_of_memory_is_one_line_with_exit_3(command, owner, name, where,
+                                               graph_files, tmp_path,
+                                               monkeypatch, capsys):
+    """A ``MemoryError`` names the stage that ran out, else the command,
+    and leaves no output behind."""
+    gpath, _ = graph_files
+    fileio.save_signal_csv(tmp_path / "x.csv", np.ones((24, 8)))
+    fileio.save_mask_csv(tmp_path / "m.csv", np.ones((24, 8)))
+    before = sorted(os.listdir(tmp_path))
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+    monkeypatch.setattr(owner, name, refuse)
+    flags = {"filter": ["--kernel", "wave_gauss"],
+             "inpaint": ["--mask", str(tmp_path / "m.csv"),
+                         "--gamma1", "0.2", "--gamma2", "0.5"]}[command]
+    assert invoke(command, "--graph", str(gpath), "--signal",
+                  str(tmp_path / "x.csv"), *flags,
+                  "--out", str(tmp_path / "y.csv"),
+                  "--report", str(tmp_path / "r.json")) == 3
+    assert capsys.readouterr().err == (
+        f"out_of_memory: {where}: Unable to allocate 7.45 GiB for an array\n")
+    assert sorted(os.listdir(tmp_path)) == before

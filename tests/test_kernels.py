@@ -188,9 +188,12 @@ def test_kernel_factories_reject_a_horizon_below_one(factory, T):
     (lambda: wave_response(0.1, np.nan, 8), "lmax=nan is not a finite number"),
     (lambda: wave_response(np.nan, 4.0, 8), "s=nan is not a finite number"),
     (lambda: wave_response(0.1, 4.0, 2.5), "T=2.5 is not a positive integer"),
+    (lambda: heat_response(np.float64("nan"), 8),
+     "s=nan is not a finite number"),
 ], ids=["lowpass-lambda-cut", "lowpass-omega-cut", "heat-s", "heat-nan-T",
         "heat-fractional-T", "damped-wave-beta", "damped-wave-fractional-T",
-        "wave-gauss-lmax", "wave-lmax", "wave-s", "wave-fractional-T"])
+        "wave-gauss-lmax", "wave-lmax", "wave-s", "wave-fractional-T",
+        "heat-numpy-scalar-s"])
 def test_kernel_factories_name_a_bad_parameter(factory, message):
     """A non-finite parameter or a fractional horizon is a
     :class:`ValidationError` naming it and its value, at construction (the

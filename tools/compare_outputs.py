@@ -1,12 +1,17 @@
 """Byte-identity check of the CLI outputs of two source trees.
 
     python tools/compare_outputs.py PARENT_SRC CHANGE_SRC --seeds 2 3
+    python tools/compare_outputs.py PARENT_SRC CHANGE_SRC --in-process
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories, each holding a
 ``tvgsp`` package. For every workload of ``perfbench/workloads.py``
 (imported, never modified) and every seed, each tree runs the workload's
 ``graph-gen``, the workload's input preparation and its stage chain, every
-stage in a fresh ``python -m tvgsp._main ... --threads 1``. The tool then
+stage in a fresh ``python -m tvgsp._main ... --threads 1``. With
+``--in-process`` the whole chain instead runs through ``tvgsp.cli.run`` in
+one fresh interpreter per tree, one thread per pool, as the benchmark's
+set-up probe runs it, so that what a stage keeps in the process for the
+next (the eigensystem and graph-load memos) is compared too. The tool then
 lists every output file that differs between the trees. Run reports are
 compared without ``timings_ms``, ``environment`` and ``warnings``, and with
 the paths in them reduced to file names. A differing signal or coefficient
@@ -34,32 +39,66 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 VOLATILE = ("timings_ms", "environment", "warnings")
 
 
-def _run(src, argv, work):
-    """One stage in a fresh interpreter on the program in ``src``, started
-    in ``work`` so that only ``PYTHONPATH`` decides which package loads."""
-    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+#: The thread caps of ``--threads 1``, set for every interpreter started.
+ONE_THREAD = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"), "1")
+
+
+def _run(src, args, work, name):
+    """``python args`` in a fresh interpreter on the program in ``src``,
+    started in ``work`` so that only ``PYTHONPATH`` decides which package
+    loads; ``name`` names it when it fails."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               **ONE_THREAD)
     stderr = os.path.join(work, "stage.stderr")
     with open(stderr, "wb") as err:
-        code = subprocess.run(
-            [sys.executable, "-m", "tvgsp._main", *argv, "--threads", "1"],
-            cwd=work, env=env, stdout=subprocess.DEVNULL,
-            stderr=err).returncode
+        code = subprocess.run([sys.executable, *args], cwd=work, env=env,
+                              stdout=subprocess.DEVNULL, stderr=err).returncode
     if code != 0:
         with open(stderr, errors="replace") as fh:
-            raise RuntimeError(f"{argv[0]} exited with {code}: "
+            raise RuntimeError(f"{name} exited with {code}: "
                                f"{fh.read().strip()[-300:]}")
 
 
-def _pass(wl, seed, src, work):
+def _stage(src, argv, work):
+    """One stage in its own ``python -m tvgsp._main``."""
+    _run(src, ["-m", "tvgsp._main", *argv, "--threads", "1"], work, argv[0])
+
+
+#: Runs the stage chain in the JSON file ``argv[1]`` through
+#: ``tvgsp.cli.run``, stopping at the first stage that fails.
+_CHAIN = """
+import json, sys
+from tvgsp.cli import run
+for argv in json.load(open(sys.argv[1])):
+    code = run(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}")
+"""
+
+
+def _chain(src, argvs, work):
+    """The stages ``argvs`` through ``tvgsp.cli.run`` in one interpreter."""
+    path = os.path.join(work, "stages.json")
+    with open(path, "w") as fh:
+        json.dump([argv + ["--threads", "1"] for argv in argvs], fh)
+    _run(src, ["-c", _CHAIN, path], work, "the in-process chain")
+
+
+def _pass(wl, seed, src, work, in_process):
     """Inputs and one pipeline pass of ``wl`` under ``src``; returns the
     output directory."""
     inputs, out = os.path.join(work, "inputs"), os.path.join(work, "out")
     os.makedirs(inputs)
     os.makedirs(out)
-    _run(src, wl.graph_gen_argv(seed, inputs), work)
+    _stage(src, wl.graph_gen_argv(seed, inputs), work)
     derived = wl.prepare(seed, inputs)
-    for argv in wl.stages(seed, inputs, out, derived):
-        _run(src, argv, work)
+    argvs = wl.stages(seed, inputs, out, derived)
+    if in_process:
+        _chain(src, argvs, work)
+    else:
+        for argv in argvs:
+            _stage(src, argv, work)
     return out
 
 
@@ -133,7 +172,8 @@ def _difference(paths, contents):
             f"{np.abs(change - parent).max(initial=0.0) / scale:.3e})")
 
 
-def compare(parent_src, change_src, seeds, workloads, scratch):
+def compare(parent_src, change_src, seeds, workloads, scratch,
+            in_process=False):
     """``(files compared, names of the files that differ)``; a name carries
     the file's largest relative difference where it has one."""
     compared, differ = 0, []
@@ -142,7 +182,7 @@ def compare(parent_src, change_src, seeds, workloads, scratch):
             tag = f"{name}-seed{seed}"
             works = [os.path.join(scratch, tree, tag)
                      for tree in ("parent", "change")]
-            outs = [_pass(wl, seed, src, work)
+            outs = [_pass(wl, seed, src, work, in_process)
                     for src, work in zip((parent_src, change_src), works)]
             names = sorted(set(os.listdir(outs[0])) | set(os.listdir(outs[1])))
             for file in names:
@@ -162,6 +202,8 @@ def main(argv=None):
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3])
+    parser.add_argument("--in-process", action="store_true",
+                        help="run each chain in one interpreter")
     args = parser.parse_args(argv)
     srcs = [os.path.abspath(s) for s in (args.parent_src, args.change_src)]
     for src in srcs:
@@ -171,7 +213,8 @@ def main(argv=None):
     from workloads import WORKLOADS
     scratch = tempfile.mkdtemp(prefix="compare_outputs-")
     try:
-        compared, differ = compare(*srcs, args.seeds, WORKLOADS, scratch)
+        compared, differ = compare(*srcs, args.seeds, WORKLOADS, scratch,
+                                   args.in_process)
     except RuntimeError as exc:
         print(f"compare_outputs: stage failed: {exc}", file=sys.stderr)
         return 1
