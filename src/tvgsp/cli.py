@@ -46,7 +46,7 @@ from .frames import DEFAULT_ORDER, canonical_dual, frame_bounds
 from .frames import synthesize as frame_synthesize
 from .graphs import _KINDS, _twin, build_graph, generate_graph
 from .kernels import named_response
-from .rng import default_rng
+from .rng import _seed, default_rng
 from .solvers import (InverseProblemSpec, Regularizer, SparseCodingSpec,
                       inpaint, denoise_tikhonov, localize_source,
                       signal_energy_centroid, sparse_code)
@@ -286,7 +286,7 @@ def cmd_filter_bench(args):
         with job.stage("fixture_graph"):
             g = generate_graph("knn_sensor", {"n": args.n, "k": args.knn},
                                rng_seed=args.seed)
-    rng = default_rng(args.seed + 1)
+    rng = default_rng(_seed(args.seed) + 1)  # checks --seed, not --seed + 1
     X = rng.standard_normal((g.N, args.t))
     eig = job.eig(g)
     presets = {

@@ -11,8 +11,8 @@ import warnings
 import numpy as np
 
 from .errors import StabilityError, ValidationError
-from .kernels import JointKernel, _check_horizon, _number, stable_geometric_sum
-from .transforms import _checked, omega_grid
+from .kernels import JointKernel, _check_horizon, stable_geometric_sum
+from .transforms import _checked, _number, omega_grid
 
 
 def _initial(x1, g, T, eig=None):

@@ -11,11 +11,6 @@ class TvgspError(Exception):
 
     code = "error"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class ValidationError(TvgspError):
     """Invalid inputs: bad parameters, malformed files, shape mismatches."""

@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .frames import itersine_graph_design, make_stvft, make_stvwt, time_window
-from .kernels import _NAMED, _number, named_response
+from .kernels import _NAMED, named_response
+from .transforms import _number
 
 _SIGNAL_MAGIC = b"TVSG"
 _COEFF_MAGIC = b"TVCF"

@@ -55,7 +55,7 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import JointKernel, _stack
 from .transforms import (SYMMETRY_TOL, _checked, _fft, _ifft, _ijft_stack,
-                         _jft_stack, _spectral_bins, omega_grid,
+                         _jft_stack, _number, _spectral_bins, omega_grid,
                          real_if_close)
 
 
@@ -73,14 +73,22 @@ def _nodes(num_points, interval):
 _PROBE_POINTS = 101  # where the engine measures each fit error
 
 
+def _check_order(order):
+    """The check of every Chebyshev order: a whole number, at least 0,
+    returned as an int."""
+    number = _number("order", order)
+    if number < 0:
+        raise ValidationError("Chebyshev order must be nonnegative")
+    return _number("order", order, integer=True) if number else 0
+
+
 def _quadrature(order, interval):
     """``2 (order + 1)`` nodes and the cosine-quadrature matrix mapping node
     values to Chebyshev coefficients (constant term halved when applied)."""
     a, b = interval
     if not b > a:
         raise ValidationError("Chebyshev interval must have positive length")
-    if order < 0:
-        raise ValidationError("Chebyshev order must be nonnegative")
+    order = _check_order(order)
     P = 2 * (order + 1)
     theta, nodes = _nodes(P, interval)
     return nodes, (2.0 / P) * np.cos(np.outer(np.arange(order + 1), theta))
@@ -142,8 +150,7 @@ def _fit_table(stack, T, order, g, info, scale=1.0):
 
     An edgeless graph has the single eigenvalue 0; its table is the exact
     order-0 response ``h_z(0, omega_k)``, with fit error 0."""
-    if order < 0:
-        raise ValidationError("Chebyshev order must be nonnegative")
+    order = _check_order(order)
     if g.lmax == 0:
         table, fit_errors = 2.0 * stack(np.zeros(1), omega_grid(T)), 0.0
     else:

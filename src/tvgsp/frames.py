@@ -15,9 +15,9 @@ from functools import partial
 import numpy as np
 
 from .errors import NotAFrameError, ValidationError
-from .kernels import JointKernel, _check_horizon, _number, _stack
+from .kernels import JointKernel, _check_horizon, _stack
 from .filtering import _analysis, _filter, _synthesis
-from .transforms import _checked, omega_grid, real_if_close
+from .transforms import _checked, _number, omega_grid, real_if_close
 
 #: Default graph Chebyshev order for eigendecomposition-free analysis.
 DEFAULT_ORDER = 50

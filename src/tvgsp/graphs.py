@@ -25,12 +25,12 @@ CSR product on operators a graph builds from its own arrays and caches:
 scipy's compiled kernel module ``scipy.sparse._sparsetools``, loaded from
 its extension file under its own name, which runs no ``scipy`` package
 ``__init__``, with the dispatch of ``scipy.sparse.csr_array @`` so that
-results are bit for bit scipy's. Where that module cannot be loaded the
-product goes through ``scipy.sparse`` itself. ``scipy.sparse`` is imported
-by the public ``Graph.W`` and ``Graph.L``, and by ``Graph(weights)`` to read
-its input. A process that generates graphs or works on the eigenbasis alone
-loads no scipy module, and one on the Chebyshev or solver paths loads the
-kernel module alone.
+results are bit for bit scipy's. Where that file cannot be loaded alone,
+``import scipy.sparse`` loads the module, and the products are still its
+kernels', byte for byte. ``scipy.sparse`` is also imported by ``Graph.W``,
+``Graph.L`` and ``Graph(weights)``. A process that generates graphs or
+works on the eigenbasis alone loads no scipy module, and one on the
+Chebyshev or solver paths loads the kernel module alone.
 """
 
 import os
@@ -41,8 +41,8 @@ from importlib import machinery, util
 import numpy as np
 
 from .errors import EigendecompositionCapError, ValidationError
-from .kernels import _number
-from .rng import default_rng
+from .rng import _seed, default_rng
+from .transforms import _number
 
 #: Largest vertex count accepted by the dense eigendecomposition path.
 DEFAULT_EIG_CAP = 4096
@@ -126,10 +126,11 @@ _KERNELS = "scipy.sparse._sparsetools"
 
 
 def _kernels():
-    """The kernel module, or None when it cannot be loaded. It is taken
-    from ``sys.modules`` when already loaded (by scipy, or by an earlier
-    call), else loaded from its extension file and registered under its
-    own name, so a later ``import scipy.sparse`` uses it too."""
+    """The kernel module. It is taken from ``sys.modules`` when already
+    loaded (by scipy, or by an earlier call), else loaded from its
+    extension file and registered under its own name, so a later ``import
+    scipy.sparse`` uses it too. Where that load fails, ``import
+    scipy.sparse`` loads the module."""
     module = sys.modules.get(_KERNELS)
     if module is not None:
         return module
@@ -143,8 +144,9 @@ def _kernels():
         module = util.module_from_spec(
             util.spec_from_file_location(_KERNELS, path, loader=loader))
         loader.exec_module(module)
-    except Exception:  # whatever failed, scipy.sparse's own product remains
-        return None
+    except Exception:  # whatever failed, scipy's own import remains
+        import scipy.sparse  # loads the kernel module with the package
+        return sys.modules[_KERNELS]
     return sys.modules.setdefault(_KERNELS, module)
 
 
@@ -270,7 +272,8 @@ class Graph:
         zero-filled output; a complex ``V`` is multiplied through its
         float64 view, so ``A`` is never upcast. The kernels check nothing,
         so the shape is checked and ``V`` made a C-contiguous float64
-        here; the operator's arrays all have int64 indices.
+        here; the operator's arrays all have int64 indices. Every product
+        runs these kernels, whichever way :func:`_kernels` loaded them.
 
         With ``out``, a C-contiguous array of the product's shape and of
         ``V``'s type (complex128 or float64), the product is added into
@@ -298,12 +301,7 @@ class Graph:
                                  f"{(n_row,) + shape[1:]}")
             Y = out.view(np.float64).reshape((n_row,) + V.shape[1:])
         kernels = _kernels()
-        if kernels is None:
-            import scipy.sparse as sp  # the fallback: scipy's own product
-            # no -0.0 in a kernel's product, so 0 + it is it, bit for bit
-            Y += sp.csr_array((data, indices, indptr),
-                              shape=(n_row, n_col)) @ V
-        elif V.ndim == 1 or V.shape[1] == 1:
+        if V.ndim == 1 or V.shape[1] == 1:
             kernels.csr_matvec(n_row, n_col, indptr, indices, data,
                                V.ravel(), Y.ravel())
         else:
@@ -602,7 +600,7 @@ def erdos_renyi_graph(n, p, seed=0):
 
 #: kind -> (generator, parameter names); the one table of graph kinds. ``p``
 #: and ``sigma`` are finite floats, the others positive ints (``seed`` an int
-#: as given, never rounded through a float); a value of None counts as unset.
+#: >= 0, never rounded through a float); a value of None counts as unset.
 _KINDS = {
     "path": (path_graph, ("n",)),
     "ring": (ring_graph, ("n",)),
@@ -619,7 +617,7 @@ def generate_graph(kind, params=None, rng_seed=0):
         raise ValidationError(f"unknown graph kind '{kind}'")
     generator, names = _KINDS[kind]
     params = {key: value for key, value in (params or {}).items()
-              if value is not None} | {"seed": rng_seed}
+              if value is not None} | {"seed": _seed(rng_seed)}
     for key in params:
         if key not in names and key != "seed":
             raise ValidationError(f"{kind} graph takes no parameter '{key}'")
@@ -627,6 +625,6 @@ def generate_graph(kind, params=None, rng_seed=0):
         if key not in params and key != "sigma":
             raise ValidationError(f"{kind} graph misses parameter '{key}'")
     return generator(**{
-        key: int(value) if key == "seed" else _number(
+        key: value if key == "seed" else _number(
             key, value, integer=key not in ("p", "sigma"))
         for key, value in params.items() if key in names})

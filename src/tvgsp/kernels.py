@@ -9,23 +9,7 @@ that fast separable filtering and windowed transforms can exploit them.
 import numpy as np
 
 from .errors import NumericalError, SingularKernelError, ValidationError
-from .transforms import omega_grid
-
-
-def _number(label, value, integer=False):
-    """``value`` (a number or a numeric string) as a finite float, or with
-    ``integer`` a positive int, else a :class:`ValidationError` naming
-    ``label``. A boolean (a JSON ``true``) is not a number."""
-    try:
-        number = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
-    except (TypeError, ValueError):
-        number = np.nan
-    if not np.isfinite(number) or (integer and (number < 1 or number % 1)):
-        kind = "a positive integer" if integer else "a finite number"
-        if isinstance(value, np.generic):  # shown as the plain number
-            value = value.item()
-        raise ValidationError(f"{label}={value!r} is not {kind}")
-    return int(number) if integer else number
+from .transforms import _number, omega_grid
 
 
 def _check_horizon(T):

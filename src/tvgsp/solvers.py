@@ -20,9 +20,10 @@ import numpy as np
 from .errors import NotAFrameError, ValidationError
 from .filtering import _filter
 from .frames import DEFAULT_ORDER, bank_grid
-from .kernels import _number, tikhonov_response
+from .kernels import tikhonov_response
 from .transforms import (_checked, _fft, _ifft, _jft_stack, _matvec,
-                         _spectral_bins, time_diff, time_diff_adjoint)
+                         _number, _spectral_bins, time_diff,
+                         time_diff_adjoint)
 
 
 @dataclass
@@ -97,6 +98,14 @@ def denoise_tikhonov(Y, g, tau1, tau2, eig=None, order=DEFAULT_ORDER,
                    tikhonov_response(tau1, tau2), g, eig, order, info)
 
 
+def _iteration_cap(solver, max_iters):
+    """``max_iters`` of ``solver`` as an int: a whole number, at least 1."""
+    if _number(f"{solver} max_iters", max_iters) < 1:
+        raise ValidationError(
+            f"{solver} needs max_iters >= 1, got {max_iters}")
+    return _number(f"{solver} max_iters", max_iters, integer=True)
+
+
 def _validate_mask(mask, shape):
     M = np.asarray(mask, dtype=float)
     if M.shape != shape:
@@ -145,9 +154,7 @@ def inpaint(spec, g):
     on a time row. ``K X`` is carried over: it serves the objective and
     the next extrapolation ``2 K X_new - K X``.
     """
-    if spec.max_iters < 1:
-        raise ValidationError(
-            f"inpaint needs max_iters >= 1, got {spec.max_iters}")
+    max_iters = _iteration_cap("inpaint", spec.max_iters)
     if _number("inpaint tol", spec.tol) < 0:
         raise ValidationError("inpaint tol must be nonnegative")
     Y = _checked(spec.observation, "observation", g=g)
@@ -185,7 +192,7 @@ def inpaint(spec, g):
     history = [best_obj]
     window = 10
     converged = False
-    for iterations in range(1, spec.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         step = 0.0   # updates run in place on arrays no longer needed
         for i, (_, KT, sigma, gamma, order) in enumerate(blocks):
             duals[i] = _dual_step(duals[i], KXbar[i], sigma, gamma, order)
@@ -207,7 +214,7 @@ def inpaint(spec, g):
             break
     if not converged:
         warnings.warn(
-            f"inpaint did not converge in {spec.max_iters} iterations "
+            f"inpaint did not converge in {max_iters} iterations "
             f"(relative objective gap {gap:.3e})", stacklevel=2)
     return InpaintResult(signal=best_X, objective=best_obj,
                          iterations=iterations, converged=converged,
@@ -261,9 +268,7 @@ def sparse_code(spec, g, eig=None):
     """
     if _number("sparse coding weight gamma", spec.gamma) < 0:
         raise ValidationError("sparse coding weight gamma must be nonnegative")
-    if spec.max_iters < 1:
-        raise ValidationError(
-            f"sparse coding needs max_iters >= 1, got {spec.max_iters}")
+    max_iters = _iteration_cap("sparse coding", spec.max_iters)
     if _number("sparse coding tol", spec.tol) < 0:
         raise ValidationError("sparse coding tol must be nonnegative")
     bank = spec.bank
@@ -302,7 +307,7 @@ def sparse_code(spec, g, eig=None):
     t, obj = 1.0, objective(R, 0.0)
     converged = False
     iterations = restarts = 0
-    for iterations in range(1, spec.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         # U = Z - step * 2 analyze(synthesize(Z) - X), shrunk, and the
         # residual spectrum jft(synthesize(U) - X)
         V = _ifft(H_grad * R_Z, T, half)
@@ -348,8 +353,9 @@ def localize_source(C, bank, g, top_k):
     if g.coords is None:
         raise ValidationError("graph has no vertex coordinates")
     C = _checked(C, "coefficient stack", 3, g=g, bank=bank)
-    if not 1 <= top_k <= g.N:
+    if not 1 <= _number("top_k", top_k) <= g.N:
         raise ValidationError(f"top_k must lie in [1, {g.N}]")
+    top_k = _number("top_k", top_k, integer=True)
     energy = (np.abs(C) ** 2).sum(axis=(0, 2))
     order = np.lexsort((np.arange(g.N), -energy))
     sel = order[:top_k]

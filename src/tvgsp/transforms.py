@@ -19,6 +19,9 @@ the eigensystem or the filter bank, and finiteness. Each
 :class:`~tvgsp.errors.ValidationError` it raises names the input
 (``signal``, ``spectrum``, ``coefficient stack``, ``observation``, ``initial
 condition``); :func:`validate_signal` is its public form for a signal.
+Every public number that must be finite (a weight, a tolerance, a
+parameter, a count) is read by one private helper, ``_number``, whose
+:class:`~tvgsp.errors.ValidationError` names it.
 
 Every exact path (:func:`jft`/:func:`ijft`, filtering, frames, sparse
 coding) runs one private transform pair on ``(..., N, T)`` stacks: the GFT
@@ -49,6 +52,22 @@ SYMMETRY_TOL = 1e-12
 
 
 _AXES = {1: "N", 2: "N x T", 3: "|Z| x N x T"}
+
+
+def _number(label, value, integer=False):
+    """``value`` (a number or a numeric string) as a finite float, or with
+    ``integer`` a positive int, else a :class:`ValidationError` naming
+    ``label``. A boolean (a JSON ``true``) is not a number."""
+    try:
+        number = np.nan if isinstance(value, (bool, np.bool_)) else float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    if not np.isfinite(number) or (integer and (number < 1 or number % 1)):
+        kind = "a positive integer" if integer else "a finite number"
+        if isinstance(value, np.generic):  # shown as the plain number
+            value = value.item()
+        raise ValidationError(f"{label}={value!r} is not {kind}")
+    return int(number) if integer else number
 
 
 def _checked(A, name, ndim=2, g=None, eig=None, bank=None):
@@ -341,7 +360,11 @@ def variation_norm(X, g, p=2, q=2, w_graph=1.0, w_time=1.0):
     if p not in (1, 2) or q not in (1, 2):
         raise ValidationError("variation norm orders must be 1 or 2")
     for name, weight in (("w_graph", w_graph), ("w_time", w_time)):
-        if not 0 <= weight < np.inf:
+        try:
+            valid = _number(name, weight) >= 0
+        except ValidationError:  # not a finite number
+            valid = False
+        if not valid:
             raise ValidationError(f"variation norm weight {name}={weight} "
                                   "must be finite and nonnegative")
     gpart, tpart = joint_gradient(X, g)

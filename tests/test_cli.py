@@ -1257,19 +1257,29 @@ _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
      "invalid_input: gamma_graph=-1.0 must be nonnegative"),
     (_INPAINT + ["--gamma2", "-1"], 2,
      "invalid_input: gamma_time=-1.0 must be nonnegative"),
+    (["graph-gen", "--kind", "knn_sensor", "--n", "10", "--k", "3",
+      "--seed", "-1", "--out", "g2.csv"], 2,
+     "invalid_input: seed=-1 is not a nonnegative integer"),
+    (["filter-bench", "--n", "6", "--knn", "2", "--t", "4", "--seed", "-1",
+      "--emit", "e.csv"], 2,
+     "invalid_input: seed=-1 is not a nonnegative integer"),
+    (["filter-bench", "--graph", "g.csv", "--t", "4", "--seed", "-1",
+      "--emit", "e.csv"], 2,
+     "invalid_input: seed=-1 is not a nonnegative integer"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
         "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
         "damped-wave-cheby2d", "filter-bench-negative-t",
         "transform-without-signal", "inverse-without-spectrum",
         "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1",
-        "inpaint-negative-gamma2"])
+        "inpaint-negative-gamma2", "graph-gen-negative-seed",
+        "filter-bench-negative-seed", "filter-bench-graph-negative-seed"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):
     """A negative tolerance, a kernel whose response overflows, a response
-    that cheby2d cannot represent, a negative horizon and a generator
-    parameter of another graph kind each end the run with one line that
-    names them, and no file is written."""
+    that cheby2d cannot represent, a negative horizon, a generator
+    parameter of another graph kind and a negative seed each end the run
+    with one line that names them, and no file is written."""
     monkeypatch.chdir(tmp_path)
     fileio.save_edges_csv("g.csv", ring_graph(6))
     fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))

@@ -308,6 +308,21 @@ def test_a_negative_order_is_refused_on_any_graph(name, graph):
         fn(np.ones(shape))
 
 
+@pytest.mark.parametrize("order, match", [
+    (float("nan"), "^order=nan is not a finite number$"),
+    (2.5, r"^order=2\.5 is not a positive integer$"),
+], ids=["nan", "fractional"])
+@pytest.mark.parametrize("graph", ["edgeless", "path"])
+@pytest.mark.parametrize("name", _ENGINE_ENTRIES)
+def test_an_order_that_is_not_a_whole_number_is_named(name, graph, order,
+                                                      match):
+    """A NaN order used to raise a raw ``ValueError`` from ``np.arange``."""
+    g = build_graph([], 6) if graph == "edgeless" else path_graph(6)
+    fn, shape = _engine_cases(g, order)[name]
+    with pytest.raises(ValidationError, match=match):
+        fn(np.ones(shape))
+
+
 K = filtering._BLOCK
 
 

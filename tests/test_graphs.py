@@ -199,6 +199,26 @@ def test_generate_graph_keeps_a_large_seed_exact():
         12, 0.5, seed=2 ** 53).edges()[0].tolist()
 
 
+@pytest.mark.parametrize("seed, shown", [
+    (-1, "-1"), (np.int64(-2), "-2"), (1.5, "1.5"), (3.0, "3.0"),
+    (True, "True"), (np.bool_(False), "False"), ("abc", "'abc'"),
+    (None, "None"),
+], ids=["negative", "negative-numpy", "fractional", "float", "boolean",
+        "numpy-boolean", "string", "none"])
+def test_a_bad_seed_is_named_by_the_one_seed_check(seed, shown):
+    """``default_rng`` and ``generate_graph`` (of every kind, even one that
+    draws nothing) take a nonnegative int, else a :class:`ValidationError`
+    naming the seed; numpy's own ``Philox`` would raise a raw ``ValueError``
+    or ``TypeError``, and ``int(1.5)`` would truncate."""
+    message = f"^seed={shown} is not a nonnegative integer$"
+    with pytest.raises(ValidationError, match=message):
+        default_rng(seed)
+    for kind, params in (("erdos_renyi", {"n": 6, "p": 0.5}),
+                         ("ring", {"n": 6})):
+        with pytest.raises(ValidationError, match=message):
+            generate_graph(kind, params, rng_seed=seed)
+
+
 def test_edges_canonical_order():
     g = build_graph([(2, 0, 1.0), (1, 0, 2.0)], 3)
     src, dst, w = g.edges()

@@ -386,12 +386,45 @@ def test_sparse_code_rejects_a_bank_it_cannot_use(g, bank, make_bank, error,
     ({"gamma": -1.0}, "must be nonnegative"),
     ({"max_iters": 0}, "max_iters >= 1, got 0"),
     ({"tol": float("nan")}, "tol=nan is not a finite number"),
-], ids=["gamma-inf", "gamma-negative", "no-iterations", "tol-nan"])
+    ({"max_iters": float("nan")}, "max_iters=nan is not a finite number"),
+    ({"max_iters": 2.5}, "max_iters=2.5 is not a positive integer"),
+], ids=["gamma-inf", "gamma-negative", "no-iterations", "tol-nan",
+        "iterations-nan", "iterations-fractional"])
 def test_sparse_code_rejects_bad_controls(g, bank, controls, match):
     spec = SparseCodingSpec(bank=bank, observation=np.ones((g.N, 12)),
                             **{"gamma": 0.1, **controls})
     with pytest.raises(ValidationError, match=match):
         sparse_code(spec, g)
+
+
+@pytest.mark.parametrize("max_iters, match", [
+    (0, "^inpaint needs max_iters >= 1, got 0$"),
+    (float("nan"), "^inpaint max_iters=nan is not a finite number$"),
+    (2.5, "^inpaint max_iters=2.5 is not a positive integer$"),
+], ids=["no-iterations", "iterations-nan", "iterations-fractional"])
+def test_inpaint_rejects_a_bad_iteration_cap(g, max_iters, match):
+    """A cap that is not a whole number used to raise a raw ``TypeError``
+    from ``range``."""
+    Y = np.ones((g.N, 4))
+    spec = InverseProblemSpec(observation=Y, mask=np.ones_like(Y),
+                              regularizer=Regularizer(), max_iters=max_iters)
+    with pytest.raises(ValidationError, match=match):
+        inpaint(spec, g)
+
+
+@pytest.mark.parametrize("top_k, match", [
+    (1.5, r"^top_k=1\.5 is not a positive integer$"),
+    ("abc", "^top_k='abc' is not a finite number$"),
+    (float("nan"), "^top_k=nan is not a finite number$"),
+    (0, r"^top_k must lie in \[1, 20\]$"),
+    (21, r"^top_k must lie in \[1, 20\]$"),
+], ids=["fractional", "string", "nan", "zero", "above-n"])
+def test_localize_source_names_a_bad_top_k(g, bank, top_k, match):
+    """A fractional count used to raise a raw ``TypeError`` on slice
+    indices."""
+    C = np.ones((bank.size, g.N, 12), dtype=complex)
+    with pytest.raises(ValidationError, match=match):
+        localize_source(C, bank, g, top_k)
 
 
 def test_localize_source_checks_a_stack_against_the_time_lattice(g):

@@ -304,12 +304,12 @@ def test_variation_norm_validation(sensor30):
 @pytest.mark.parametrize("weights,name", [
     ((np.nan, 1.0), "w_graph=nan"), ((np.inf, 1.0), "w_graph=inf"),
     ((-1.0, 1.0), "w_graph=-1.0"), ((1.0, np.nan), "w_time=nan"),
-    ((1.0, -np.inf), "w_time=-inf"),
+    ((1.0, -np.inf), "w_time=-inf"), (("abc", 1.0), "w_graph=abc"),
 ])
 def test_variation_norm_names_a_bad_weight(sensor30, weights, name):
     """A weight that is not finite or is negative is a
     :class:`ValidationError` naming it (a NaN or infinite weight used to
-    return NaN)."""
+    return NaN, and a string raised a raw ``TypeError``)."""
     with pytest.raises(ValidationError, match=f"{name} must be finite"):
         variation_norm(np.ones((30, 2)), sensor30, 2, 2, *weights)
 

@@ -9,9 +9,10 @@
 ``graph-gen``, the workload's input preparation and its stage chain, every
 stage in a fresh ``python -m tvgsp._main ... --threads 1``. With
 ``--in-process`` the whole chain instead runs through ``tvgsp.cli.run`` in
-one fresh interpreter per tree, one thread per pool, as the benchmark's
-set-up probe runs it, so that what a stage keeps in the process for the
-next (the eigensystem and graph-load memos) is compared too. The tool then
+one fresh interpreter per tree, one thread per pool, by the benchmark's
+set-up probe (``perfbench/probe.py``, run, never modified), so that what a
+stage keeps in the process for the next (the eigensystem and graph-load
+memos) is compared too. The tool then
 lists every output file that differs between the trees. Run reports are
 compared without ``timings_ms``, ``environment`` and ``warnings``, and with
 the paths in them reduced to file names. A differing signal or coefficient
@@ -65,24 +66,15 @@ def _stage(src, argv, work):
     _run(src, ["-m", "tvgsp._main", *argv, "--threads", "1"], work, argv[0])
 
 
-#: Runs the stage chain in the JSON file ``argv[1]`` through
-#: ``tvgsp.cli.run``, stopping at the first stage that fails.
-_CHAIN = """
-import json, sys
-from tvgsp.cli import run
-for argv in json.load(open(sys.argv[1])):
-    code = run(argv)
-    if code != 0:
-        sys.exit(f"{argv[0]} exited with {code}")
-"""
-
-
 def _chain(src, argvs, work):
-    """The stages ``argvs`` through ``tvgsp.cli.run`` in one interpreter."""
+    """The stages ``argvs`` through ``tvgsp.cli.run`` in one interpreter:
+    the benchmark's set-up probe, ``perfbench/probe.py``, which stops at
+    the first stage that fails."""
     path = os.path.join(work, "stages.json")
     with open(path, "w") as fh:
         json.dump([argv + ["--threads", "1"] for argv in argvs], fh)
-    _run(src, ["-c", _CHAIN, path], work, "the in-process chain")
+    _run(src, [os.path.join(ROOT, "perfbench", "probe.py"), path], work,
+         "the in-process chain")
 
 
 def _pass(wl, seed, src, work, in_process):
