@@ -19,7 +19,8 @@ Each run has one private ``_Job``: ``cmd_<name>(args)`` runs its stages on
 report. The job times the files read in a ``load`` stage, the
 eigendecomposition in its own stage and the files written (not the
 report) in a ``write`` stage. A graph file whose bytes the previous load
-of the process read too is not parsed again (see ``_Job``).
+of the process read too is not parsed again, and its graph's eigensystem
+and operators, once built, are not built again (see ``_Job``).
 
 Outputs, the report included, are written to temporary siblings and
 renamed into place only when the whole run has succeeded: a run that exits
@@ -91,7 +92,8 @@ class _Job:
     Loading goes through a one-entry, process-wide memo keyed by the bytes
     of the graph file and ``--num-vertices``: a chain of in-process runs on
     one graph file parses it and builds its graph once, and each run gets a
-    new graph over the same read-only arrays."""
+    new graph over the same read-only arrays that shares the memo graph's
+    cache, so the chain decomposes the graph once."""
 
     def __init__(self, args):
         self.args = args
@@ -136,10 +138,12 @@ class _Job:
 
     def eig(self, g):
         """The graph's eigensystem, timed as its own stage; the report
-        notes whether it was computed or reused from the process memo."""
+        notes whether it was computed or reused from the graph's cache,
+        which an earlier run's graph of the same file may have filled."""
+        held = "eigensystem" in g._cache
         with self.stage("eigendecomposition"):
             eig = g.eigensystem()
-        self.eigensystem = g.eigensystem_source
+        self.eigensystem = "reused" if held else "computed"
         return eig
 
     def write(self, save, path, data):

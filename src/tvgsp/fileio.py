@@ -60,6 +60,15 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def _lines(path, data=None):
+    """The lines of the file at ``path``, or of its bytes ``data``, decoded
+    as a text-mode read decodes them, universal newlines included; a byte
+    that is not UTF-8 becomes U+FFFD, so it fails to parse."""
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="replace") as fh:
+        return fh.read().split("\n")
+
+
 def _read_table(path, header, dtype, what, data=None):
     """Parse the ``what`` CSV table at ``path`` with one ``np.loadtxt``.
 
@@ -70,10 +79,7 @@ def _read_table(path, header, dtype, what, data=None):
     the file's bytes when the caller has read them, is parsed instead of
     the file, decoded the same way.
     """
-    raw = open(path, "rb") if data is None else io.BytesIO(data)
-    # text-mode decoding, universal newlines included
-    with io.TextIOWrapper(raw, encoding="utf-8", errors="replace") as fh:
-        lines = fh.read().split("\n")  # a byte that is not UTF-8 fails to parse
+    lines = _lines(path, data)
     first = 1 if header is None else 2
     if header is not None and ([h.strip() for h in lines[0].split(",")]
                                != header.split(",")):
@@ -194,7 +200,10 @@ def save_spectrum_csv(path, S):
 
 
 def load_spectrum_csv(path):
-    table = _read_table(path, _SPECTRUM, "i8,i8,f8,f8", "spectrum").ravel()
+    with open(path, "rb") as fh:  # read once: a pipe has no second read
+        data = fh.read()
+    table = _read_table(path, _SPECTRUM, "i8,i8,f8,f8", "spectrum",
+                        data).ravel()
     if not table.size:
         raise ValidationError(f"{path}: empty spectrum")
     l, k = table["f0"] - 1, table["f1"] - 1
@@ -206,8 +215,8 @@ def load_spectrum_csv(path):
         r = bad[0]
         why = (f"duplicate entry for l={l[r] + 1}, k={k[r] + 1}" if dup[r]
                else "frequency indices start at 1")
-        with open(path, encoding="utf-8", errors="replace") as fh:  # its line
-            line = [i for i, text in enumerate(fh, 1) if i > 1 and text != "\n"][r]
+        line = [i for i, text in enumerate(_lines(path, data), 1)
+                if i > 1 and text][r]  # the line of data row r
         raise ValidationError(f"{path}: line {line}: {why}")
     n, t = int(l.max()) + 1, int(k.max()) + 1
     if table.size != n * t:

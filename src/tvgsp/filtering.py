@@ -73,13 +73,14 @@ def _nodes(num_points, interval):
 _PROBE_POINTS = 101  # where the engine measures each fit error
 
 
-def _check_order(order):
+def _check_order(order, label="order"):
     """The check of every Chebyshev order: a whole number, at least 0,
-    returned as an int."""
-    number = _number("order", order)
+    returned as an int; a NaN or fractional order is an error naming
+    ``label``."""
+    number = _number(label, order)
     if number < 0:
         raise ValidationError("Chebyshev order must be nonnegative")
-    return _number("order", order, integer=True) if number else 0
+    return _number(label, order, integer=True) if number else 0
 
 
 def _quadrature(order, interval):
@@ -305,6 +306,8 @@ def filter_cheby2d(X, kernel, g, order_graph, order_time):
     ``cos(m (pi - omega_k))`` at DFT bin ``k``, so the expansion is one
     ``(MG + 1, T)`` table for :func:`_engine`."""
     X = _checked(X, "signal", g=g)
+    order_graph = _check_order(order_graph, "order_graph")
+    order_time = _check_order(order_time, "order_time")
     if g.lmax == 0:
         raise ValidationError("cheby2d requires a graph with at least one edge")
     lam_nodes, QG = _quadrature(order_graph, (0.0, g.lmax))

@@ -3,19 +3,12 @@
 A :class:`Graph` stores its weight matrix as numpy CSR arrays, from which
 it derives the degrees, a cheap upper bound on the largest Laplacian
 eigenvalue, the edge list, the connected components and the dense
-Laplacian ``L = D - W`` handed to the eigendecomposition; the
-decomposition is computed lazily and cached. Graphs are immutable after
-construction and safe to share across threads.
-
-The process keeps the last eigensystem it computed in a one-entry memo,
-keyed by the exact contents of the graph's CSR arrays (``N`` and the bytes
-of ``indptr``, ``indices`` and ``data``), never by a file path or an
-object's identity. A graph built later from equal edges, such as each
-stage of an in-process pipeline that reloads one graph file, takes that
-eigensystem instead of decomposing its Laplacian again. Its ``values`` and
-``vectors`` are read-only, since several graphs may share them. The memo
-keeps at most one eigensystem (8 N^2 bytes of vectors) alive after its
-graph is gone.
+Laplacian ``L = D - W`` handed to the eigendecomposition. Graphs are
+immutable after construction and safe to share across threads. What a
+graph derives from its CSR arrays on first use (the eigensystem, the
+sparse operators, the edge list, ``W`` and ``L``) it keeps in one cache
+dict, which the graphs :func:`_twin` builds over the same arrays share:
+they decompose the Laplacian once between them.
 
 No scipy package is imported at module level, and the generators and
 the component count use numpy alone. Every sparse product of the package
@@ -86,19 +79,6 @@ def _canonical_csr(rows, cols, vals, n, n_col=None):
     return np.searchsorted(row, np.arange(n + 1)), col, sums[keep]
 
 
-#: ``(key, eigensystem)`` of the last decomposition (see :func:`_csr_key`),
-#: or None. It is replaced whole, never updated in place, so threads read
-#: either the old entry or the new one.
-_memo = None
-
-
-def _csr_key(g):
-    """The memo key of ``g``: its vertex count and the bytes of its CSR
-    arrays, which fix its Laplacian."""
-    return (g.N, g._indptr.tobytes(), g._indices.tobytes(),
-            g._data.tobytes())
-
-
 def _row_ids(indptr):
     """Row index of every stored entry of a CSR matrix."""
     return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
@@ -154,12 +134,14 @@ class Graph:
     """Undirected weighted graph with cached Laplacian.
 
     The weights live in numpy CSR arrays. ``W`` and ``L`` are the weight
-    matrix and the combinatorial Laplacian as ``scipy.sparse.csr_array``;
-    each is built on first use and cached (``W`` shares the graph's
-    arrays; threads racing on first use build the same matrix twice).
-    :meth:`laplacian_dense`, :meth:`edges`, :meth:`num_components` and the
-    sparse products of the package work on the arrays, without
-    ``scipy.sparse``.
+    matrix and the combinatorial Laplacian as ``scipy.sparse.csr_array``
+    (``W`` shares the graph's arrays). :meth:`laplacian_dense`,
+    :meth:`edges`, :meth:`num_components` and the sparse products of the
+    package work on the arrays, without ``scipy.sparse``. ``W``, ``L``,
+    :meth:`edges`, :meth:`eigensystem` and the sparse operators are each
+    built on first use and kept in the dict ``_cache``, which holds only
+    what the CSR arrays determine, so graphs over the same arrays may share
+    it (threads racing on first use build the same value twice).
 
     Parameters
     ----------
@@ -207,40 +189,38 @@ class Graph:
             raise ValidationError("coords must have one row per vertex")
         if self.coords is not None and not np.isfinite(self.coords).all():
             raise ValidationError("coords contain NaN or Inf entries")
-        self._W = self._L = self._eigensystem = self._edges = None
-        self._ops = {}
-        #: "computed" or "reused" (from the memo) once :meth:`eigensystem`
-        #: has run, else None
-        self.eigensystem_source = None
+        self._cache = {}
 
     @property
     def W(self):
         """Weight matrix (``scipy.sparse.csr_array``, int64 indices)."""
-        if self._W is None:
+        if "W" not in self._cache:
             import scipy.sparse as sp  # deferred: first sparse use
-            self._W = sp.csr_array((self._data, self._indices, self._indptr),
-                                   shape=(self.N, self.N))
-        return self._W
+            self._cache["W"] = sp.csr_array(
+                (self._data, self._indices, self._indptr),
+                shape=(self.N, self.N))
+        return self._cache["W"]
 
     @property
     def L(self):
         """Combinatorial Laplacian ``D - W`` (``scipy.sparse.csr_array``)."""
-        if self._L is None:
+        if "L" not in self._cache:
             import scipy.sparse as sp  # deferred: first sparse use
-            self._L = sp.csr_array(sp.diags(self.degrees) - self.W)
-        return self._L
+            self._cache["L"] = sp.csr_array(sp.diags(self.degrees) - self.W)
+        return self._cache["L"]
 
     def _operator(self, op):
         """CSR arrays ``(indptr, indices, data, n_col)`` of the operator
-        ``op``, built on first use and cached: ``"L"``, the Laplacian;
-        ``"step"``, the Chebyshev step ``(4 / lmax) L - 2 I`` (a graph with
-        edges only); ``"B"``, the incidence operator of
+        ``op``, built on first use and cached in ``_cache["csr"]``: ``"L"``,
+        the Laplacian; ``"step"``, the Chebyshev step ``(4 / lmax) L - 2 I``
+        (a graph with edges only); ``"B"``, the incidence operator of
         :func:`~tvgsp.transforms.graph_incidence`, and ``"BT"``, its
         transpose. Each is built whole, then stored. As in scipy's sums,
         the entries that come out zero are not stored: on the step
         operator's diagonal ``(4 / lmax) d - 2`` that is every vertex of
         maximum degree."""
-        if op not in self._ops:
+        ops = self._cache.setdefault("csr", {})
+        if op not in ops:
             n = self.N
             if op in ("B", "BT"):
                 src, dst, w = self.edges()
@@ -261,8 +241,8 @@ class Graph:
                     np.concatenate((self._indices, ids)),
                     np.concatenate((scale * -self._data,
                                     scale * self.degrees - shift)), n), n)}
-            self._ops.update(built)
-        return self._ops[op]
+            ops.update(built)
+        return ops[op]
 
     def _matmul(self, op, V, out=None):
         """``A @ V`` for the operator ``A`` named ``op`` (see
@@ -330,32 +310,20 @@ class Graph:
         Edges are ordered lexicographically with ``src < dst`` so that
         gradient rows are reproducible across runs.
         """
-        if self._edges is None:
+        if "edges" not in self._cache:
             rows = _row_ids(self._indptr)
             upper = self._indices > rows
-            self._edges = (rows[upper], self._indices[upper],
-                           self._data[upper])
-        return self._edges
+            self._cache["edges"] = (rows[upper], self._indices[upper],
+                                    self._data[upper])
+        return self._cache["edges"]
 
     def eigensystem(self, cap=DEFAULT_EIG_CAP):
-        """Dense eigendecomposition, cached on the graph.
-
-        On the first call it is taken from the process memo when the memo
-        holds the eigensystem of equal CSR arrays, and computed by
-        :func:`eigendecompose` (and memoized) otherwise; ``cap`` is
-        enforced either way. :attr:`eigensystem_source` tells which.
-        """
-        global _memo
-        if self._eigensystem is None:
-            _check_cap(self, cap)
-            key, memo = _csr_key(self), _memo
-            if memo is not None and memo[0] == key:
-                self._eigensystem, self.eigensystem_source = memo[1], "reused"
-            else:
-                eig = eigendecompose(self, cap=cap)
-                _memo = (key, eig)
-                self._eigensystem, self.eigensystem_source = eig, "computed"
-        return self._eigensystem
+        """Dense eigendecomposition by :func:`eigendecompose`, computed on
+        first use and cached; ``cap`` is enforced on every call."""
+        _check_cap(self, cap)
+        if "eigensystem" not in self._cache:
+            self._cache["eigensystem"] = eigendecompose(self, cap=cap)
+        return self._cache["eigensystem"]
 
     def num_components(self):
         """Number of connected components; an isolated vertex is one.
@@ -403,12 +371,15 @@ def build_graph(edge_list, num_vertices, coords=None):
 
 def _twin(g, coords=None):
     """A new graph over the CSR arrays of ``g``, made read-only because
-    both graphs hold them, with ``coords``. It takes none of ``g``'s
-    caches, so its eigensystem is looked up in the process memo again."""
+    both graphs hold them, with ``coords``. It shares ``g``'s cache, so the
+    two decompose their Laplacian and build each operator once between
+    them."""
     csr = (g._indptr, g._indices, g._data)
     for a in csr:
         a.flags.writeable = False
-    return Graph._from_csr(csr, coords=coords)
+    twin = Graph._from_csr(csr, coords=coords)
+    twin._cache = g._cache
+    return twin
 
 
 def estimate_lambda_max(g):
@@ -424,7 +395,7 @@ def eigendecompose(g, cap=DEFAULT_EIG_CAP):
     positive semidefinite; tiny negative values are rounding noise). Both
     arrays are read-only. Raises when the graph exceeds ``cap`` vertices,
     directing callers to the Chebyshev fast path that needs no
-    decomposition. Consults no memo: :meth:`Graph.eigensystem` does.
+    decomposition. Caches nothing: :meth:`Graph.eigensystem` does.
     """
     _check_cap(g, cap)
     values, vectors = np.linalg.eigh(g.laplacian_dense())
@@ -436,7 +407,7 @@ def eigendecompose(g, cap=DEFAULT_EIG_CAP):
         first, cols = big.argmax(axis=0), np.arange(vectors.shape[1])
         flip = big[first, cols] & (vectors[first, cols] < 0)
         vectors *= np.where(flip, -1.0, 1.0)  # exact: a sign flip or a no-op
-    # shared through the memo: a write in place would reach other graphs
+    # shared through the cache: a write in place would reach other graphs
     values.flags.writeable = vectors.flags.writeable = False
     return GraphEigensystem(values=values, vectors=vectors)
 

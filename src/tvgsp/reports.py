@@ -24,8 +24,9 @@ class RunReport:
     Metrics and float parameters must be finite (a bare NaN is not JSON);
     timings are wall-clock milliseconds per stage. ``eigensystem`` says how
     the ``eigendecomposition`` stage obtained the eigensystem:
-    ``"computed"``, ``"reused"`` from the process memo (see
-    :mod:`tvgsp.graphs`), or None when the run had no such stage.
+    ``"computed"``, ``"reused"`` from the graph's cache, which the graph
+    of an earlier run on the same file shares (see :mod:`tvgsp.cli`), or
+    None when the run had no such stage.
     ``warnings`` holds the messages of the Python warnings the run raised.
     Timings, ``eigensystem`` and the ``environment`` block (see
     :func:`environment`) depend on the process; everything else is
@@ -134,6 +135,8 @@ def compaction_experiment(X, g, eig, percentiles):
     """
     X = _checked(X, "signal", g=g, eig=eig)
     percentiles = [float(p) for p in percentiles]
+    if not percentiles:
+        raise ValidationError("percentiles must not be empty")
     if any(not 0 <= p < 100 for p in percentiles):
         raise ValidationError("percentiles must lie in [0, 100)")
     norm = np.linalg.norm(X)

@@ -1222,6 +1222,8 @@ _HEAT = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--kernel",
          "heat", "--param", "s=1e300", "--out", "y.csv"]
 _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
             "cheby2d", "--out", "y.csv", "--kernel"]
+_COMPACTION = ["compaction", "--graph", "g.csv", "--signal", "x.csv",
+               "--out", "c.csv", "--percentiles"]
 
 
 @pytest.mark.parametrize("command,code,line", [
@@ -1266,20 +1268,24 @@ _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
     (["filter-bench", "--graph", "g.csv", "--t", "4", "--seed", "-1",
       "--emit", "e.csv"], 2,
      "invalid_input: seed=-1 is not a nonnegative integer"),
+    (_COMPACTION + [""], 2, "invalid_input: percentiles must not be empty"),
+    (_COMPACTION + [","], 2, "invalid_input: percentiles must not be empty"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
         "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
         "damped-wave-cheby2d", "filter-bench-negative-t",
         "transform-without-signal", "inverse-without-spectrum",
         "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1",
         "inpaint-negative-gamma2", "graph-gen-negative-seed",
-        "filter-bench-negative-seed", "filter-bench-graph-negative-seed"])
+        "filter-bench-negative-seed", "filter-bench-graph-negative-seed",
+        "compaction-no-percentile", "compaction-only-a-comma"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):
     """A negative tolerance, a kernel whose response overflows, a response
     that cheby2d cannot represent, a negative horizon, a generator
-    parameter of another graph kind and a negative seed each end the run
-    with one line that names them, and no file is written."""
+    parameter of another graph kind, a negative seed and an empty list of
+    percentiles each end the run with one line that names them, and no
+    file is written."""
     monkeypatch.chdir(tmp_path)
     fileio.save_edges_csv("g.csv", ring_graph(6))
     fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
@@ -1415,9 +1421,9 @@ def test_malformed_inputs_exit_2_or_3_with_one_line(fuzz_dir, data):
 def test_in_process_chain_decomposes_the_graph_once(graph_files, bank_file,
                                                    tmp_path, monkeypatch):
     """Two eigenbasis stages reading one graph file: the second takes the
-    eigensystem of the first from the process memo and its report says so;
-    the files and metrics equal those of the same chain with the memo
-    emptied between the stages."""
+    eigensystem of the first from the graph-load memo's graph and its
+    report says so; the files and metrics equal those of the same chain
+    with the memo emptied between the stages."""
     gpath, _ = graph_files
     fileio.save_signal_csv(tmp_path / "x.csv",
                            default_rng(5).standard_normal((24, 8)))
@@ -1430,11 +1436,11 @@ def test_in_process_chain_decomposes_the_graph_once(graph_files, bank_file,
         stages = [["transform", "--signal", "x.csv", "--out", f"{tag}.csv"],
                   ["analyze", "--bank", str(bank_file), "--signal", "x.csv",
                    "--exact", "--out", f"{tag}.tvcf"]]
-        monkeypatch.setattr(graphs, "_memo", None)
+        monkeypatch.setattr(cli, "_loaded", None)
         reports = []
         for i, argv in enumerate(stages):
             if empty_between:
-                monkeypatch.setattr(graphs, "_memo", None)
+                monkeypatch.setattr(cli, "_loaded", None)
             assert invoke(*argv, "--graph", str(gpath),
                           "--report", f"{tag}{i}.json") == 0
             reports.append(json.loads((tmp_path / f"{tag}{i}.json")
@@ -1610,6 +1616,33 @@ def test_a_graph_file_can_be_a_pipe_on_a_miss_and_a_hit(graph_files,
                 os.close(read_end)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_a_bad_spectrum_from_a_pipe_names_its_line(graph_files, tmp_path,
+                                                  capsys):
+    """The spectrum is read once, so its bad line is found in the bytes
+    read, as for a regular file, not by reading a drained pipe again."""
+    gpath, _ = graph_files
+    text = b"l,k,re,im\n1,1,1.0,0.0\n1,1,2.0,0.0\n"
+    (tmp_path / "S.csv").write_bytes(text)
+    argv = ["transform", "--inverse", "--graph", str(gpath),
+            "--out", str(tmp_path / "x.csv"), "--spectrum"]
+    for source in ("pipe", "file"):
+        if source == "file":
+            path = str(tmp_path / "S.csv")
+            code = invoke(*argv, path)
+        else:
+            read_end, write_end = os.pipe()
+            path = f"/dev/fd/{read_end}"
+            try:
+                with os.fdopen(write_end, "wb") as fh:
+                    fh.write(text)
+                code = invoke(*argv, path)
+            finally:
+                os.close(read_end)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"invalid_input: {path}: line 3: duplicate entry for l=1, k=1\n")
 
 
 @pytest.mark.parametrize("command,owner,name,where", [

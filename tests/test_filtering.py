@@ -309,17 +309,26 @@ def test_a_negative_order_is_refused_on_any_graph(name, graph):
 
 
 @pytest.mark.parametrize("order, match", [
-    (float("nan"), "^order=nan is not a finite number$"),
-    (2.5, r"^order=2\.5 is not a positive integer$"),
+    (float("nan"), "=nan is not a finite number$"),
+    (2.5, r"=2\.5 is not a positive integer$"),
 ], ids=["nan", "fractional"])
 @pytest.mark.parametrize("graph", ["edgeless", "path"])
-@pytest.mark.parametrize("name", _ENGINE_ENTRIES)
+@pytest.mark.parametrize("name", _ENGINE_ENTRIES + ["cheby2d-order_graph",
+                                                    "cheby2d-order_time"])
 def test_an_order_that_is_not_a_whole_number_is_named(name, graph, order,
                                                       match):
-    """A NaN order used to raise a raw ``ValueError`` from ``np.arange``."""
+    """A NaN order used to raise a raw ``ValueError`` from ``np.arange``;
+    cheby2d names which of its two orders is bad."""
     g = build_graph([], 6) if graph == "edgeless" else path_graph(6)
-    fn, shape = _engine_cases(g, order)[name]
-    with pytest.raises(ValidationError, match=match):
+    if name.startswith("cheby2d"):
+        label = name.split("-")[1]
+        orders = {"order_graph": 4, "order_time": 4, label: order}
+        kernel = named_response("tikhonov", {"tau1": 0.5, "tau2": 0.3})
+        fn, shape = (lambda X: filter_cheby2d(X, kernel, g, **orders),
+                     (g.N, 12))
+    else:
+        label, (fn, shape) = "order", _engine_cases(g, order)[name]
+    with pytest.raises(ValidationError, match="^" + label + match):
         fn(np.ones(shape))
 
 

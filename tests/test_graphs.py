@@ -598,8 +598,7 @@ def test_sign_convention_matches_the_column_loop(g):
 
 @pytest.fixture
 def counted_eig(monkeypatch):
-    """Empties the process memo and counts the decompositions made."""
-    monkeypatch.setattr(graphs, "_memo", None)
+    """Counts the decompositions made, each as its graph's vertex count."""
     calls = []
 
     def counted(g, cap=graphs.DEFAULT_EIG_CAP):
@@ -611,48 +610,53 @@ def counted_eig(monkeypatch):
     return calls
 
 
-def test_memo_decomposes_equal_graphs_once(counted_eig):
+def test_twins_share_one_eigensystem_and_operators(counted_eig):
+    g = knn_sensor_graph(60, 5, seed=4)
+    twins = [graphs._twin(g), graphs._twin(g, coords=g.coords + 1.0)]
+    eig = twins[0].eigensystem()
+    assert twins[1].eigensystem() is eig and g.eigensystem() is eig
+    assert counted_eig == [60]
+    steps = [h._operator("step") for h in (g, *twins)]
+    assert all(a is b for step in steps[1:] for a, b in zip(step, steps[0]))
+    assert np.array_equal(eig.vectors, eigendecompose(g).vectors)
+
+
+def test_graphs_built_separately_each_decompose(counted_eig):
+    """Equal edges are no longer looked up across graphs: each graph that
+    is not a twin of another decomposes its own Laplacian."""
     base = knn_sensor_graph(60, 5, seed=4)
     src, dst, w = base.edges()
     edges = np.column_stack((src, dst, w))
     first = build_graph(edges, 60).eigensystem()
-    second_graph = build_graph(edges[::-1], 60)  # same edges, other order
-    second = second_graph.eigensystem()
-    assert counted_eig == [60]
-    assert second is first and second_graph.eigensystem_source == "reused"
-    # a graph from a scipy weight matrix with the same weights hits as well
-    assert Graph(base.W).eigensystem() is first
-    assert counted_eig == [60]
-    assert np.array_equal(second.vectors, eigendecompose(base).vectors)
+    second = build_graph(edges[::-1], 60).eigensystem()  # other order
+    third = Graph(base.W).eigensystem()
+    assert counted_eig == [60, 60, 60]
+    assert first is not second and second is not third
+    for eig in (second, third):
+        assert eig.vectors.tobytes() == first.vectors.tobytes()
 
 
-def test_memo_misses_on_any_change_of_the_arrays(counted_eig):
-    edges = np.column_stack((np.arange(9), np.arange(1, 10), np.ones(9)))
-    eig = build_graph(edges, 10).eigensystem()
-    changed = edges.copy()
-    changed[4, 2] = np.nextafter(1.0, 2.0)
-    g = build_graph(changed, 10)
-    assert g.eigensystem() is not eig and g.eigensystem_source == "computed"
-    g = build_graph(changed, 11)  # an isolated vertex more
-    assert g.eigensystem().n == 11
-    assert counted_eig == [10, 10, 11]
-
-
-def test_memo_enforces_the_cap_on_a_hit(counted_eig):
-    ring_graph(12).eigensystem()
+def test_cap_is_enforced_on_every_call(counted_eig):
+    """Also on a twin whose origin already holds an eigensystem."""
     g = ring_graph(12)
-    with pytest.raises(EigendecompositionCapError, match="fast path"):
-        g.eigensystem(cap=11)
-    assert g.eigensystem_source is None
-    assert g.eigensystem(cap=12).n == 12 and counted_eig == [12]
+    eig = g.eigensystem()
+    twin = graphs._twin(g)
+    for h in (twin, g):
+        with pytest.raises(EigendecompositionCapError, match="fast path"):
+            h.eigensystem(cap=11)
+    assert twin.eigensystem(cap=12) is eig and counted_eig == [12]
 
 
-def test_shared_eigensystem_is_read_only(counted_eig):
-    eig = ring_graph(8).eigensystem()
-    shared = ring_graph(8).eigensystem()
-    assert shared is eig
+def test_shared_eigensystem_and_csr_arrays_are_read_only(counted_eig):
+    g = ring_graph(8)
+    twin = graphs._twin(g)
+    eig = twin.eigensystem()
+    assert g.eigensystem() is eig
     with pytest.raises(ValueError, match="read-only"):
-        shared.vectors[0, 0] = 1.0
+        eig.vectors[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        shared.values *= 2
+        eig.values *= 2
+    for a in (g._indptr, g._indices, g._data, twin.W.data):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
     assert np.array_equal(eig.vectors, eigendecompose(ring_graph(8)).vectors)

@@ -11,8 +11,8 @@ stage in a fresh ``python -m tvgsp._main ... --threads 1``. With
 ``--in-process`` the whole chain instead runs through ``tvgsp.cli.run`` in
 one fresh interpreter per tree, one thread per pool, by the benchmark's
 set-up probe (``perfbench/probe.py``, run, never modified), so that what a
-stage keeps in the process for the next (the eigensystem and graph-load
-memos) is compared too. The tool then
+stage keeps in the process for the next (the graph-load memo, whose
+graph's cache holds the eigensystem) is compared too. The tool then
 lists every output file that differs between the trees. Run reports are
 compared without ``timings_ms``, ``environment`` and ``warnings``, and with
 the paths in them reduced to file names. A differing signal or coefficient
