@@ -454,7 +454,8 @@ def cmd_compaction(args):
     job = args.job
     with job.load() as g:
         X = fileio.load_signal(args.signal)
-    percentiles = _number_list(args.percentiles, "--percentiles", float)
+    percentiles = reports._percentiles(
+        _number_list(args.percentiles, "--percentiles", float))
     eig = job.eig(g)
     with job.stage("experiment"):
         curve = reports.compaction_experiment(X, g, eig, percentiles)

@@ -55,8 +55,8 @@ import numpy as np
 from .errors import ValidationError
 from .kernels import JointKernel, _stack
 from .transforms import (SYMMETRY_TOL, _checked, _fft, _ifft, _ijft_stack,
-                         _jft_stack, _number, _spectral_bins, omega_grid,
-                         real_if_close)
+                         _jft_stack, _matvec, _number, _spectral_bins,
+                         omega_grid, real_if_close)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +123,17 @@ class ChebyshevApprox:
 def _fit_kernels(stack, T, order, interval):
     """``(Z, order + 1, T)`` coefficients of a stack function's ``h_z(.,
     omega_k)`` and their ``(Z, T)`` probed fit errors, from one stack on
-    the nodes and one on the probe points."""
+    the nodes and one on the probe points. The real quadrature and basis
+    matrices multiply the complex stacks through their float64 view, so
+    numpy does not upcast them to complex; the upcast products took tens
+    of milliseconds in some fresh processes."""
     nodes, Q = _quadrature(order, interval)
     w = omega_grid(T)
-    fits = Q @ stack(nodes, w)
+    fits = _matvec(Q, stack(nodes, w))
     theta, probe = _nodes(_PROBE_POINTS, interval)
     basis = np.cos(np.outer(theta, np.arange(order + 1)))
     basis[:, 0] *= 0.5
-    return fits, np.abs(basis @ fits - stack(probe, w)).max(axis=1)
+    return fits, np.abs(_matvec(basis, fits) - stack(probe, w)).max(axis=1)
 
 
 def fit_joint_kernel(kernel, T, order, interval):

@@ -124,6 +124,16 @@ class CompactionCurve:
                 yield name, p, err
 
 
+def _percentiles(percentiles):
+    """``percentiles`` as a nonempty list of floats in ``[0, 100)``."""
+    percentiles = [float(p) for p in percentiles]
+    if not percentiles:
+        raise ValidationError("percentiles must not be empty")
+    if any(not 0 <= p < 100 for p in percentiles):
+        raise ValidationError("percentiles must lie in [0, 100)")
+    return percentiles
+
+
 def compaction_experiment(X, g, eig, percentiles):
     """Energy-compaction comparison of DFT, GFT, and JFT.
 
@@ -134,11 +144,7 @@ def compaction_experiment(X, g, eig, percentiles):
     die together and reconstructions of real signals stay real.
     """
     X = _checked(X, "signal", g=g, eig=eig)
-    percentiles = [float(p) for p in percentiles]
-    if not percentiles:
-        raise ValidationError("percentiles must not be empty")
-    if any(not 0 <= p < 100 for p in percentiles):
-        raise ValidationError("percentiles must lie in [0, 100)")
+    percentiles = _percentiles(percentiles)
     norm = np.linalg.norm(X)
     transforms = {
         "dft": (dft(X), idft),

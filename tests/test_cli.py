@@ -602,6 +602,33 @@ def test_console_entry_point(tmp_path, child_env):
     assert json.loads(proc.stdout)["metrics"]["num_edges"] == 6
 
 
+_FREEZE_AT_EXIT = """\
+import atexit, gc, json, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count() > 0)))
+registered, register = [], atexit.register
+atexit.register = lambda fn: registered.append(fn) or register(fn)
+from tvgsp._main import main
+runs = [[main(sys.argv[1:]), gc.get_freeze_count()] for _ in range(3)]
+print(json.dumps([runs, registered.count(gc.freeze)]))
+"""
+
+
+def test_stage_process_freezes_its_heap_only_at_exit(tmp_path, child_env):
+    """Loading the entry point registers ``gc.freeze`` with ``atexit`` once
+    per process, however often ``main`` runs, and ``main`` returns with the
+    heap unfrozen. Handlers run last in, first out, so a hook the process
+    registered before loading it runs after the freeze and sees the heap
+    frozen."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_AT_EXIT, "graph-gen", "--kind", "ring",
+         "--n", "6", "--out", str(tmp_path / "g.csv"), "--report",
+         str(tmp_path / "r.json"), "--threads", "1"],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        [[[0, 0]] * 3, 1], True]
+
+
 _SHOW_THREAD_CAPS = """\
 import json, os, sys
 from tvgsp import THREAD_VARS
@@ -1222,8 +1249,6 @@ _HEAT = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--kernel",
          "heat", "--param", "s=1e300", "--out", "y.csv"]
 _CHEBY2D = ["filter", "--graph", "g.csv", "--signal", "x.csv", "--method",
             "cheby2d", "--out", "y.csv", "--kernel"]
-_COMPACTION = ["compaction", "--graph", "g.csv", "--signal", "x.csv",
-               "--out", "c.csv", "--percentiles"]
 
 
 @pytest.mark.parametrize("command,code,line", [
@@ -1268,24 +1293,20 @@ _COMPACTION = ["compaction", "--graph", "g.csv", "--signal", "x.csv",
     (["filter-bench", "--graph", "g.csv", "--t", "4", "--seed", "-1",
       "--emit", "e.csv"], 2,
      "invalid_input: seed=-1 is not a nonnegative integer"),
-    (_COMPACTION + [""], 2, "invalid_input: percentiles must not be empty"),
-    (_COMPACTION + [","], 2, "invalid_input: percentiles must not be empty"),
 ], ids=["inpaint-negative-tol", "sparse-code-negative-tol", "heat-ffc",
         "heat-exact", "graph-gen-parameter-of-another-kind", "heat-cheby2d",
         "damped-wave-cheby2d", "filter-bench-negative-t",
         "transform-without-signal", "inverse-without-spectrum",
         "zero-threads", "negative-vertex-count", "inpaint-negative-gamma1",
         "inpaint-negative-gamma2", "graph-gen-negative-seed",
-        "filter-bench-negative-seed", "filter-bench-graph-negative-seed",
-        "compaction-no-percentile", "compaction-only-a-comma"])
+        "filter-bench-negative-seed", "filter-bench-graph-negative-seed"])
 def test_a_bad_control_exits_with_one_line_naming_it(command, code, line,
                                                      tmp_path, monkeypatch,
                                                      capsys):
     """A negative tolerance, a kernel whose response overflows, a response
     that cheby2d cannot represent, a negative horizon, a generator
-    parameter of another graph kind, a negative seed and an empty list of
-    percentiles each end the run with one line that names them, and no
-    file is written."""
+    parameter of another graph kind and a negative seed each end the run
+    with one line that names them, and no file is written."""
     monkeypatch.chdir(tmp_path)
     fileio.save_edges_csv("g.csv", ring_graph(6))
     fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
@@ -1590,6 +1611,34 @@ def test_coordinates_are_read_on_a_memo_hit(graph_files, tmp_path,
     assert len(parsed) == 1
     assert first == pytest.approx(coords[:3].mean(axis=0), rel=1e-12)
     assert moved == pytest.approx(np.add(first, 1.0), rel=1e-12)
+
+
+_COMPACTION = ["compaction", "--graph", "g.csv", "--signal", "x.csv",
+               "--out", "c.csv", "--percentiles"]
+
+
+@pytest.mark.parametrize("percentiles,line", [
+    ("", "invalid_input: percentiles must not be empty"),
+    (",", "invalid_input: percentiles must not be empty"),
+    ("150", "invalid_input: percentiles must lie in [0, 100)"),
+    ("-1", "invalid_input: percentiles must lie in [0, 100)"),
+], ids=["no-percentile", "only-a-comma", "above-100", "negative"])
+def test_compaction_refuses_bad_percentiles_before_decomposing(
+        percentiles, line, tmp_path, monkeypatch, capsys):
+    """An empty list or a percentile outside ``[0, 100)`` ends the run with
+    one line naming it before the eigendecomposition, and no file is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    fileio.save_edges_csv("g.csv", ring_graph(6))
+    fileio.save_signal_csv("x.csv", default_rng(9).standard_normal((6, 8)))
+    monkeypatch.setattr(cli, "_loaded", None)
+    decomposed = _counting(monkeypatch, graphs, "eigendecompose")
+    inputs = sorted(os.listdir(tmp_path))
+    assert invoke(*_COMPACTION, percentiles) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [line] and captured.out == ""
+    assert decomposed == []
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 def test_a_graph_file_can_be_a_pipe_on_a_miss_and_a_hit(graph_files,
